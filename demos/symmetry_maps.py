@@ -41,7 +41,7 @@ print("  generic theta     ", jsymmetry_defect(space.theta_series, conj))
 sym_space = ModelSpace.from_product(sym_theta, 64)
 print("  symmetric theta   ", jsymmetry_defect(sym_space.theta_series, conj))
 
-c = CTheta(sym_space.theta_series, conj, True)
+c = CTheta(sym_space.theta_series, conj)
 h = sym_space.from_coords(rng.standard_normal(sym_space.dim_K))
 ch = c.apply(h)
 print("\nC_Theta (antilinear involution):")

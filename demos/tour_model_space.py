@@ -7,7 +7,7 @@ the reproducing kernels, and the compressed shift with its defects.
 
 import numpy as np
 
-from matholab import ModelSpace, VectorLaurent, diagonal_monomial, inner_product
+from matholab import Laurent, ModelSpace, diagonal_monomial, inner_product
 from matholab.sampling import random_inner
 
 rng = np.random.default_rng(11)
@@ -22,12 +22,12 @@ print("  defect ranks     ", np.linalg.matrix_rank(space.D),
       np.linalg.matrix_rank(space.D_tilde))
 
 # The basis is orthonormal in the L^2 inner product of the circle.
-gram = np.array([[inner_product(bi, bj) for bj in space.basis]
-                 for bi in space.basis])
+gram = np.array([[inner_product(bi, bj) for bj in space.basis_functions()]
+                 for bi in space.basis_functions()])
 print("  gram defect      ", np.linalg.norm(gram - np.eye(space.dim_K)))
 
 # Projection kills Theta * H^2 and fixes the basis.
-f = space.theta_series.mul(VectorLaurent.monomial(3, [1.0, -2.0]))
+f = space.theta_series.mul(Laurent.monomial(3, [1.0, -2.0]))
 print("  ||P(Theta z^3 v)||", space.project(f.truncate(32)).norm())
 
 # --- reproducing kernels ----------------------------------------------------

@@ -1,11 +1,11 @@
 """Numerical model spaces and truncated Toeplitz / Hankel operators."""
 
 from .jsonio import ScenarioError
-from .laurent import (MatrixLaurent, VectorLaurent, evaluate_many, fit_circle_samples,
+from .laurent import (Laurent, MatrixLaurent, evaluate_many, fit_circle_samples,
                       inner_product, refit_on_circle)
 from .blaschke import (MAX_POLE_ABS, PURITY_MARGIN, BlaschkePotapovProduct, PotapovFactor,
-                       ValidationReport, crofoot_theta, diagonal_monomial, evaluate_theta,
-                       scalar_blaschke, theta_laurent, validate)
+                       ValidationReport, crofoot_theta, diagonal_monomial, scalar_blaschke,
+                       validate)
 from .conjugations import (Conjugation, CrofootData, CTheta, crofoot_map, jstar,
                            jsymmetry_defect, sandwich_pointwise, sandwich_reflected, tau)
 from .modelspace import ModelSpace, random_modifier
@@ -18,11 +18,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ScenarioError",
-    "MatrixLaurent", "VectorLaurent", "inner_product", "evaluate_many",
+    "Laurent", "MatrixLaurent", "inner_product", "evaluate_many",
     "fit_circle_samples", "refit_on_circle",
     "MAX_POLE_ABS", "PURITY_MARGIN", "PotapovFactor", "BlaschkePotapovProduct",
     "ValidationReport", "validate", "crofoot_theta", "diagonal_monomial", "scalar_blaschke",
-    "evaluate_theta", "theta_laurent",
     "Conjugation", "CrofootData", "CTheta", "jstar", "tau", "crofoot_map",
     "jsymmetry_defect", "sandwich_pointwise", "sandwich_reflected",
     "ModelSpace", "random_modifier",

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .jsonio import ScenarioError, matrix_from_json, matrix_to_json, pair_to_complex, complex_to_pair
-from .laurent import MatrixLaurent, refit_on_circle
+from .laurent import Laurent, refit_on_circle
 
 __all__ = [
     "MAX_POLE_ABS",
@@ -27,8 +27,6 @@ __all__ = [
     "BlaschkePotapovProduct",
     "ValidationReport",
     "validate",
-    "evaluate_theta",
-    "theta_laurent",
     "crofoot_theta",
     "diagonal_monomial",
     "scalar_blaschke",
@@ -95,7 +93,7 @@ class PotapovFactor:
         tail = 0.0
         if r > 0:
             tail = np.sqrt(self.rank) * (1.0 + r) * r ** order
-        return MatrixLaurent(out, order, float(tail))
+        return Laurent(out, order, float(tail))
 
     def to_json(self):
         return {"a": complex_to_pair(self.a),
@@ -149,7 +147,7 @@ class BlaschkePotapovProduct:
 
     def laurent(self, order):
         """Series on [-order, order] (analytic; negative slots stay zero)."""
-        cur = MatrixLaurent.constant(self.left_unitary)
+        cur = Laurent.constant(self.left_unitary)
         if cur.dim != self.dim:
             raise ValueError("dimension mismatch")
         for f in self.factors:
@@ -252,14 +250,6 @@ def validate(theta, conj_j=None, n_samples=64, tol=1e-8):
     return report
 
 
-def evaluate_theta(theta, z):
-    return theta.evaluate(z)
-
-
-def theta_laurent(theta, order):
-    return theta.laurent(order)
-
-
 def crofoot_theta(theta, crofoot, order, n_grid=None):
     """Series of Theta^W = -W + D_{W*} (I - Theta W*)^{-1} Theta D_W.
 
@@ -274,7 +264,7 @@ def crofoot_theta(theta, crofoot, order, n_grid=None):
         core = np.linalg.solve(eye - vals @ w.conj().T, vals @ crofoot.D_W)
         return -w + crofoot.D_Wstar @ core
 
-    return refit_on_circle(fn, order, kind="matrix", n_grid=n_grid)
+    return refit_on_circle(fn, order, n_grid=n_grid)
 
 
 def diagonal_monomial(powers):

@@ -28,7 +28,7 @@ from . import __version__
 from .blaschke import BlaschkePotapovProduct, diagonal_monomial, scalar_blaschke, validate
 from .conjugations import Conjugation, CrofootData
 from .jsonio import ScenarioError, matrix_from_json, pair_to_complex
-from .laurent import MatrixLaurent
+from .laurent import Laurent
 from .modelspace import ModelSpace, random_modifier
 from .operators import (
     ModelOperator,
@@ -185,7 +185,9 @@ def parse_scenario(obj, command, tol=None, trunc_order=None, seed=None):
 
     symbol = None
     if "symbol" in obj:
-        symbol = MatrixLaurent.from_json(obj["symbol"], "symbol")
+        symbol = Laurent.from_json(obj["symbol"], "symbol")
+        if symbol.coeffs.ndim != 3:
+            raise ScenarioError("symbol.coeffs: expected square matrix coefficients")
         if theta1 is not None and symbol.dim != theta1.dim:
             raise ScenarioError(f"symbol: dimension {symbol.dim} does not match "
                                 f"theta1 dimension {theta1.dim}")
@@ -281,7 +283,7 @@ def _cmd_space(sc):
         if theta is None:
             continue
         space = ModelSpace.from_product(theta, sc.trunc_order)
-        gram = np.stack([space.coords(b) for b in space.basis], axis=1)
+        gram = space.coords(space.basis)
         resid = float(np.linalg.norm(gram - np.eye(space.dim_K)))
         checks.append(_record(f"{key}-basis", resid, sc.tolerance,
                               resid <= sc.tolerance))

@@ -16,7 +16,7 @@ import numpy as np
 
 from .blaschke import MAX_POLE_ABS, _check_unitary
 from .jsonio import ScenarioError, matrix_from_json, matrix_to_json
-from .laurent import MatrixLaurent, VectorLaurent, evaluate_many, refit_on_circle
+from .laurent import Laurent, evaluate_many, refit_on_circle
 
 __all__ = [
     "Conjugation", "CrofootData", "jstar", "tau", "CTheta",
@@ -50,10 +50,6 @@ class Conjugation:
     def apply(self, x):
         return self.U @ np.conj(np.asarray(x, dtype=complex))
 
-    def apply_mat(self, m):
-        """J M J for a matrix M (the conjugated operator on C^d)."""
-        return self.U @ np.conj(m) @ np.conj(self.U)
-
     def to_json(self):
         return {"unitary": matrix_to_json(self.U)}
 
@@ -69,11 +65,12 @@ class Conjugation:
 
 
 def jstar(conj_j, f):
-    """Coefficientwise lift: (Jstar f)(z) = J(f(conj(z))), a_n -> J(a_n)."""
-    if isinstance(f, MatrixLaurent):
-        raise TypeError("jstar acts on vector series; use sandwich_* for matrix symbols")
-    coeffs = np.einsum("ab,nb->na", conj_j.U, np.conj(f.coeffs))
-    return VectorLaurent(coeffs, f.order, f.tail_bound)
+    """Coefficientwise lift: (Jstar f)(z) = J(f(conj(z))), a_n -> J(a_n).
+
+    A (d x k)-valued f is mapped column by column; matrix symbols want the
+    sandwich_* maps instead.
+    """
+    return f.conj_coeffs().left_const(conj_j.U)
 
 
 def tau(theta_series, f):
@@ -84,34 +81,31 @@ def tau(theta_series, f):
 class CTheta:
     """C_Theta f = Theta(z) conj(z) J(f(z)), evaluated on the series window.
 
-    is_involution records whether Theta passed the pointwise J-symmetry
-    check; only then is C_Theta a conjugation on K_Theta (and only then
-    does it coincide with Jstar tau_Theta).
+    It is a conjugation on K_Theta (and coincides with Jstar tau_Theta)
+    only when Theta is J-symmetric; ``jsymmetry_defect`` measures that.
     """
 
-    def __init__(self, theta_series, conj_j, is_involution):
+    def __init__(self, theta_series, conj_j):
         self.theta_series = theta_series
         self.conj_j = conj_j
-        self.is_involution = bool(is_involution)
 
     def apply(self, f):
-        flipped = np.einsum("ab,nb->na", self.conj_j.U, np.conj(f.coeffs[::-1]))
-        h = VectorLaurent(flipped, f.order, f.tail_bound).shift(-1)
-        return self.theta_series.mul(h)
+        # conj(z) J(f(z)) is the flip of Jstar f; (d x k)-valued f maps columnwise
+        return self.theta_series.mul(jstar(self.conj_j, f).flip())
 
 
 def sandwich_pointwise(conj2, f_series, conj1):
     """Series of z -> J2 F(z) J1 composed as maps: G_n = U2 conj(F_{-n}) conj(U1)."""
     coeffs = np.einsum("ab,nbc,cd->nad",
                        conj2.U, np.conj(f_series.coeffs[::-1]), np.conj(conj1.U))
-    return MatrixLaurent(coeffs, f_series.order, f_series.tail_bound)
+    return Laurent(coeffs, f_series.order, f_series.tail_bound)
 
 
 def sandwich_reflected(conj2, f_series, conj1):
     """Series of z -> J2 F(conj(z)) J1 composed as maps: G_n = U2 conj(F_n) conj(U1)."""
     coeffs = np.einsum("ab,nbc,cd->nad",
                        conj2.U, np.conj(f_series.coeffs), np.conj(conj1.U))
-    return MatrixLaurent(coeffs, f_series.order, f_series.tail_bound)
+    return Laurent(coeffs, f_series.order, f_series.tail_bound)
 
 
 def jsymmetry_defect(theta_series, conj_j, n_samples=64):
@@ -188,4 +182,4 @@ def crofoot_map(theta_series, crofoot, f, direction="forward", n_grid=None):
         return (crofoot.D_Wstar @ core)[..., 0]
 
     order = max(theta_series.order, f.order)
-    return refit_on_circle(fn, order, kind="vector", n_grid=n_grid)
+    return refit_on_circle(fn, order, n_grid=n_grid)

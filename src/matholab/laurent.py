@@ -1,13 +1,18 @@
-"""Truncated Laurent series with vector or matrix coefficients.
+"""Truncated Laurent series with values of any shape: one window type.
 
 A series f(z) = sum_n c_n z^n is stored on the symmetric index window
-[-M, M]; ``order`` is M and ``coeffs[n + M]`` holds c_n. Alongside the
-stored coefficients each series carries ``tail_bound``, a certified upper
-bound on the L^2 norm of everything that has ever been discarded, so a
-truncated object still says how far it can be trusted.
+[-M, M]; ``order`` is M and ``coeffs[n + M]`` holds c_n. The value shape
+``coeffs.shape[1:]`` is data, not type: ``(d,)`` for a vector function,
+``(d, d)`` for a symbol or an inner function, ``(d, k)`` for k vector
+functions side by side (a model-space basis is one such series). ``dim``
+is always d, the row count. Alongside the stored coefficients each series
+carries ``tail_bound``, a certified upper bound on the L^2 (Hilbert-Schmidt)
+norm of everything that has ever been discarded, so a truncated object
+still says how far it can be trusted.
 
-Multiplication of stored windows is exact convolution (Laurent polynomials
-multiply exactly); the tail propagates by the rule
+Multiplication of stored windows is exact direct convolution (Laurent
+polynomials multiply exactly, and a slot no pair of nonzero coefficients
+reaches stays exactly zero); the tail propagates by the rule
 
     tail(F g) <= sup|F| * tail(g) + tail(F) * sup|g|,
 
@@ -22,31 +27,27 @@ import numpy as np
 from .jsonio import ScenarioError, matrix_from_json, matrix_to_json, vector_from_json, vector_to_json
 
 __all__ = [
-    "VectorLaurent",
+    "Laurent",
     "MatrixLaurent",
-    "mul",
-    "adjoint_star",
-    "flip",
-    "reflect_z",
-    "riesz_split",
     "inner_product",
-    "evaluate",
-    "sample_circle",
+    "evaluate_many",
     "fit_circle_samples",
+    "refit_on_circle",
     "geometric_coeffs",
 ]
 
 
-class _Laurent:
-    """Shared window machinery. Instances are immutable."""
+class Laurent:
+    """A coefficient window with vector or matrix values. Instances are immutable."""
 
     __slots__ = ("coeffs", "order", "tail_bound", "dim")
 
     def __init__(self, coeffs, order, tail_bound=0.0):
         coeffs = np.asarray(coeffs, dtype=complex)
+        if coeffs.ndim not in (2, 3):
+            raise ValueError("coefficients must have shape (2M+1, d) or (2M+1, d, k)")
         if coeffs.shape[0] != 2 * order + 1:
             raise ValueError(f"window length {coeffs.shape[0]} does not match order {order}")
-        self._check_shape(coeffs)
         coeffs = coeffs.copy()
         coeffs.flags.writeable = False
         object.__setattr__(self, "coeffs", coeffs)
@@ -57,6 +58,43 @@ class _Laurent:
     def __setattr__(self, name, value):
         raise AttributeError("Laurent objects are immutable")
 
+    # -- construction ------------------------------------------------------
+
+    @classmethod
+    def zeros(cls, shape, order=0):
+        """The zero series whose values have the given shape tuple."""
+        return cls(np.zeros((2 * order + 1, *shape), dtype=complex), order)
+
+    @classmethod
+    def constant(cls, value):
+        return cls(np.asarray(value, dtype=complex)[None], 0)
+
+    @classmethod
+    def identity(cls, dim):
+        return cls.constant(np.eye(dim))
+
+    @classmethod
+    def monomial(cls, n, value):
+        """value * z^n."""
+        value = np.asarray(value, dtype=complex)
+        order = abs(int(n))
+        out = np.zeros((2 * order + 1,) + value.shape, dtype=complex)
+        out[n + order] = value
+        return cls(out, order)
+
+    @classmethod
+    def from_coeff_map(cls, entries, dim, tail_bound=0.0):
+        """Series from {n: c_n}; the c_n share one shape with ``dim`` rows."""
+        values = {int(n): np.asarray(v, dtype=complex) for n, v in entries.items()}
+        shape = next(iter(values.values())).shape if values else (dim, dim)
+        if shape[0] != dim:
+            raise ValueError(f"coefficients have {shape[0]} rows, expected {dim}")
+        order = max([abs(n) for n in values], default=0)
+        out = np.zeros((2 * order + 1,) + shape, dtype=complex)
+        for n, v in values.items():
+            out[n + order] = v
+        return cls(out, order, tail_bound)
+
     # -- window access ---------------------------------------------------
 
     def coeff(self, n):
@@ -65,9 +103,14 @@ class _Laurent:
             return np.zeros(self.coeffs.shape[1:], dtype=complex)
         return self.coeffs[n + self.order]
 
+    def _nonzero(self):
+        """Window slots holding a nonzero coefficient (exact test, no tolerance)."""
+        flat = self.coeffs.reshape(self.coeffs.shape[0], -1)
+        return np.flatnonzero(np.any(flat != 0, axis=1))
+
     def support(self):
         """(nmin, nmax) of the nonzero stored coefficients; (0, 0) if zero."""
-        nz = np.flatnonzero(self._coeff_norms() > 0.0)
+        nz = self._nonzero()
         if nz.size == 0:
             return (0, 0)
         return (int(nz[0]) - self.order, int(nz[-1]) - self.order)
@@ -83,10 +126,9 @@ class _Laurent:
         if order < self.order:
             return self.truncate(order)
         pad = order - self.order
-        shape = (2 * order + 1,) + self.coeffs.shape[1:]
-        out = np.zeros(shape, dtype=complex)
+        out = np.zeros((2 * order + 1,) + self.coeffs.shape[1:], dtype=complex)
         out[pad:pad + 2 * self.order + 1] = self.coeffs
-        return type(self)(out, order, self.tail_bound)
+        return Laurent(out, order, self.tail_bound)
 
     def truncate(self, order):
         """Shrink the window to [-order, order]; dropped L^2 mass joins tail_bound."""
@@ -94,9 +136,9 @@ class _Laurent:
             return self.with_order(order)
         lo = self.order - order
         kept = self.coeffs[lo:lo + 2 * order + 1]
-        dropped = np.concatenate([self._coeff_norms()[:lo], self._coeff_norms()[lo + 2 * order + 1:]])
-        extra = float(np.linalg.norm(dropped))
-        return type(self)(kept, order, self.tail_bound + extra)
+        norms = self._coeff_norms()
+        extra = float(np.linalg.norm(np.concatenate([norms[:lo], norms[lo + 2 * order + 1:]])))
+        return Laurent(kept, order, self.tail_bound + extra)
 
     def trim(self):
         """Smallest symmetric window holding all nonzero coefficients."""
@@ -105,17 +147,17 @@ class _Laurent:
         if order >= self.order:
             return self
         lo = self.order - order
-        return type(self)(self.coeffs[lo:lo + 2 * order + 1], order, self.tail_bound)
+        return Laurent(self.coeffs[lo:lo + 2 * order + 1], order, self.tail_bound)
 
     # -- linear structure ------------------------------------------------
 
     def _binary(self, other, op):
-        if type(other) is not type(self) or other.coeffs.shape[1:] != self.coeffs.shape[1:]:
-            raise ValueError("operands have mismatched kind or dimension")
+        if other.coeffs.shape[1:] != self.coeffs.shape[1:]:
+            raise ValueError("operands have mismatched value shapes")
         order = max(self.order, other.order)
         a = self.with_order(order)
         b = other.with_order(order)
-        return type(self)(op(a.coeffs, b.coeffs), order, self.tail_bound + other.tail_bound)
+        return Laurent(op(a.coeffs, b.coeffs), order, self.tail_bound + other.tail_bound)
 
     def __add__(self, other):
         return self._binary(other, np.add)
@@ -124,10 +166,51 @@ class _Laurent:
         return self._binary(other, np.subtract)
 
     def scale(self, c):
-        return type(self)(self.coeffs * complex(c), self.order, abs(complex(c)) * self.tail_bound)
+        return Laurent(self.coeffs * complex(c), self.order, abs(complex(c)) * self.tail_bound)
 
     def __neg__(self):
         return self.scale(-1.0)
+
+    def left_const(self, a):
+        """Apply a constant matrix to every coefficient: (A f)(z)."""
+        a = np.asarray(a, dtype=complex)
+        out = np.einsum("ab,nb...->na...", a, self.coeffs)
+        return Laurent(out, self.order, float(np.linalg.norm(a, 2)) * self.tail_bound)
+
+    def right_const(self, b):
+        """Multiply every (matrix) coefficient on the right: (F B)(z)."""
+        b = np.asarray(b, dtype=complex)
+        return Laurent(self.coeffs @ b, self.order, float(np.linalg.norm(b, 2)) * self.tail_bound)
+
+    def mul(self, other):
+        """Exact convolution product F g of a (d x k)-valued F and a g with k rows.
+
+        A direct convolution that loops over the nonzero coefficients of
+        whichever factor has fewer, each step one product against the
+        other factor's whole window.
+        """
+        a = self.coeffs
+        if a.ndim != 3 or a.shape[2] != other.dim:
+            raise ValueError("dimension mismatch in series product")
+        # vector values ride along as a single column
+        b = other.coeffs.reshape(other.coeffs.shape[:2] + (-1,))
+        (n_a, rows, k), (n_b, _, cols) = a.shape, b.shape
+        order = self.order + other.order
+        out = np.zeros((2 * order + 1, rows, cols), dtype=complex)
+        nz_a, nz_b = self._nonzero(), other._nonzero()
+        # slot i of F and slot j of g land in result slot i + j. The other
+        # factor's window is laid out flat, so each step is one matrix product.
+        if nz_a.size < nz_b.size:
+            b_flat = np.swapaxes(b, 1, 2).reshape(-1, k)
+            for i in nz_a:
+                out[i:i + n_b] += np.swapaxes((b_flat @ a[i].T).reshape(n_b, cols, rows), 1, 2)
+        else:
+            a_flat = a.reshape(-1, k)
+            for j in nz_b:
+                out[j:j + n_a] += (a_flat @ b[j]).reshape(n_a, rows, cols)
+        tail = self.sup_bound() * other.tail_bound + self.tail_bound * other.sup_bound()
+        shape = out.shape[:2] + other.coeffs.shape[2:]
+        return Laurent(out.reshape(shape), order, tail).trim()
 
     # -- index games -----------------------------------------------------
 
@@ -136,19 +219,30 @@ class _Laurent:
         if k == 0:
             return self
         order = self.order + abs(k)
-        shape = (2 * order + 1,) + self.coeffs.shape[1:]
-        out = np.zeros(shape, dtype=complex)
+        out = np.zeros((2 * order + 1,) + self.coeffs.shape[1:], dtype=complex)
         lo = (order - self.order) + k
         out[lo:lo + 2 * self.order + 1] = self.coeffs
-        return type(self)(out, order, self.tail_bound).trim()
+        return Laurent(out, order, self.tail_bound).trim()
 
     def reflect_z(self):
         """The series of z -> f(conj(z)) on the circle: c_n -> c_{-n}."""
-        return type(self)(self.coeffs[::-1], self.order, self.tail_bound)
+        return Laurent(self.coeffs[::-1], self.order, self.tail_bound)
+
+    def flip(self):
+        """The flip J: (Jf)(z) = conj(z) * f(conj(z)); coefficient m picks up c_{-m-1}."""
+        return self.reflect_z().shift(-1)
 
     def conj_coeffs(self):
         """Entrywise conjugate of every coefficient, same index."""
-        return type(self)(np.conj(self.coeffs), self.order, self.tail_bound)
+        return Laurent(np.conj(self.coeffs), self.order, self.tail_bound)
+
+    def adjoint_star(self):
+        """F*(z) = sum_n F_n^* z^{-n}: pointwise adjoint of the boundary values."""
+        return Laurent(np.conj(np.swapaxes(self.coeffs[::-1], 1, 2)), self.order, self.tail_bound)
+
+    def tilde(self):
+        """The reflected function F~(z) = F(conj(z))^*: coefficientwise adjoint."""
+        return Laurent(np.conj(np.swapaxes(self.coeffs, 1, 2)), self.order, self.tail_bound)
 
     def riesz_split(self):
         """Split into (plus, minus): the n >= 0 part and the n <= -1 part.
@@ -160,9 +254,8 @@ class _Laurent:
         minus = np.zeros_like(self.coeffs)
         plus[self.order:] = self.coeffs[self.order:]
         minus[:self.order] = self.coeffs[:self.order]
-        cls = type(self)
-        return (cls(plus, self.order, self.tail_bound).trim(),
-                cls(minus, self.order, self.tail_bound).trim())
+        return (Laurent(plus, self.order, self.tail_bound).trim(),
+                Laurent(minus, self.order, self.tail_bound).trim())
 
     # -- size ------------------------------------------------------------
 
@@ -199,10 +292,8 @@ class _Laurent:
 
     def sample_circle(self, n_grid):
         """Values at the n_grid-th roots of unity, exact (indices fold mod n_grid)."""
-        shape = (n_grid,) + self.coeffs.shape[1:]
-        bins = np.zeros(shape, dtype=complex)
-        for idx in range(2 * self.order + 1):
-            bins[(idx - self.order) % n_grid] += self.coeffs[idx]
+        bins = np.zeros((n_grid,) + self.coeffs.shape[1:], dtype=complex)
+        np.add.at(bins, np.arange(-self.order, self.order + 1) % n_grid, self.coeffs)
         return np.fft.ifft(bins, axis=0) * n_grid
 
     def allclose(self, other, tol=1e-12):
@@ -211,168 +302,33 @@ class _Laurent:
         b = other.with_order(order)
         return bool(np.max(np.abs(a.coeffs - b.coeffs)) <= tol)
 
-
-class VectorLaurent(_Laurent):
-    """Laurent series with coefficients in C^d."""
-
-    def _check_shape(self, coeffs):
-        if coeffs.ndim != 2:
-            raise ValueError("VectorLaurent wants coefficients of shape (2M+1, d)")
-
-    @classmethod
-    def zeros(cls, dim, order=0):
-        return cls(np.zeros((2 * order + 1, dim), dtype=complex), order)
-
-    @classmethod
-    def constant(cls, vec):
-        vec = np.asarray(vec, dtype=complex).ravel()
-        return cls(vec[None, :], 0)
-
-    @classmethod
-    def monomial(cls, n, vec):
-        """vec * z^n."""
-        vec = np.asarray(vec, dtype=complex).ravel()
-        order = abs(int(n))
-        out = np.zeros((2 * order + 1, vec.size), dtype=complex)
-        out[n + order] = vec
-        return cls(out, order)
-
-    @classmethod
-    def from_coeff_map(cls, entries, dim, tail_bound=0.0):
-        order = max([abs(int(n)) for n in entries], default=0)
-        out = np.zeros((2 * order + 1, dim), dtype=complex)
-        for n, v in entries.items():
-            out[int(n) + order] = np.asarray(v, dtype=complex).ravel()
-        return cls(out, order, tail_bound)
-
-    def left_const(self, a):
-        """Apply a constant matrix to every coefficient: (A f)(z)."""
-        a = np.asarray(a, dtype=complex)
-        out = np.einsum("ab,nb->na", a, self.coeffs)
-        return VectorLaurent(out, self.order, float(np.linalg.norm(a, 2)) * self.tail_bound)
-
-    def flip(self):
-        """The flip J: (Jf)(z) = conj(z) * f(conj(z)); coefficient m picks up a_{-m-1}."""
-        order = self.order + 1
-        out = np.zeros((2 * order + 1, self.dim), dtype=complex)
-        # m + order = index of m; source n = -m-1 at n + self.order
-        for m in range(-order, order):
-            n = -m - 1
-            if abs(n) <= self.order:
-                out[m + order] = self.coeffs[n + self.order]
-        return VectorLaurent(out, order, self.tail_bound).trim()
+    # -- JSON --------------------------------------------------------------
 
     def to_json(self):
+        encode = vector_to_json if self.coeffs.ndim == 2 else matrix_to_json
         doc = {}
-        for idx in range(2 * self.order + 1):
-            if np.any(self.coeffs[idx] != 0):
-                doc[str(idx - self.order)] = vector_to_json(self.coeffs[idx])
+        for idx in self._nonzero():
+            doc[str(idx - self.order)] = encode(self.coeffs[idx])
         return {"dim": self.dim, "coeffs": doc, "trunc_order": self.order,
                 "tail_bound": self.tail_bound}
 
     @classmethod
     def from_json(cls, obj, field="laurent"):
+        """Read ``to_json`` output: vector or square-matrix values, as the payload nests."""
         dim, order, tail, raw = _laurent_header(obj, field)
-        out = np.zeros((2 * order + 1, dim), dtype=complex)
+        matrix = not raw or _rows_of_pairs(next(iter(raw.values())))
+        shape = (dim, dim) if matrix else (dim,)
+        out = np.zeros((2 * order + 1,) + shape, dtype=complex)
         for key, val in raw.items():
             n = _coeff_index(key, order, field)
-            out[n + order] = vector_from_json(val, f"{field}.coeffs[{key}]", length=dim)
+            where = f"{field}.coeffs[{key}]"
+            out[n + order] = (matrix_from_json(val, where, shape=shape) if matrix
+                              else vector_from_json(val, where, length=dim))
         return cls(out, order, tail)
 
 
-class MatrixLaurent(_Laurent):
-    """Laurent series with coefficients in the d x d matrices."""
-
-    def _check_shape(self, coeffs):
-        if coeffs.ndim != 3 or coeffs.shape[1] != coeffs.shape[2]:
-            raise ValueError("MatrixLaurent wants coefficients of shape (2M+1, d, d)")
-
-    @classmethod
-    def zeros(cls, dim, order=0):
-        return cls(np.zeros((2 * order + 1, dim, dim), dtype=complex), order)
-
-    @classmethod
-    def constant(cls, mat):
-        mat = np.asarray(mat, dtype=complex)
-        return cls(mat[None, :, :], 0)
-
-    @classmethod
-    def identity(cls, dim):
-        return cls.constant(np.eye(dim))
-
-    @classmethod
-    def monomial(cls, n, mat):
-        mat = np.asarray(mat, dtype=complex)
-        order = abs(int(n))
-        out = np.zeros((2 * order + 1,) + mat.shape, dtype=complex)
-        out[n + order] = mat
-        return cls(out, order)
-
-    @classmethod
-    def from_coeff_map(cls, entries, dim, tail_bound=0.0):
-        order = max([abs(int(n)) for n in entries], default=0)
-        out = np.zeros((2 * order + 1, dim, dim), dtype=complex)
-        for n, v in entries.items():
-            out[int(n) + order] = np.asarray(v, dtype=complex)
-        return cls(out, order, tail_bound)
-
-    def mul(self, other):
-        """Exact convolution product F * g (g vector or matrix valued)."""
-        if other.dim != self.dim:
-            raise ValueError("dimension mismatch in series product")
-        order = self.order + other.order
-        shape = (2 * order + 1,) + other.coeffs.shape[1:]
-        out = np.zeros(shape, dtype=complex)
-        spec = "ab,nb->na" if isinstance(other, VectorLaurent) else "ab,nbc->nac"
-        norms = self._coeff_norms()
-        width = 2 * other.order + 1
-        for idx in range(2 * self.order + 1):
-            if norms[idx] == 0.0:
-                continue
-            lo = idx  # (k + M_F) + (m + M_g) indexes the result slot directly
-            out[lo:lo + width] += np.einsum(spec, self.coeffs[idx], other.coeffs)
-        tail = self.sup_bound() * other.tail_bound + self.tail_bound * other.sup_bound()
-        return type(other)(out, order, tail).trim()
-
-    def adjoint_star(self):
-        """F*(z) = sum_n F_n^* z^{-n}: pointwise adjoint of the boundary values."""
-        out = np.conj(np.transpose(self.coeffs[::-1], (0, 2, 1)))
-        return MatrixLaurent(out, self.order, self.tail_bound)
-
-    def tilde(self):
-        """The reflected function F~(z) = F(conj(z))^*: coefficientwise adjoint."""
-        out = np.conj(np.transpose(self.coeffs, (0, 2, 1)))
-        return MatrixLaurent(out, self.order, self.tail_bound)
-
-    def left_const(self, a):
-        a = np.asarray(a, dtype=complex)
-        out = np.einsum("ab,nbc->nac", a, self.coeffs)
-        return MatrixLaurent(out, self.order, float(np.linalg.norm(a, 2)) * self.tail_bound)
-
-    def right_const(self, b):
-        b = np.asarray(b, dtype=complex)
-        out = np.einsum("nab,bc->nac", self.coeffs, b)
-        return MatrixLaurent(out, self.order, float(np.linalg.norm(b, 2)) * self.tail_bound)
-
-    def column(self, j):
-        return VectorLaurent(self.coeffs[:, :, j], self.order, self.tail_bound)
-
-    def to_json(self):
-        doc = {}
-        for idx in range(2 * self.order + 1):
-            if np.any(self.coeffs[idx] != 0):
-                doc[str(idx - self.order)] = matrix_to_json(self.coeffs[idx])
-        return {"dim": self.dim, "coeffs": doc, "trunc_order": self.order,
-                "tail_bound": self.tail_bound}
-
-    @classmethod
-    def from_json(cls, obj, field="laurent"):
-        dim, order, tail, raw = _laurent_header(obj, field)
-        out = np.zeros((2 * order + 1, dim, dim), dtype=complex)
-        for key, val in raw.items():
-            n = _coeff_index(key, order, field)
-            out[n + order] = matrix_from_json(val, f"{field}.coeffs[{key}]", shape=(dim, dim))
-        return cls(out, order, tail)
+# the matrix-valued name predates the single window type
+MatrixLaurent = Laurent
 
 
 def _laurent_header(obj, field):
@@ -405,37 +361,17 @@ def _laurent_header(obj, field):
     return dim, order, float(tail), raw
 
 
+def _rows_of_pairs(val):
+    """True for a matrix payload (rows of [re, im] pairs), False for a vector one."""
+    return (isinstance(val, list) and bool(val) and isinstance(val[0], list)
+            and bool(val[0]) and isinstance(val[0][0], list))
+
+
 def _coeff_index(key, order, field):
     n = int(key)
     if abs(n) > order:
         raise ScenarioError(f"{field}.coeffs[{key}]: index outside trunc_order window")
     return n
-
-
-# -- functional aliases (module-level API mirrors the operation names) ----
-
-def mul(f_matrix, g):
-    return f_matrix.mul(g)
-
-
-def adjoint_star(f_matrix):
-    return f_matrix.adjoint_star()
-
-
-def flip(f):
-    return f.flip()
-
-
-def reflect_z(f):
-    return f.reflect_z()
-
-
-def riesz_split(f):
-    return f.riesz_split()
-
-
-def evaluate(f, z0):
-    return f.evaluate(z0)
 
 
 def evaluate_many(f, zs):
@@ -446,18 +382,14 @@ def evaluate_many(f, zs):
     return np.tensordot(powers, f.coeffs, axes=(1, 0))
 
 
-def sample_circle(f, n_grid):
-    return f.sample_circle(n_grid)
-
-
 def inner_product(f, g):
     """L^2 pairing <f, g>, linear in f, conjugate-linear in g.
 
     By Parseval this is the sum over the common window of <c_n(f), c_n(g)>;
-    for matrix series the coefficient pairing is Hilbert-Schmidt.
+    for matrix values the coefficient pairing is Hilbert-Schmidt.
     """
-    if type(f) is not type(g) or f.coeffs.shape[1:] != g.coeffs.shape[1:]:
-        raise ValueError("inner_product needs two series of the same kind and dimension")
+    if f.coeffs.shape[1:] != g.coeffs.shape[1:]:
+        raise ValueError("inner_product needs two series with the same value shape")
     order = min(f.order, g.order)
     lo_f = f.order - order
     lo_g = g.order - order
@@ -466,38 +398,36 @@ def inner_product(f, g):
     return complex(np.sum(a * np.conj(b)))
 
 
-def fit_circle_samples(values, order, kind="vector", drop_tol=0.0):
+def fit_circle_samples(values, order, drop_tol=0.0):
     """Interpolate circle samples back to a Laurent window [-order, order].
 
     ``values`` holds samples at the N-th roots of unity (N along axis 0,
-    N > 2*order). Mass in discrete-Fourier bins outside the window, and any
-    coefficient whose norm falls below drop_tol times the largest, is folded
-    into tail_bound rather than silently discarded.
+    N > 2*order); the value shape is that of one sample. Mass in
+    discrete-Fourier bins outside the window, and any coefficient whose norm
+    falls below drop_tol times the largest, is folded into tail_bound rather
+    than silently discarded.
     """
     values = np.asarray(values, dtype=complex)
     n_grid = values.shape[0]
     if n_grid <= 2 * order:
         raise ValueError("need more samples than window slots")
     bins = np.fft.fft(values, axis=0) / n_grid
-    shape = (2 * order + 1,) + values.shape[1:]
-    out = np.zeros(shape, dtype=complex)
-    for n in range(-order, order + 1):
-        out[n + order] = bins[n % n_grid]
-    inside = {n % n_grid for n in range(-order, order + 1)}
-    rest = [k for k in range(n_grid) if k not in inside]
-    tail = float(np.linalg.norm(bins[rest])) if rest else 0.0
+    inside = np.arange(-order, order + 1) % n_grid
+    out = bins[inside]
+    rest = np.ones(n_grid, dtype=bool)
+    rest[inside] = False
+    tail = float(np.linalg.norm(bins[rest]))
     if drop_tol > 0.0:
-        norms = np.linalg.norm(out.reshape(shape[0], -1), axis=1)
+        norms = np.linalg.norm(out.reshape(out.shape[0], -1), axis=1)
         top = norms.max()
         small = norms <= drop_tol * top
         if np.any(small) and top > 0:
             tail += float(np.linalg.norm(norms[small]))
             out[small] = 0.0
-    cls = VectorLaurent if kind == "vector" else MatrixLaurent
-    return cls(out, order, tail).trim()
+    return Laurent(out, order, tail).trim()
 
 
-def refit_on_circle(fn, order, kind="matrix", n_grid=None, drop_tol=1e-13):
+def refit_on_circle(fn, order, n_grid=None, drop_tol=1e-13):
     """Fit fn (a vectorized map from circle points to values) to a Laurent window.
 
     Samples at the roots of unity, projects onto [-order, order], then
@@ -508,14 +438,14 @@ def refit_on_circle(fn, order, kind="matrix", n_grid=None, drop_tol=1e-13):
     if n_grid is None:
         n_grid = max(512, 4 * (order + 1))
     nodes = np.exp(2j * np.pi * np.arange(n_grid) / n_grid)
-    fitted = fit_circle_samples(fn(nodes), order, kind=kind, drop_tol=drop_tol)
+    fitted = fit_circle_samples(fn(nodes), order, drop_tol=drop_tol)
     half = np.exp(1j * np.pi / n_grid)
     twist = half ** np.arange(-fitted.order, fitted.order + 1)
     shape = twist.shape + (1,) * (fitted.coeffs.ndim - 1)
-    twisted = type(fitted)(fitted.coeffs * twist.reshape(shape), fitted.order)
+    twisted = Laurent(fitted.coeffs * twist.reshape(shape), fitted.order)
     resid = twisted.sample_circle(n_grid) - fn(nodes * half)
     rms = float(np.sqrt(np.mean(np.sum(np.abs(resid.reshape(n_grid, -1)) ** 2, axis=1))))
-    return type(fitted)(fitted.coeffs, fitted.order, fitted.tail_bound + rms)
+    return Laurent(fitted.coeffs, fitted.order, fitted.tail_bound + rms)
 
 
 def geometric_coeffs(ratio, order):

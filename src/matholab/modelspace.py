@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .blaschke import BlaschkePotapovProduct, PURITY_MARGIN, validate
-from .laurent import MatrixLaurent, VectorLaurent, geometric_coeffs, inner_product
+from .blaschke import PURITY_MARGIN, validate
+from .laurent import Laurent, geometric_coeffs
 from .jsonio import matrix_to_json
 
 __all__ = ["ModelSpace", "random_modifier"]
@@ -28,48 +28,72 @@ _RANK_TOL = 1e-8
 _GRAM_EXACT = 1e-14
 
 
-def _elementary_basis(factor, order):
-    powers, tail = geometric_coeffs(np.conj(factor.a), order)
-    scale = np.sqrt(1.0 - abs(factor.a) ** 2)
-    out = []
-    for col in range(factor.rank):
-        v = factor.frame[:, col]
-        coeffs = np.zeros((2 * order + 1, factor.dim), dtype=complex)
-        coeffs[order:] = scale * powers[:, None] * v[None, :]
-        out.append(VectorLaurent(coeffs, order, scale * tail).trim())
-    return out
-
-
 def _product_basis(factors, order):
-    if not factors:
-        return []
+    """Basis of K_{F_1 ... F_k} on [-order, order]: (2M+1, d, n) coefficients
+    and one certified tail per function.
+
+    The elementary functions of the first factor come first; the basis of
+    the remaining product follows, multiplied by the first factor's series
+    in one product. Each column keeps its own tail: the product rule per
+    column plus the L^2 mass the window drops from that column.
+    """
     head, rest = factors[0], factors[1:]
-    basis = _elementary_basis(head, order)
-    if rest:
-        head_series = head.laurent(order)
-        basis += [head_series.mul(g).truncate(order) for g in _product_basis(rest, order)]
-    return basis
+    powers, tail = geometric_coeffs(np.conj(head.a), order)
+    scale = np.sqrt(1.0 - abs(head.a) ** 2)
+    coeffs = np.zeros((2 * order + 1, head.dim, head.rank), dtype=complex)
+    coeffs[order:] = scale * powers[:, None, None] * head.frame
+    tails = np.full(head.rank, scale * tail)
+    if not rest:
+        return coeffs, tails
+    g, g_tails = _product_basis(rest, order)
+    head_series = head.laurent(order)
+    full = head_series.mul(Laurent(g, order))
+    full = full.with_order(max(full.order, order)).coeffs
+    lo = (full.shape[0] - 1) // 2 - order
+    kept = full[lo:lo + 2 * order + 1]
+    dropped = np.linalg.norm(np.concatenate([full[:lo], full[lo + 2 * order + 1:]]), axis=(0, 1))
+    g_sup = np.linalg.norm(g, axis=1).sum(axis=0) + g_tails
+    g_tails = head_series.sup_bound() * g_tails + head_series.tail_bound * g_sup + dropped
+    return np.concatenate([coeffs, kept], axis=2), np.concatenate([tails, g_tails])
+
+
+def _orthonormalize(coeffs, tails):
+    """Symmetric (Loewdin) orthonormalization of the columns, unless already exact."""
+    n = coeffs.shape[2]
+    flat = coeffs.reshape(-1, n)
+    gram = flat.conj().T @ flat  # gram[i, j] = <b_j, b_i>
+    if np.max(np.abs(gram - np.eye(n))) <= _GRAM_EXACT:
+        return coeffs, tails
+    w, vecs = np.linalg.eigh(gram)
+    if w.min() <= 1e-10:
+        raise ValueError("basis functions are numerically dependent")
+    inv_half = (vecs * (w ** -0.5)) @ vecs.conj().T
+    return coeffs @ inv_half, tails @ np.abs(inv_half)
 
 
 class ModelSpace:
-    """K_Theta with a fixed orthonormal basis and the derived operator data."""
+    """K_Theta with a fixed orthonormal basis and the derived operator data.
 
-    def __init__(self, theta_series, basis, theta=None):
-        if not basis:
-            raise ValueError("model space needs at least one basis function")
+    The basis is held as one series B(z) = [b_1 ... b_n] with values in the
+    d x n matrices (``basis``), on the space's window, together with one
+    certified tail per basis function (``tails``). Coordinates, operator
+    matrices and maps between spaces are then single products against B.
+    """
+
+    def __init__(self, theta_series, coeffs, tails, theta=None):
         self.theta = theta
         self.theta_series = theta_series
         self.dim = theta_series.dim
-        self.order = max(theta_series.order, max(b.order for b in basis))
-        self.dim_K = len(basis)
-        self.basis = tuple(self._orthonormalize(basis))
+        self.order = (coeffs.shape[0] - 1) // 2
+        self.dim_K = coeffs.shape[2]
+        coeffs, self.tails = _orthonormalize(coeffs, np.asarray(tails, dtype=float))
+        self.basis = Laurent(coeffs, self.order, float(np.linalg.norm(self.tails)))
         # Theta(0) is the 0-indexed coefficient; refit series may carry
         # negligible anti-analytic noise, which a window sum at 0 cannot take.
         theta0 = theta.theta0() if theta is not None else theta_series.coeff(0)
         self.theta0 = np.asarray(theta0, dtype=complex)
         if np.linalg.norm(self.theta0, 2) >= 1.0 - PURITY_MARGIN:
             raise ValueError("Theta is not pure: norm(Theta(0)) too close to 1")
-        self._stack = np.stack([b.with_order(self.order).coeffs for b in self.basis])
         self._build_shift_structure()
 
     # -- construction ------------------------------------------------------
@@ -83,71 +107,58 @@ class ModelSpace:
             raise ValueError(f"Theta is not pure (norm(Theta(0)) = {report.theta0_norm:.6f})")
         if theta.model_dim() == 0:
             raise ValueError("constant Theta has a trivial model space")
-        basis = [b.left_const(theta.left_unitary) for b in _product_basis(theta.factors, order)]
-        return cls(theta.laurent(order), basis, theta=theta)
+        coeffs, tails = _product_basis(theta.factors, order)
+        u = theta.left_unitary
+        return cls(theta.laurent(order), u @ coeffs, np.linalg.norm(u, 2) * tails, theta=theta)
 
     @classmethod
-    def from_basis(cls, theta_series, basis):
-        """Space carried by an explicitly given (near-)orthonormal basis.
+    def from_basis(cls, theta_series, functions):
+        """Space carried by explicitly given (near-)orthonormal vector series.
 
         Used for spaces reached through a unitary map (Crofoot images) where
         no Potapov factorization of the target Theta is on hand.
         """
-        return cls(theta_series, list(basis), theta=None)
+        if not functions:
+            raise ValueError("model space needs at least one basis function")
+        order = max(theta_series.order, max(f.order for f in functions))
+        coeffs = np.stack([f.with_order(order).coeffs for f in functions], axis=2)
+        return cls(theta_series, coeffs, [f.tail_bound for f in functions], theta=None)
 
-    def _orthonormalize(self, basis):
-        order = max(b.order for b in basis)
-        stack = np.stack([b.with_order(order).coeffs for b in basis])
-        flat = stack.reshape(len(basis), -1)
-        gram = flat @ flat.conj().T
-        gram = gram.T  # gram[i, j] = <b_j, b_i>
-        if np.max(np.abs(gram - np.eye(len(basis)))) <= _GRAM_EXACT:
-            return list(basis)
-        w, vecs = np.linalg.eigh(gram)
-        if w.min() <= 1e-10:
-            raise ValueError("basis functions are numerically dependent")
-        inv_half = (vecs * (w ** -0.5)) @ vecs.conj().T
-        mixed = np.tensordot(inv_half.T, stack, axes=(1, 0))
-        tails = np.array([b.tail_bound for b in basis])
-        out = []
-        for k in range(len(basis)):
-            tail = float(np.abs(inv_half[:, k]) @ tails)
-            out.append(VectorLaurent(mixed[k], order, tail).trim())
-        return out
+    def basis_functions(self):
+        """The basis functions b_1 ... b_n as separate vector series."""
+        return [Laurent(self.basis.coeffs[:, :, i], self.order, t)
+                for i, t in enumerate(self.tails)]
 
     def _build_shift_structure(self):
-        stack = self._stack
-        shifted = np.zeros_like(stack)
-        shifted[:, 1:, :] = stack[:, :-1, :]
-        self.S = np.einsum("jnd,ind->ij", shifted, np.conj(stack))
+        # S[i, j] = <z b_j, b_i>: pair each slot of B with the slot below it
+        c = self.basis.coeffs
+        self.S = c[1:].reshape(-1, self.dim_K).conj().T @ c[:-1].reshape(-1, self.dim_K)
         self.S_star = self.S.conj().T
         eye = np.eye(self.dim_K)
         self.D = eye - self.S @ self.S_star
         self.D_tilde = eye - self.S_star @ self.S
-        self.k0_cols = np.stack(
-            [self.coords(self.kernel(0.0, np.eye(self.dim)[l], variant="k")) for l in range(self.dim)],
-            axis=1)
-        self.kt0_cols = np.stack(
-            [self.coords(self.kernel(0.0, np.eye(self.dim)[l], variant="ktilde")) for l in range(self.dim)],
-            axis=1)
+        self.k0_cols = self.coords(self.kernel(0.0, np.eye(self.dim), variant="k"))
+        self.kt0_cols = self.coords(self.kernel(0.0, np.eye(self.dim), variant="ktilde"))
         self.P_D, self.defect_dim = _span_projection(self.k0_cols)
         self.P_Dt, self.defect_dim_tilde = _span_projection(self.kt0_cols)
-        self.omega = np.linalg.pinv(self.k0_cols, rcond=1e-10)
-        self.j_theta = _psd_pinv(self.D)
 
     # -- coordinates -------------------------------------------------------
 
     def coords(self, f):
-        """Coefficient vector of P_Theta-projected f is NOT taken here: this is
-        the plain pairing <f, b_i>, which equals the coordinates whenever
-        f is already a member (and the projection coordinates in general)."""
-        return np.array([inner_product(f, b) for b in self.basis])
+        """The pairings <f, b_i>: coordinates of f when f is a member, and of
+        its projection P_Theta f in general. A (d x k)-valued f gives the
+        dim_K x k matrix of its columns' coordinates."""
+        order = min(f.order, self.order)
+        lo_f, lo_b = f.order - order, self.order - order
+        fw = f.coeffs[lo_f:lo_f + 2 * order + 1]
+        bw = self.basis.coeffs[lo_b:lo_b + 2 * order + 1]
+        return np.tensordot(bw.conj(), fw, axes=([0, 1], [0, 1]))
 
     def from_coords(self, c):
-        c = np.asarray(c, dtype=complex).ravel()
-        coeffs = np.tensordot(c, self._stack, axes=(0, 0))
-        tail = float(np.abs(c) @ np.array([b.tail_bound for b in self.basis]))
-        return VectorLaurent(coeffs, self.order, tail).trim()
+        """The member with coordinates c; a dim_K x k matrix gives a (d x k)-valued series."""
+        c = np.asarray(c, dtype=complex)
+        tail = float(np.linalg.norm(self.tails @ np.abs(c)))
+        return Laurent(self.basis.coeffs @ c, self.order, tail).trim()
 
     def membership_gap(self, f):
         """L^2 distance from f to the span of the basis (0 for members)."""
@@ -168,32 +179,34 @@ class ModelSpace:
 
         variant "k":      (1 - conj(lam) z)^{-1} (I - Theta(z) Theta(lam)^*) x
         variant "ktilde": (z - lam)^{-1} (Theta(z) - Theta(lam)) x
+
+        A d x k direction matrix x gives the k kernels side by side.
         """
         lam = complex(lam)
         if abs(lam) >= 1.0:
             raise ValueError("kernel parameter must lie in the open disk")
-        x = np.asarray(x, dtype=complex).ravel()
-        if x.size != self.dim:
+        x = np.asarray(x, dtype=complex)
+        if x.ndim not in (1, 2) or x.shape[0] != self.dim:
             raise ValueError("kernel direction has the wrong dimension")
         if variant == "k":
             theta_lam = self._theta_at(lam)
-            v = VectorLaurent.constant(x) - self.theta_series.mul(
-                VectorLaurent.constant(theta_lam.conj().T @ x))
+            v = Laurent.constant(x) - self.theta_series.mul(
+                Laurent.constant(theta_lam.conj().T @ x))
             powers, tail = geometric_coeffs(np.conj(lam), self.order)
             szego = np.zeros((2 * self.order + 1, self.dim, self.dim), dtype=complex)
             szego[self.order:] = powers[:, None, None] * np.eye(self.dim)
-            profile = MatrixLaurent(szego, self.order, np.sqrt(self.dim) * tail)
+            profile = Laurent(szego, self.order, np.sqrt(self.dim) * tail)
             return profile.mul(v).truncate(self.order)
         if variant == "ktilde":
             tcoeffs = self.theta_series.coeffs
             off = self.theta_series.order
-            out = np.zeros((2 * self.order + 1, self.dim), dtype=complex)
-            acc = np.zeros(self.dim, dtype=complex)
+            out = np.zeros((2 * self.order + 1,) + x.shape, dtype=complex)
+            acc = np.zeros(x.shape, dtype=complex)
             for j in range(self.theta_series.order, -1, -1):
                 acc = lam * acc + (tcoeffs[off + j + 1] @ x if j + 1 <= off else 0.0)
                 if j <= self.order:
                     out[self.order + j] = acc
-            return VectorLaurent(out, self.order, self.theta_series.tail_bound).trim()
+            return Laurent(out, self.order, self.theta_series.tail_bound).trim()
         raise ValueError(f"unknown kernel variant {variant!r}")
 
     def _theta_at(self, lam):
@@ -231,7 +244,7 @@ class ModelSpace:
             "S": matrix_to_json(self.S),
             "D": matrix_to_json(self.D),
             "D_tilde": matrix_to_json(self.D_tilde),
-            "basis": [b.to_json() for b in self.basis],
+            "basis": [b.to_json() for b in self.basis_functions()],
         }
 
 
@@ -242,13 +255,6 @@ def _span_projection(cols):
     rank = int(np.sum(s > _RANK_TOL * s[0]))
     q = u[:, :rank]
     return q @ q.conj().T, rank
-
-
-def _psd_pinv(mat):
-    w, vecs = np.linalg.eigh(mat)
-    cut = _RANK_TOL * max(w.max(), 1e-300)
-    inv = np.where(w > cut, 1.0 / np.where(w > cut, w, 1.0), 0.0)
-    return (vecs * inv) @ vecs.conj().T
 
 
 def random_modifier(space, rng, scale=1.0):

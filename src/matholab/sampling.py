@@ -10,7 +10,7 @@ import numpy as np
 
 from .blaschke import BlaschkePotapovProduct, PotapovFactor
 from .conjugations import Conjugation, CrofootData
-from .laurent import MatrixLaurent
+from .laurent import Laurent
 
 __all__ = [
     "random_unitary", "random_frame", "random_inner", "random_symmetric_inner",
@@ -71,7 +71,7 @@ def random_symbol(rng, dim, reach=3, n_terms=4):
     slots = rng.choice(2 * reach + 1, size=min(n_terms, 2 * reach + 1), replace=False)
     for s in slots:
         coeffs[s] = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return MatrixLaurent(coeffs, reach).trim()
+    return Laurent(coeffs, reach).trim()
 
 
 def random_crofoot(rng, dim, max_norm=0.5):

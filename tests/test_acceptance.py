@@ -14,7 +14,7 @@ from matholab import (
     ModelOperator,
     ModelSpace,
     TransformInputs,
-    VectorLaurent,
+    Laurent,
     build_matho,
     build_matto,
     crofoot_map,
@@ -221,7 +221,7 @@ def test_criterion_6_kernel_tests(scalar_pair, announce):
             bad.append(("toeplitz-gen", res))
     for _ in range(50):
         w = rng.standard_normal(len(toeplitz_gens))
-        combo = MatrixLaurent.zeros(2, 24)
+        combo = MatrixLaurent.zeros((2, 2), 24)
         for c, g in zip(w, toeplitz_gens):
             combo = combo + g.truncate(24).scale(c)
         res = kernel_test(combo, s1, s2, "toeplitz")
@@ -247,7 +247,7 @@ def test_criterion_6_kernel_tests(scalar_pair, announce):
             bad.append(("hankel-gen", res))
     for _ in range(50):
         w = rng.standard_normal(len(hankel_gens))
-        combo = MatrixLaurent.zeros(2, 48)
+        combo = MatrixLaurent.zeros((2, 2), 48)
         for c, g in zip(w, hankel_gens):
             combo = combo + g.truncate(48).scale(c)
         res = kernel_test(combo, h1, h2, "hankel", conj1, conj2)
@@ -274,7 +274,7 @@ def test_criterion_7_unitarity(announce):
     space = ModelSpace.from_product(theta, 64)
     sym_theta, sym_conj = random_symmetric_inner(rng, 2, max_abs=0.5)
     sym_space = ModelSpace.from_product(sym_theta, 64)
-    ctheta = CTheta(sym_space.theta_series, sym_conj, True)
+    ctheta = CTheta(sym_space.theta_series, sym_conj)
     cro = random_crofoot(rng, 2)
     w = random_unitary(rng, 2)
     conj = Conjugation(w @ w.T)
@@ -311,7 +311,7 @@ def test_criterion_8_oracle_equivalence(scalar_pair, announce):
     s1, s2 = scalar_pair
     zs = oracle.nodes(oracle.N_GRID)
     tv = oracle.theta_values(diagonal_monomial([2]), zs)
-    bvals = [oracle.sample_series(b, oracle.N_GRID) for b in s1.basis]
+    bvals = [oracle.sample_series(b, oracle.N_GRID) for b in s1.basis_functions()]
     worst = 0.0
 
     # compressed shift
@@ -322,7 +322,7 @@ def test_criterion_8_oracle_equivalence(scalar_pair, announce):
 
     # projection on a random window function
     coeffs = rng.standard_normal((13, 1)) + 1j * rng.standard_normal((13, 1))
-    f = VectorLaurent(coeffs, 6)
+    f = Laurent(coeffs, 6)
     proj = oracle.sample_series(s1.project(f), oracle.N_GRID)
     direct = oracle.model_project(tv, oracle.sample_series(f, oracle.N_GRID))
     worst = max(worst, float(np.max(np.abs(proj - direct))))

@@ -13,7 +13,6 @@ from matholab import (
     crofoot_theta,
     diagonal_monomial,
     scalar_blaschke,
-    theta_laurent,
     validate,
 )
 from matholab.sampling import random_inner, random_symmetric_inner, random_unitary
@@ -160,7 +159,7 @@ def test_crofoot_theta_is_inner_and_pure():
     assert np.linalg.norm(series.coeff(0), 2) < 1.0 - 1e-10
     # W = 0 leaves the function unchanged
     zero = crofoot_theta(theta, CrofootData(np.zeros((2, 2))), 48)
-    assert zero.allclose(theta_laurent(theta, 48), tol=1e-10)
+    assert zero.allclose(theta.laurent(48), tol=1e-10)
 
 
 def test_json_roundtrip():

@@ -4,19 +4,23 @@ import numpy as np
 import pytest
 
 from matholab import (
+    Laurent,
     MatrixLaurent,
+    ModelSpace,
     ScenarioError,
-    VectorLaurent,
+    build_matho,
+    build_matto,
     fit_circle_samples,
     inner_product,
 )
+from matholab.sampling import random_inner, random_symbol
 
 import oracle
 
 
 def _random_vector_series(rng, dim, order):
     coeffs = rng.standard_normal((2 * order + 1, dim)) + 1j * rng.standard_normal((2 * order + 1, dim))
-    return VectorLaurent(coeffs, order)
+    return Laurent(coeffs, order)
 
 
 def _random_matrix_series(rng, dim, order):
@@ -26,7 +30,7 @@ def _random_matrix_series(rng, dim, order):
 
 
 def test_coeff_and_support():
-    f = VectorLaurent.from_coeff_map({-2: [1.0, 0.0], 3: [0.0, 2.0]}, 2)
+    f = Laurent.from_coeff_map({-2: [1.0, 0.0], 3: [0.0, 2.0]}, 2)
     assert f.order == 3
     assert f.support() == (-2, 3)
     assert f.coeff(-2)[0] == 1.0
@@ -35,7 +39,7 @@ def test_coeff_and_support():
 
 
 def test_trim_drops_zero_margins():
-    f = VectorLaurent.from_coeff_map({1: [1.0]}, 1).with_order(6)
+    f = Laurent.from_coeff_map({1: [1.0]}, 1).with_order(6)
     g = f.trim()
     assert g.order == 1
     assert g.allclose(f)
@@ -188,11 +192,11 @@ def test_json_roundtrip():
 
 def test_json_rejects_bad_payloads():
     with pytest.raises(ScenarioError):
-        VectorLaurent.from_json({"coeffs": {}})
+        Laurent.from_json({"coeffs": {}})
     with pytest.raises(ScenarioError):
-        VectorLaurent.from_json({"dim": 1, "coeffs": {"x": [[1, 0]]}})
+        Laurent.from_json({"dim": 1, "coeffs": {"x": [[1, 0]]}})
     with pytest.raises(ScenarioError):
-        VectorLaurent.from_json({"dim": 1, "coeffs": {"0": [[1, 0]]}, "trunc_order": -1})
+        Laurent.from_json({"dim": 1, "coeffs": {"0": [[1, 0]]}, "trunc_order": -1})
     with pytest.raises(ScenarioError):
         MatrixLaurent.from_json({"dim": 2, "coeffs": {"0": [[[1, 0]]]}})
 
@@ -201,15 +205,91 @@ def test_fit_circle_samples_recovers_window():
     rng = np.random.default_rng(24)
     f = _random_matrix_series(rng, 2, 5)
     vals = oracle.sample_series(f, 64)
-    g = fit_circle_samples(vals, 5, kind="matrix")
+    g = fit_circle_samples(vals, 5)
     assert g.allclose(f, tol=1e-11)
     with pytest.raises(ValueError):
-        fit_circle_samples(vals[:8], 5, kind="matrix")
+        fit_circle_samples(vals[:8], 5)
 
 
 def test_linearity_of_window_sum():
     # mul distributes over + exactly on polynomial coefficients
     a = MatrixLaurent.from_coeff_map({0: [[1.0]], 2: [[0.5]]}, 1)
-    f = VectorLaurent.from_coeff_map({-1: [2.0]}, 1)
-    g = VectorLaurent.from_coeff_map({1: [1.0 + 1j]}, 1)
+    f = Laurent.from_coeff_map({-1: [2.0]}, 1)
+    g = Laurent.from_coeff_map({1: [1.0 + 1j]}, 1)
     assert a.mul(f + g).allclose(a.mul(f) + a.mul(g), tol=0.0)
+
+
+def _naive_mul(f, g):
+    """Reference convolution: every pair of window slots, one at a time."""
+    order = f.order + g.order
+    first = f.coeffs[0] @ g.coeffs[0]
+    out = np.zeros((2 * order + 1,) + first.shape, dtype=complex)
+    for i in range(2 * f.order + 1):
+        for j in range(2 * g.order + 1):
+            out[i + j] += f.coeffs[i] @ g.coeffs[j]
+    return out, order
+
+
+def _integer_series(rng, shape, order):
+    full = (2 * order + 1,) + shape
+    coeffs = rng.integers(-4, 5, full) + 1j * rng.integers(-4, 5, full)
+    coeffs[rng.random(2 * order + 1) < 0.3] = 0.0  # some empty slots
+    return Laurent(coeffs, order)
+
+
+def _gaussian_series(rng, shape, order):
+    full = (2 * order + 1,) + shape
+    return Laurent(rng.standard_normal(full) + 1j * rng.standard_normal(full), order)
+
+
+def _check_mul(f, g, rel):
+    want, order = _naive_mul(f, g)
+    got = f.mul(g).with_order(order).coeffs
+    if rel == 0.0:
+        assert np.array_equal(got, want)
+    else:
+        assert np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
+
+
+def test_mul_matches_naive_convolution():
+    # vector, square and (d, k) values, both loop directions (short side left or right)
+    rng = np.random.default_rng(25)
+    for shape in ((3,), (3, 3), (3, 4)):
+        for orders in ((1, 6), (6, 1), (4, 4)):
+            _check_mul(_integer_series(rng, (2, 3), orders[0]),
+                       _integer_series(rng, shape, orders[1]), 0.0)
+            _check_mul(_gaussian_series(rng, (2, 3), orders[0]),
+                       _gaussian_series(rng, shape, orders[1]), 1e-14)
+
+
+def test_mul_keeps_exact_zeros():
+    rng = np.random.default_rng(26)
+    analytic = _random_vector_series(rng, 2, 5).riesz_split()[0]
+    for n in (0, 2, 7):
+        prod = MatrixLaurent.monomial(n, rng.standard_normal((2, 2))).mul(analytic)
+        assert prod.is_analytic(tol=0.0)
+        assert prod.trim().support() == (n, n + 5)
+        assert prod.trim().order == n + 5
+
+
+def _per_basis_matrix(space1, space2, image):
+    """Reference: one basis function at a time, paired by inner_product."""
+    cols = [[inner_product(image(b), c) for c in space2.basis_functions()]
+            for b in space1.basis_functions()]
+    return np.array(cols).T
+
+
+def test_batched_builds_match_per_basis_loop():
+    rng = np.random.default_rng(27)
+    s1 = ModelSpace.from_product(random_inner(rng, 2, n_factors=2, max_abs=0.6), 32)
+    s2 = ModelSpace.from_product(random_inner(rng, 2, n_factors=3, max_abs=0.6), 32)
+    phi = random_symbol(rng, 2)
+    want = _per_basis_matrix(s1, s2, phi.mul)
+    assert np.max(np.abs(build_matto(s1, s2, phi).matrix - want)) < 1e-14
+    want = _per_basis_matrix(s1, s2, lambda b: phi.mul(b).riesz_split()[1].flip())
+    assert np.max(np.abs(build_matho(s1, s2, phi).matrix - want)) < 1e-14
+    # coords of a (d x k)-valued series: one column of coordinates per column
+    f = Laurent(rng.standard_normal((41, 2, 3)) + 1j * rng.standard_normal((41, 2, 3)), 20)
+    loop = np.stack([[inner_product(Laurent(f.coeffs[:, :, j], 20), b)
+                      for b in s2.basis_functions()] for j in range(3)], axis=1)
+    assert np.max(np.abs(s2.coords(f) - loop)) < 1e-14

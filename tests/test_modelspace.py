@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from matholab import (
+    Conjugation,
+    Laurent,
+    MatrixLaurent,
     ModelSpace,
-    VectorLaurent,
     diagonal_monomial,
+    kernel_test,
     random_modifier,
     scalar_blaschke,
 )
@@ -28,9 +31,30 @@ def test_dim_matches_factor_count():
     assert space.dim_K == theta.model_dim()
 
 
+def test_space_keeps_the_requested_window():
+    # a pole at 0 makes short series; the space must not shrink its window to them
+    for theta in (diagonal_monomial([1]), diagonal_monomial([1, 1]),
+                  diagonal_monomial([2]), scalar_blaschke([0.0])):
+        space = ModelSpace.from_product(theta, 16)
+        assert space.order == 16
+        assert space.basis.order == 16
+        assert space.describe()["trunc_order"] == 16
+
+
+def test_kernel_test_inside_the_requested_window():
+    # z^3 fits the window of 16 whatever the degree of Theta = z
+    space = ModelSpace.from_product(diagonal_monomial([1]), 16)
+    conj = Conjugation.identity(1)
+    for family in ("toeplitz", "hankel"):
+        res = kernel_test(MatrixLaurent.monomial(3, np.eye(1)), space, space, family, conj, conj)
+        assert res["verdict"] == "in-kernel" and res["agreement"] == "confirmed"
+    res = kernel_test(MatrixLaurent.monomial(0, np.eye(1)), space, space, "toeplitz")
+    assert res["verdict"] == "not-in-kernel" and res["agreement"] == "confirmed"
+
+
 def test_basis_orthonormal_by_quadrature():
     space, _ = _space(2)
-    vals = [oracle.sample_series(b, oracle.N_GRID) for b in space.basis]
+    vals = [oracle.sample_series(b, oracle.N_GRID) for b in space.basis_functions()]
     for i, vi in enumerate(vals):
         for j, vj in enumerate(vals):
             got = oracle.inner(vi, vj)
@@ -41,7 +65,7 @@ def test_basis_lies_in_model_space():
     space, theta = _space(3)
     zs = oracle.nodes(oracle.N_GRID)
     tv = oracle.theta_values(theta, zs)
-    for b in space.basis:
+    for b in space.basis_functions():
         bv = oracle.sample_series(b, oracle.N_GRID)
         gap = bv - oracle.model_project(tv, bv)
         assert np.max(np.abs(gap)) < 1e-9
@@ -51,7 +75,7 @@ def test_projection_matches_quadrature():
     space, theta = _space(4)
     rng = np.random.default_rng(44)
     coeffs = rng.standard_normal((2 * 10 + 1, 2)) + 1j * rng.standard_normal((2 * 10 + 1, 2))
-    f = VectorLaurent(coeffs, 10)
+    f = Laurent(coeffs, 10)
     proj = space.project(f)
     zs = oracle.nodes(oracle.N_GRID)
     want = oracle.model_project(oracle.theta_values(theta, zs),
@@ -63,7 +87,7 @@ def test_projection_is_idempotent_and_kills_theta_h2():
     space, theta = _space(5)
     rng = np.random.default_rng(45)
     coeffs = rng.standard_normal((9, 2)) + 1j * rng.standard_normal((9, 2))
-    f = VectorLaurent(coeffs, 4)
+    f = Laurent(coeffs, 4)
     once = space.project(f)
     assert space.membership_gap(once) < 1e-9
     # Theta times an analytic vector is orthogonal to the space
@@ -107,7 +131,7 @@ def test_compressed_shift_matches_quadrature():
     space, theta = _space(8)
     zs = oracle.nodes(oracle.N_GRID)
     tv = oracle.theta_values(theta, zs)
-    bvals = [oracle.sample_series(b, oracle.N_GRID) for b in space.basis]
+    bvals = [oracle.sample_series(b, oracle.N_GRID) for b in space.basis_functions()]
     for j, bj in enumerate(bvals):
         shifted = oracle.model_project(tv, zs[:, None] * bj)
         for i, bi in enumerate(bvals):
@@ -156,7 +180,7 @@ def test_modified_shift_rules():
 
 def test_from_basis_matches_from_product():
     space, _ = _space(12)
-    clone = ModelSpace.from_basis(space.theta_series, space.basis)
+    clone = ModelSpace.from_basis(space.theta_series, space.basis_functions())
     assert clone.dim_K == space.dim_K
     assert np.linalg.norm(clone.S - space.S) < 1e-10
     assert np.linalg.norm(clone.D - space.D) < 1e-10

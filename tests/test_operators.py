@@ -11,7 +11,7 @@ from matholab import (
     ModelSpace,
     REGISTRY_NAMES,
     TransformInputs,
-    VectorLaurent,
+    Laurent,
     build_matho,
     build_matto,
     diagonal_monomial,
@@ -241,10 +241,11 @@ def test_kernel_random_class_combinations():
 
 def test_tau_matrix_is_swap_on_z2():
     s1, _ = _scalar_z2_pair()
-    cols = [s1.coords(tau(s1.theta_series, b)) for b in s1.basis]
+    cols = [s1.coords(tau(s1.theta_series, b)) for b in s1.basis_functions()]
     # K_{z^2} is its own tilde space; tau swaps the monomial basis
     tilde = ModelSpace.from_product(diagonal_monomial([2]), 16)
-    mat = np.stack([tilde.coords(tau(s1.theta_series, b)) for b in s1.basis], axis=1)
+    mat = np.stack([tilde.coords(tau(s1.theta_series, b)) for b in s1.basis_functions()],
+                   axis=1)
     assert np.max(np.abs(mat - np.array([[0.0, 1.0], [1.0, 0.0]]))) < 1e-12
     assert len(cols) == 2
 

@@ -1,0 +1,36 @@
+"""Callers outside the package: the demo scripts and the benchmark's tracer bindings."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.name)
+def test_demo_runs(script):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, str(script)], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
+def test_benchmark_tracer_binds_the_library(monkeypatch):
+    # the tracer wraps named functions and methods; a rename breaks install()
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import tracing
+    from matholab.laurent import MatrixLaurent
+
+    original = MatrixLaurent.__dict__["mul"]
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        assert MatrixLaurent.__dict__["mul"] is not original
+    finally:
+        tracer.uninstall()
+    assert MatrixLaurent.__dict__["mul"] is original
