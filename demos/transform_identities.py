@@ -27,9 +27,9 @@ inputs = TransformInputs(
 
 print("random J-symmetric pair, full registry:")
 for rep in verify_transform("all", inputs):
-    line = f"  {rep['name']:<10} {rep['verdict']:<8} residual {rep['residual']:.3e}"
-    if "reason" in rep:
-        line += "   " + rep["reason"]
+    line = f"  {rep.name:<10} {rep.verdict:<8} residual {rep.residual:.3e}"
+    if rep.reason:
+        line += "   " + rep.reason
     print(line)
 
 # remark412 with a symbol that commutes with Theta: scalar case, so any
@@ -40,7 +40,7 @@ scalar = TransformInputs(
 )
 rep = verify_transform("remark412", scalar)
 print("\nremark412, scalar symbol (commutes):")
-print(f"  {rep['verdict']}  residual {rep['residual']:.3e}")
+print(f"  {rep.verdict}  residual {rep.residual:.3e}")
 
 # The same identity with a non-commuting matrix symbol: the registry
 # refuses to grade it, but still reports how badly it fails.
@@ -51,5 +51,5 @@ stubborn = TransformInputs(
 )
 rep = verify_transform("remark412", stubborn)
 print("\nremark412, generic matrix symbol:")
-print(f"  {rep['verdict']}  residual {rep['residual']:.3e}")
-print("  " + rep["reason"])
+print(f"  {rep.verdict}  residual {rep.residual:.3e}")
+print("  " + rep.reason)

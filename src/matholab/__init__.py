@@ -9,7 +9,7 @@ from .blaschke import (MAX_POLE_ABS, PURITY_MARGIN, BlaschkePotapovProduct, Pota
 from .conjugations import (Conjugation, CrofootData, CTheta, crofoot_map, jstar,
                            jsymmetry_defect, sandwich_pointwise, sandwich_reflected, tau)
 from .modelspace import ModelSpace, random_modifier
-from .operators import (REGISTRY_NAMES, MembershipReport, ModelOperator, TransformInputs,
+from .operators import (REGISTRY_NAMES, Check, ModelOperator, TransformInputs,
                         build_matho, build_matto, displacement_check, kernel_test,
                         recover_symbol, shift_invariance_check, verify_transform)
 from . import sampling
@@ -25,7 +25,7 @@ __all__ = [
     "Conjugation", "CrofootData", "CTheta", "jstar", "tau", "crofoot_map",
     "jsymmetry_defect", "sandwich_pointwise", "sandwich_reflected",
     "ModelSpace", "random_modifier",
-    "ModelOperator", "MembershipReport", "build_matto", "build_matho",
+    "Check", "ModelOperator", "build_matto", "build_matho",
     "displacement_check", "shift_invariance_check", "recover_symbol", "kernel_test",
     "TransformInputs", "verify_transform", "REGISTRY_NAMES",
     "sampling",

@@ -220,34 +220,21 @@ class ValidationReport:
     pure: bool
     max_unitary_defect: float
     theta0_norm: float
-    j_symmetric: bool | None = None
-    max_jsym_defect: float | None = None
 
 
-def validate(theta, conj_j=None, n_samples=64, tol=1e-8):
-    """Sampled sanity report: unitary boundary values, purity, J-symmetry.
-
-    J-symmetry is the pointwise condition J Theta(z) J = Theta(z)^* on the
-    circle, checked at the sample nodes when a conjugation is supplied.
-    """
+def validate(theta, n_samples=64, tol=1e-8):
+    """Sampled sanity report: unitary boundary values and purity."""
     nodes = np.exp(2j * np.pi * np.arange(n_samples) / n_samples)
     vals = theta.evaluate(nodes)
     eye = np.eye(theta.dim)
     defect = np.linalg.norm(np.conj(np.transpose(vals, (0, 2, 1))) @ vals - eye, axis=(1, 2))
     theta0 = np.linalg.norm(theta.theta0(), 2)
-    report = ValidationReport(
+    return ValidationReport(
         inner=bool(defect.max() <= tol),
         pure=bool(theta0 < 1.0 - PURITY_MARGIN),
         max_unitary_defect=float(defect.max()),
         theta0_norm=float(theta0),
     )
-    if conj_j is not None:
-        uj = conj_j.U
-        sym = uj[None] @ np.conj(vals) @ np.conj(uj)[None]
-        gap = np.linalg.norm(sym - np.conj(np.transpose(vals, (0, 2, 1))), axis=(1, 2))
-        report.j_symmetric = bool(gap.max() <= tol)
-        report.max_jsym_defect = float(gap.max())
-    return report
 
 
 def crofoot_theta(theta, crofoot, order, n_grid=None):

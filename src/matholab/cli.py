@@ -31,25 +31,26 @@ from .jsonio import ScenarioError, matrix_from_json, pair_to_complex
 from .laurent import Laurent
 from .modelspace import ModelSpace, random_modifier
 from .operators import (
+    DISPLACEMENT_KINDS,
+    INVARIANCE_KINDS,
+    REGISTRY_NAMES,
+    SYMBOL_FREE_IDENTITIES,
+    Check,
     ModelOperator,
+    TransformInputs,
     build_matho,
     build_matto,
     displacement_check,
+    kernel_check,
     kernel_test,
     recover_symbol,
     shift_invariance_check,
-    TransformInputs,
     verify_transform,
-    REGISTRY_NAMES,
 )
 
 SCHEMA_VERSION = 1
 COMMANDS = ("space", "build", "check", "recover", "kernel", "verify")
 
-_DISPLACEMENT_KINDS = ("T1", "T2", "T3", "T4", "H1", "H2", "H3", "H4",
-                       "MT", "MH-a", "MH-b", "MH-c", "MH-d")
-_INVARIANCE_KINDS = tuple(f"{fam}-{var}" for fam in ("toeplitz", "hankel")
-                          for var in "abcd")
 _KNOWN_FIELDS = {"schema_version", "command", "trunc_order", "tolerance", "seed",
                  "theta1", "theta2", "j1", "j2", "w1", "w2", "symbol", "operator",
                  "params", "kind", "family", "name", "comment"}
@@ -226,28 +227,18 @@ def _check_required(sc):
             raise ScenarioError("params.family: expected 'toeplitz' or 'hankel'")
     if sc.command == "check":
         kind = sc.params.get("kind")
-        if kind not in _DISPLACEMENT_KINDS and kind not in _INVARIANCE_KINDS:
+        if not isinstance(kind, str) or (kind not in DISPLACEMENT_KINDS
+                                         and kind not in INVARIANCE_KINDS):
             raise ScenarioError(f"params.kind: unknown kind {kind!r}")
     if sc.command == "verify":
         name = sc.params.get("name", "all")
         if name != "all" and name not in REGISTRY_NAMES:
             raise ScenarioError(f"params.name: unknown identity {name!r}")
-        if sc.symbol is None and name not in ("eq_sz", "eq_ddd"):
+        if sc.symbol is None and name not in SYMBOL_FREE_IDENTITIES:
             raise ScenarioError("symbol: required to verify this identity")
 
 
 # -- command execution --------------------------------------------------------
-
-def _record(name, residual, threshold, accept):
-    return {"name": name,
-            "residual": None if residual is None else float(residual),
-            "threshold": float(threshold),
-            "verdict": "accept" if accept else "reject"}
-
-
-def _from_membership(rep):
-    return _record(rep.kind, rep.residual, rep.threshold, rep.accepted())
-
 
 def _spaces(sc):
     sp1 = ModelSpace.from_product(sc.theta1, sc.trunc_order)
@@ -270,12 +261,6 @@ def _operator(sc, sp1, sp2, family):
     return _build(sc, sp1, sp2, family)
 
 
-def _kind_family(kind):
-    if kind.startswith(("toeplitz", "hankel")):
-        return kind.split("-")[0]
-    return "toeplitz" if kind in ("T1", "T2", "T3", "T4", "MT") else "hankel"
-
-
 def _cmd_space(sc):
     checks = []
     details = {}
@@ -285,8 +270,7 @@ def _cmd_space(sc):
         space = ModelSpace.from_product(theta, sc.trunc_order)
         gram = space.coords(space.basis)
         resid = float(np.linalg.norm(gram - np.eye(space.dim_K)))
-        checks.append(_record(f"{key}-basis", resid, sc.tolerance,
-                              resid <= sc.tolerance))
+        checks.append(Check.judge(f"{key}-basis", resid, sc.tolerance, 0.0))
         details[key] = space.describe()
     return checks, details
 
@@ -296,18 +280,18 @@ def _cmd_build(sc):
     sp1, sp2 = _spaces(sc)
     op = _build(sc, sp1, sp2, family)
     kind = "T1" if family == "toeplitz" else "H1"
-    rep = displacement_check(op, kind, sc.tolerance)
-    return [_from_membership(rep)], {"operator": op.to_json()}
+    return [displacement_check(op, kind, sc.tolerance)], {"operator": op.to_json()}
 
 
 def _cmd_check(sc):
     kind = sc.params["kind"]
     sp1, sp2 = _spaces(sc)
-    op = _operator(sc, sp1, sp2, _kind_family(kind))
-    if kind in _INVARIANCE_KINDS:
+    if kind in INVARIANCE_KINDS:
         family, variant = kind.split("-")
-        rep = shift_invariance_check(op, family, variant, sc.tolerance)
+        rep = shift_invariance_check(_operator(sc, sp1, sp2, family), family, variant,
+                                     sc.tolerance)
     else:
+        op = _operator(sc, sp1, sp2, DISPLACEMENT_KINDS[kind])
         mod1 = mod2 = None
         if kind.startswith("M"):
             # modified kinds draw their modifier maps from the scenario seed
@@ -315,7 +299,7 @@ def _cmd_check(sc):
             mod1 = random_modifier(sp1, rng)
             mod2 = random_modifier(sp2, rng)
         rep = displacement_check(op, kind, sc.tolerance, mod1, mod2)
-    return [_from_membership(rep)], None
+    return [rep], None
 
 
 def _cmd_recover(sc):
@@ -324,13 +308,13 @@ def _cmd_recover(sc):
     op = _operator(sc, sp1, sp2, family)
     kind = "T1" if family == "toeplitz" else "H1"
     rep = displacement_check(op, kind, sc.tolerance)
-    checks = [_from_membership(rep)]
+    checks = [rep]
     details = None
     if rep.accepted():
         phi, resid = recover_symbol(op, family, sc.conj1, sc.conj2,
                                     threshold=sc.tolerance)
-        checks.append(_record(f"rebuild-{family}", resid, sc.tolerance,
-                              resid <= sc.tolerance * (1.0 + np.linalg.norm(op.matrix))))
+        checks.append(Check.judge(f"rebuild-{family}", resid, sc.tolerance,
+                                  np.linalg.norm(op.matrix)))
         details = {"symbol": phi.to_json()}
     return checks, details
 
@@ -340,11 +324,7 @@ def _cmd_kernel(sc):
     sp1, sp2 = _spaces(sc)
     result = kernel_test(sc.symbol, sp1, sp2, family, sc.conj1, sc.conj2,
                          threshold=sc.tolerance)
-    # accept means the span prediction and the built operator agree; a
-    # conflict or class-gap is exactly what this command is meant to flag
-    rec = _record(f"kernel-{family}", result["distance"], sc.tolerance,
-                  result["agreement"] == "confirmed")
-    return [rec], result
+    return [kernel_check(sc.symbol, result, sc.tolerance)], result
 
 
 def _cmd_verify(sc):
@@ -354,18 +334,7 @@ def _cmd_verify(sc):
                              crofoot1=sc.crofoot1, crofoot2=sc.crofoot2,
                              threshold=sc.tolerance)
     out = verify_transform(name, inputs)
-    if isinstance(out, dict):
-        out = [out]
-    checks = []
-    for rep in out:
-        rec = {"name": rep["name"],
-               "residual": rep["residual"],
-               "threshold": rep["threshold"],
-               "verdict": rep["verdict"]}
-        if "reason" in rep:
-            rec["reason"] = rep["reason"]
-        checks.append(rec)
-    return checks, None
+    return (out if name == "all" else [out]), None
 
 
 _RUNNERS = {"space": _cmd_space, "build": _cmd_build, "check": _cmd_check,
@@ -377,12 +346,11 @@ def run_command(scenario):
     start = time.perf_counter()
     checks, details = _RUNNERS[scenario.command](scenario)
     # skipped entries state unmet hypotheses; they carry no verdict to veto
-    decided = [c for c in checks if c["verdict"] != "skipped"]
-    overall = "accept" if all(c["verdict"] == "accept" for c in decided) else "reject"
+    overall = "reject" if any(c.verdict == "reject" for c in checks) else "accept"
     report = {"schema_version": SCHEMA_VERSION,
               "version": __version__,
               "command": scenario.command,
-              "checks": checks,
+              "checks": [c.to_json() for c in checks],
               "overall": overall}
     if details is not None:
         report["details"] = details
@@ -396,10 +364,11 @@ def emit_report(report, fmt):
     lines = [f"command: {report['command']}"]
     for rec in report["checks"]:
         if rec["verdict"] == "skipped":
-            lines.append(f"  {rec['name']}: skipped ({rec.get('reason', 'hypotheses not met')})")
+            lines.append(f"  {rec['name']}: skipped ({rec['reason']})")
             continue
-        lines.append(f"  {rec['name']}: residual {rec['residual']:.3e}  "
-                     f"threshold {rec['threshold']:.1e}  {rec['verdict']}")
+        line = (f"  {rec['name']}: residual {rec['residual']:.3e}  "
+                f"threshold {rec['threshold']:.1e}  {rec['verdict']}")
+        lines.append(line + (f"  ({rec['reason']})" if "reason" in rec else ""))
     lines.append(f"overall: {report['overall']}  ({report['wall_time_s']:.3f}s)")
     return "\n".join(lines)
 

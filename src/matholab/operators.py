@@ -9,6 +9,13 @@ shift-invariance predicates, symbol recovery, symbol-kernel tests, and a
 registry of conjugation/transform identities checked as exact matrix
 equalities up to tolerance.
 
+Every check comes back as one ``Check`` record (name, residual,
+threshold, scale, verdict, optional reason), and every accept/reject
+follows one rule: accept iff residual <= threshold * (1 + scale). The
+scale is the norm of the data the residual is measured against: the
+displacement for a displacement equation, the left-hand side for a
+registry identity, 0 for the shift-invariance predicates.
+
 Antilinear maps are carried as matrices L with action c -> L conj(c);
 composing two of them therefore yields the linear matrix L2 conj(L1),
 which is how every registry left-hand side below becomes plain matmul.
@@ -16,7 +23,9 @@ which is how every registry left-hand side below becomes plain matmul.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -28,36 +37,45 @@ from .laurent import Laurent, evaluate_many
 from .modelspace import ModelSpace
 
 __all__ = [
-    "ModelOperator", "MembershipReport", "build_matto", "build_matho",
+    "Check", "ModelOperator", "build_matto", "build_matho",
     "displacement_check", "shift_invariance_check", "recover_symbol",
-    "kernel_test", "TransformInputs", "verify_transform", "REGISTRY_NAMES",
+    "kernel_test", "kernel_check", "TransformInputs", "verify_transform",
+    "DISPLACEMENT_KINDS", "INVARIANCE_KINDS", "REGISTRY_NAMES", "SYMBOL_FREE_IDENTITIES",
 ]
 
 _JSYM_TOL = 1e-8
 
 
+def _passes(residual, threshold, scale):
+    """The acceptance rule shared by every check."""
+    return residual <= threshold * (1.0 + scale)
+
+
 @dataclass(frozen=True)
-class MembershipReport:
-    kind: str
-    displacement_norm: float
-    residual: float
+class Check:
+    """One judged residual; a skipped check states its unmet hypothesis in reason."""
+
+    name: str
+    residual: float | None
     threshold: float
+    scale: float | None
     verdict: str
+    reason: str | None = None
+
+    @classmethod
+    def judge(cls, name, residual, threshold, scale):
+        verdict = "accept" if _passes(residual, threshold, scale) else "reject"
+        return cls(name, float(residual), float(threshold), float(scale), verdict)
 
     def accepted(self):
         return self.verdict == "accept"
 
     def to_json(self):
-        return {"kind": self.kind,
-                "displacement_norm": self.displacement_norm,
-                "residual": self.residual,
-                "threshold": self.threshold,
-                "verdict": self.verdict}
-
-
-def _report(kind, disp, resid, threshold):
-    verdict = "accept" if resid <= threshold * (1.0 + disp) else "reject"
-    return MembershipReport(kind, float(disp), float(resid), float(threshold), verdict)
+        out = {"name": self.name, "residual": self.residual, "threshold": self.threshold,
+               "scale": self.scale, "verdict": self.verdict}
+        if self.reason is not None:
+            out["reason"] = self.reason
+        return out
 
 
 class ModelOperator:
@@ -138,7 +156,7 @@ def displacement_check(op, kind, threshold=1e-8, modifier1=None, modifier2=None)
     q_right = np.eye(op.domain.dim_K) - getattr(op.domain, right_name)
     q_left = np.eye(op.codomain.dim_K) - getattr(op.codomain, left_name)
     resid = np.linalg.norm(q_left @ x @ q_right)
-    return _report(kind, np.linalg.norm(x), resid, threshold)
+    return Check.judge(kind, resid, threshold, np.linalg.norm(x))
 
 
 def _complement_basis(proj):
@@ -167,6 +185,11 @@ _INVARIANCE = {
                       lambda a, s1, s2: a @ s1.conj().T, lambda a, s1, s2: s2 @ a),
 }
 
+# every `check` kind -> the operator family whose members satisfy it
+DISPLACEMENT_KINDS = {kind: "toeplitz" if _MODIFIED_BASE.get(kind, kind)[0] == "T" else "hankel"
+                      for kind in (*_DISPLACEMENTS, *_MODIFIED_BASE)}
+INVARIANCE_KINDS = {f"{family}-{kind}": family for family, kind in _INVARIANCE}
+
 
 def shift_invariance_check(op, family, kind, threshold=1e-8):
     """Bilinear shift-invariance predicate on the defect orthocomplements.
@@ -183,10 +206,10 @@ def shift_invariance_check(op, family, kind, threshold=1e-8):
     f_basis = _complement_basis(getattr(op.domain, right_name))
     g_basis = _complement_basis(getattr(op.codomain, left_name))
     if f_basis.shape[1] == 0 or g_basis.shape[1] == 0:
-        return _report(f"{family}-{kind}", 0.0, 0.0, threshold)
+        return Check.judge(f"{family}-{kind}", 0.0, threshold, 0.0)
     s1, s2 = op.domain.S, op.codomain.S
     dev = g_basis.conj().T @ (lhs_fn(op.matrix, s1, s2) - rhs_fn(op.matrix, s1, s2)) @ f_basis
-    return _report(f"{family}-{kind}", 0.0, np.max(np.abs(dev)), threshold)
+    return Check.judge(f"{family}-{kind}", np.max(np.abs(dev)), threshold, 0.0)
 
 
 # -- symbol recovery ---------------------------------------------------------
@@ -199,7 +222,7 @@ def _unvec(v, rows, cols):
     return np.asarray(v).reshape((rows, cols), order="F")
 
 
-def _recover_toeplitz(op, threshold):
+def _recover_toeplitz(op):
     s1, s2 = op.domain, op.codomain
     n1, n2 = s1.dim_K, s2.dim_K
     a = op.matrix
@@ -228,7 +251,7 @@ def recover_symbol(op, family, conj1=None, conj2=None, threshold=1e-8):
         rep = displacement_check(op, "T1", threshold)
         if not rep.accepted():
             raise ValueError(f"operator rejected by T1 membership (residual {rep.residual:.2e})")
-        phi = _recover_toeplitz(op, threshold)
+        phi = _recover_toeplitz(op)
         rebuilt = build_matto(op.domain, op.codomain, phi)
     elif family == "hankel":
         rep = displacement_check(op, "H1", threshold)
@@ -248,7 +271,7 @@ def recover_symbol(op, family, conj1=None, conj2=None, threshold=1e-8):
         l_c1 = _map_matrix(c1.apply, s1, s1)
         l_j2 = _map_matrix(lambda f: jstar(conj2, f), s2, tilde2)
         transferred = ModelOperator(s1, tilde2, l_j2 @ np.conj(op.matrix @ l_c1))
-        sigma = _recover_toeplitz(transferred, threshold)
+        sigma = _recover_toeplitz(transferred)
         phi = sandwich_pointwise(conj2, sigma, conj1).mul(
             s1.theta_series.adjoint_star()).truncate(s1.order)
         rebuilt = build_matho(op.domain, op.codomain, phi)
@@ -334,11 +357,11 @@ def kernel_test(symbol, space1, space2, family, conj1=None, conj2=None, threshol
     else:
         fit = stack @ np.linalg.lstsq(stack, target, rcond=None)[0]
         distance = float(np.linalg.norm(target - fit))
-    in_kernel = distance <= threshold * (1.0 + symbol.norm())
+    in_kernel = _passes(distance, threshold, symbol.norm())
 
     build = build_matto if family == "toeplitz" else build_matho
     op_norm = float(np.linalg.norm(build(space1, space2, symbol).matrix))
-    is_zero = op_norm <= 1e-10 * (1.0 + symbol.norm())
+    is_zero = _passes(op_norm, 1e-10, symbol.norm())
     if in_kernel == is_zero:
         agreement = "confirmed"
     elif in_kernel:
@@ -350,6 +373,26 @@ def kernel_test(symbol, space1, space2, family, conj1=None, conj2=None, threshol
             "distance": distance,
             "matrix_norm": op_norm,
             "agreement": agreement}
+
+
+_AGREEMENT_REASONS = {
+    "confirmed": "confirmed: the span distance and the built operator agree",
+    "conflict": "conflict: in the generator span, but the built operator is not zero",
+    "class-gap": "class-gap: the built operator is zero, but the symbol is outside the span",
+}
+
+
+def kernel_check(symbol, result, threshold):
+    """A kernel_test result as a record: accepted iff its agreement is confirmed.
+
+    The residual is the span distance, judged inside kernel_test against
+    threshold * (1 + |symbol|); the record's verdict is the cross-check,
+    so a conflict or class-gap rejects whatever the distance says.
+    """
+    agreement = result["agreement"]
+    return Check(f"kernel-{result['family']}", result["distance"], float(threshold),
+                 float(symbol.norm()), "accept" if agreement == "confirmed" else "reject",
+                 _AGREEMENT_REASONS[agreement])
 
 
 # -- transform identity registry ---------------------------------------------
@@ -407,34 +450,16 @@ class TransformInputs:
             self._cache[key] = (image, fwd)
         return self._cache[key]
 
-    def need_symbol(self, name):
-        if self.symbol is None:
-            raise ValueError(f"identity {name!r} needs a symbol")
-        return self.symbol
-
     def jsym_gaps(self):
         return (jsymmetry_defect(self.space("1").theta_series, self.conj1),
                 jsymmetry_defect(self.space("2").theta_series, self.conj2))
 
 
-def _registry_report(name, residual, threshold, scale):
-    verdict = "accept" if residual <= threshold * (1.0 + scale) else "reject"
-    return {"name": name, "residual": float(residual),
-            "threshold": float(threshold), "verdict": verdict}
-
-
-def _skip(name, threshold, reason):
-    return {"name": name, "residual": None, "threshold": float(threshold),
-            "verdict": "skipped", "reason": reason}
-
-
-def _lhs_rhs_report(name, lhs, rhs, threshold):
-    return _registry_report(name, np.linalg.norm(lhs - rhs), threshold,
-                            np.linalg.norm(lhs))
-
+# Each _verify_* returns the two sides (lhs, rhs) of its identity as matrices;
+# verify_transform judges |lhs - rhs| against threshold * (1 + |lhs|).
 
 def _verify_crofoot(inp):
-    phi = inp.need_symbol("crofoot")
+    phi = inp.symbol
     k1, k2 = inp.space("1"), inp.space("2")
     b = build_matho(k1, k2, phi).matrix
     k1w, f1 = inp.crofoot_image(1)
@@ -453,12 +478,11 @@ def _verify_crofoot(inp):
     right = (Laurent.constant(np.eye(k1.dim))
              - k1.theta_series.right_const(cro1.W.conj().T)).right_const(d1inv)
     psi = left.mul(phi).mul(right).truncate(inp.order)
-    rhs = build_matho(k1w, k2w, psi).matrix
-    return _lhs_rhs_report("crofoot", lhs, rhs, inp.threshold)
+    return lhs, build_matho(k1w, k2w, psi).matrix
 
 
 def _verify_tau(inp):
-    phi = inp.need_symbol("tau")
+    phi = inp.symbol
     k1, k2 = inp.space("1"), inp.space("2")
     k1t, k2t = inp.space("1t"), inp.space("2t")
     b = build_matho(k1, k2, phi).matrix
@@ -466,12 +490,11 @@ def _verify_tau(inp):
     t2 = _map_matrix(lambda f: tau(k2.theta_series, f), k2, k2t)
     lhs = t2 @ b @ t1.conj().T
     psi = k2.theta_series.tilde().mul(phi).mul(k1.theta_series).reflect_z().truncate(inp.order)
-    rhs = build_matho(k1t, k2t, psi).matrix
-    return _lhs_rhs_report("tau", lhs, rhs, inp.threshold)
+    return lhs, build_matho(k1t, k2t, psi).matrix
 
 
 def _verify_jstar(inp):
-    phi = inp.need_symbol("jstar")
+    phi = inp.symbol
     k1, k2 = inp.space("1"), inp.space("2")
     k1j, k2j = inp.space("1j"), inp.space("2j")
     b = build_matho(k1, k2, phi).matrix
@@ -479,16 +502,7 @@ def _verify_jstar(inp):
     l2 = _map_matrix(lambda f: jstar(inp.conj2, f), k2, k2j)
     lhs = l2 @ np.conj(b @ l1)
     psi = sandwich_reflected(inp.conj2, phi, inp.conj1)
-    rhs = build_matho(k1j, k2j, psi).matrix
-    return _lhs_rhs_report("jstar", lhs, rhs, inp.threshold)
-
-
-def _require_jsym(inp, name):
-    g1, g2 = inp.jsym_gaps()
-    if g1 > _JSYM_TOL or g2 > _JSYM_TOL:
-        return _skip(name, inp.threshold,
-                     f"needs J-symmetric thetas (defects {g1:.2e}, {g2:.2e})")
-    return None
+    return lhs, build_matho(k1j, k2j, psi).matrix
 
 
 def _ctheta_maps(inp):
@@ -498,12 +512,9 @@ def _ctheta_maps(inp):
     return (_map_matrix(c1.apply, k1, k1), _map_matrix(c2.apply, k2, k2))
 
 
-def _verify_ctheta(inp, name):
+def _verify_ctheta(inp):
     """C_Theta2 B_Phi C_Theta1 = B_Psi; reported as "ctheta" and as "prop61b"."""
-    skip = _require_jsym(inp, name)
-    if skip:
-        return skip
-    phi = inp.need_symbol(name)
+    phi = inp.symbol
     k1, k2 = inp.space("1"), inp.space("2")
     b = build_matho(k1, k2, phi).matrix
     l_c1, l_c2 = _ctheta_maps(inp)
@@ -513,48 +524,35 @@ def _verify_ctheta(inp, name):
     # anti-analytic mass of the symbol and breaks the operator equality
     inner = k2.theta_series.tilde().mul(phi).mul(k1.theta_series).truncate(inp.order)
     psi = sandwich_pointwise(inp.conj2, inner, inp.conj1)
-    rhs = build_matho(k1, k2, psi).matrix
-    return _lhs_rhs_report(name, lhs, rhs, inp.threshold)
+    return lhs, build_matho(k1, k2, psi).matrix
 
 
 def _verify_prop61a(inp):
-    skip = _require_jsym(inp, "prop61a")
-    if skip:
-        return skip
-    phi = inp.need_symbol("prop61a")
+    phi = inp.symbol
     k1, k2 = inp.space("1"), inp.space("2")
     a = build_matto(k1, k2, phi).matrix
     l_c1, l_c2 = _ctheta_maps(inp)
     lhs = l_c2 @ np.conj(a @ l_c1)
     inner = k2.theta_series.adjoint_star().mul(phi).mul(k1.theta_series).truncate(inp.order)
     psi = sandwich_pointwise(inp.conj2, inner, inp.conj1)
-    rhs = build_matto(k1, k2, psi).matrix
-    return _lhs_rhs_report("prop61a", lhs, rhs, inp.threshold)
+    return lhs, build_matto(k1, k2, psi).matrix
 
 
-def _verify_prop61c(inp, hankel=False):
-    name = "prop61d" if hankel else "prop61c"
-    skip = _require_jsym(inp, name)
-    if skip:
-        return skip
-    phi = inp.need_symbol(name)
+def _verify_prop61c(build, inp):
+    """Jstar on both tilde spaces: prop61c for build_matto, prop61d for build_matho."""
+    phi = inp.symbol
     k1, k2 = inp.space("1"), inp.space("2")
     k1t, k2t = inp.space("1t"), inp.space("2t")
-    build = build_matho if hankel else build_matto
     mat = build(k1, k2, phi).matrix
     l1 = _map_matrix(lambda f: jstar(inp.conj1, f), k1t, k1)
     l2 = _map_matrix(lambda f: jstar(inp.conj2, f), k2, k2t)
     lhs = l2 @ np.conj(mat @ l1)
     psi = sandwich_reflected(inp.conj2, phi, inp.conj1)
-    rhs = build(k1t, k2t, psi).matrix
-    return _lhs_rhs_report(name, lhs, rhs, inp.threshold)
+    return lhs, build(k1t, k2t, psi).matrix
 
 
 def _verify_prop61e(inp):
-    skip = _require_jsym(inp, "prop61e")
-    if skip:
-        return skip
-    phi = inp.need_symbol("prop61e")
+    phi = inp.symbol
     k1, k2 = inp.space("1"), inp.space("2")
     k1t = inp.space("1t")
     a = build_matto(k1, k2, phi).matrix
@@ -563,15 +561,11 @@ def _verify_prop61e(inp):
     lhs = l_c2 @ np.conj(a @ l1)
     inner = k2.theta_series.tilde().mul(phi.reflect_z()).truncate(inp.order)
     psi = sandwich_pointwise(inp.conj2, inner, inp.conj1)
-    rhs = build_matho(k1t, k2, psi).matrix
-    return _lhs_rhs_report("prop61e", lhs, rhs, inp.threshold)
+    return lhs, build_matho(k1t, k2, psi).matrix
 
 
 def _verify_prop61f(inp):
-    skip = _require_jsym(inp, "prop61f")
-    if skip:
-        return skip
-    phi = inp.need_symbol("prop61f")
+    phi = inp.symbol
     k1, k2 = inp.space("1"), inp.space("2")
     k2t = inp.space("2t")
     b = build_matho(k1, k2, phi).matrix
@@ -580,86 +574,107 @@ def _verify_prop61f(inp):
     lhs = l2 @ np.conj(b @ l_c1)
     inner = phi.mul(k1.theta_series).truncate(inp.order)
     psi = sandwich_pointwise(inp.conj2, inner, inp.conj1)
-    rhs = build_matto(k1, k2t, psi).matrix
-    return _lhs_rhs_report("prop61f", lhs, rhs, inp.threshold)
+    return lhs, build_matto(k1, k2t, psi).matrix
 
 
 def _verify_eq_sz(inp):
     k1, k1t = inp.space("1"), inp.space("1t")
     t = _map_matrix(lambda f: tau(k1.theta_series, f), k1, k1t)
-    lhs = t @ k1.S @ t.conj().T
-    rhs = k1t.S_star
-    return _lhs_rhs_report("eq_sz", lhs, rhs, inp.threshold)
+    return t @ k1.S @ t.conj().T, k1t.S_star
 
 
 def _verify_eq_ddd(inp):
     k1, k1t = inp.space("1"), inp.space("1t")
     t_back = _map_matrix(lambda f: tau(k1t.theta_series, f), k1t, k1)
-    lhs = k1.D_tilde
-    rhs = t_back @ k1t.D @ t_back.conj().T
-    return _lhs_rhs_report("eq_ddd", lhs, rhs, inp.threshold)
+    return k1.D_tilde, t_back @ k1t.D @ t_back.conj().T
 
 
 def _verify_remark412(inp):
-    """C_Theta A_Phi C_Theta = A_{Phi^*}, valid only under extra hypotheses.
+    """C_Theta A_Phi C_Theta = A_{Phi^*}, valid only under extra hypotheses."""
+    phi = inp.symbol
+    k1 = inp.space("1")
+    a = build_matto(k1, k1, phi).matrix
+    c1 = CTheta(k1.theta_series, inp.conj1)
+    l_c1 = _map_matrix(c1.apply, k1, k1)
+    lhs = l_c1 @ np.conj(a @ l_c1)
+    return lhs, build_matto(k1, k1, phi.adjoint_star().truncate(inp.order)).matrix
+
+
+def _remark412_unmet(inp):
+    """Why remark412 does not apply (None if it does).
 
     If Phi fails to be J-symmetric or to commute with Theta pointwise, the
     identity is expected to fail; the report is then a skip that still
     carries the measured residual, so the failure can be demonstrated
     without counting as a broken identity.
     """
-    phi = inp.need_symbol("remark412")
-    k1 = inp.space("1")
+    phi = inp.symbol
     g1 = inp.jsym_gaps()[0]
     phi_sym = jsymmetry_defect(phi, inp.conj1)
     nodes = np.exp(2j * np.pi * np.arange(64) / 64)
-    tv = evaluate_many(k1.theta_series, nodes)
+    tv = evaluate_many(inp.space("1").theta_series, nodes)
     pv = evaluate_many(phi, nodes)
     commute = float(np.linalg.norm(tv @ pv - pv @ tv, axis=(1, 2)).max())
-    a = build_matto(k1, k1, phi).matrix
-    c1 = CTheta(k1.theta_series, inp.conj1)
-    l_c1 = _map_matrix(c1.apply, k1, k1)
-    lhs = l_c1 @ np.conj(a @ l_c1)
-    rhs = build_matto(k1, k1, phi.adjoint_star().truncate(inp.order)).matrix
-    residual = float(np.linalg.norm(lhs - rhs))
-    scale = 1.0 + phi.norm()
-    if g1 > _JSYM_TOL or phi_sym > _JSYM_TOL * scale or commute > _JSYM_TOL * scale:
-        out = _skip("remark412", inp.threshold,
-                    f"hypotheses not met (theta defect {g1:.2e}, symbol defect "
-                    f"{phi_sym:.2e}, commutator {commute:.2e})")
-        out["residual"] = residual
-        return out
-    return _registry_report("remark412", residual, inp.threshold, np.linalg.norm(lhs))
+    if (g1 > _JSYM_TOL or not _passes(phi_sym, _JSYM_TOL, phi.norm())
+            or not _passes(commute, _JSYM_TOL, phi.norm())):
+        return (f"hypotheses not met (theta defect {g1:.2e}, symbol defect "
+                f"{phi_sym:.2e}, commutator {commute:.2e})")
+    return None
+
+
+class _Identity(NamedTuple):
+    sides: Callable
+    jsym: bool = False      # skipped unless both thetas are J-symmetric
+    symbol: bool = True     # needs the symbol Phi
+    unmet: Callable | None = None  # further hypotheses, judged after measuring
 
 
 _REGISTRY = {
-    "crofoot": _verify_crofoot,
-    "tau": _verify_tau,
-    "jstar": _verify_jstar,
-    "ctheta": lambda inp: _verify_ctheta(inp, "ctheta"),
-    "prop61a": _verify_prop61a,
-    "prop61b": lambda inp: _verify_ctheta(inp, "prop61b"),
-    "prop61c": lambda inp: _verify_prop61c(inp, hankel=False),
-    "prop61d": lambda inp: _verify_prop61c(inp, hankel=True),
-    "prop61e": _verify_prop61e,
-    "prop61f": _verify_prop61f,
-    "eq_sz": _verify_eq_sz,
-    "eq_ddd": _verify_eq_ddd,
-    "remark412": _verify_remark412,
+    "crofoot": _Identity(_verify_crofoot),
+    "tau": _Identity(_verify_tau),
+    "jstar": _Identity(_verify_jstar),
+    "ctheta": _Identity(_verify_ctheta, jsym=True),
+    "prop61a": _Identity(_verify_prop61a, jsym=True),
+    "prop61b": _Identity(_verify_ctheta, jsym=True),
+    "prop61c": _Identity(partial(_verify_prop61c, build_matto), jsym=True),
+    "prop61d": _Identity(partial(_verify_prop61c, build_matho), jsym=True),
+    "prop61e": _Identity(_verify_prop61e, jsym=True),
+    "prop61f": _Identity(_verify_prop61f, jsym=True),
+    "eq_sz": _Identity(_verify_eq_sz, symbol=False),
+    "eq_ddd": _Identity(_verify_eq_ddd, symbol=False),
+    "remark412": _Identity(_verify_remark412, unmet=_remark412_unmet),
 }
 
 REGISTRY_NAMES = tuple(_REGISTRY)
+SYMBOL_FREE_IDENTITIES = tuple(name for name, ident in _REGISTRY.items() if not ident.symbol)
+
+
+def _check_identity(name, inp):
+    ident = _REGISTRY[name]
+    if ident.jsym:
+        g1, g2 = inp.jsym_gaps()
+        if g1 > _JSYM_TOL or g2 > _JSYM_TOL:
+            return Check(name, None, float(inp.threshold), None, "skipped",
+                         f"needs J-symmetric thetas (defects {g1:.2e}, {g2:.2e})")
+    if ident.symbol and inp.symbol is None:
+        raise ValueError(f"identity {name!r} needs a symbol")
+    lhs, rhs = ident.sides(inp)
+    check = Check.judge(name, np.linalg.norm(lhs - rhs), inp.threshold, np.linalg.norm(lhs))
+    reason = ident.unmet(inp) if ident.unmet else None
+    if reason is not None:
+        check = replace(check, verdict="skipped", reason=reason)
+    return check
 
 
 def verify_transform(name, inputs):
     """Check one named identity (or every one, name="all") on the inputs.
 
-    Returns a report dict {name, residual, threshold, verdict}; a list of
-    them for "all". Entries whose hypotheses the inputs do not satisfy
-    come back with verdict "skipped" and a reason instead of failing.
+    Returns a Check; a list of them for "all". Entries whose hypotheses
+    the inputs do not satisfy come back with verdict "skipped" and a
+    reason instead of failing.
     """
     if name == "all":
-        return [_REGISTRY[n](inputs) for n in REGISTRY_NAMES]
+        return [_check_identity(n, inputs) for n in REGISTRY_NAMES]
     if name not in _REGISTRY:
         raise ValueError(f"unknown transform identity {name!r}")
-    return _REGISTRY[name](inputs)
+    return _check_identity(name, inputs)

@@ -181,18 +181,18 @@ def test_criterion_5_transform_registry(announce):
             theta1, theta2, order=48, symbol=random_symbol(rng, d),
             conj1=conj1, conj2=conj2,
             crofoot1=random_crofoot(rng, d), crofoot2=random_crofoot(rng, d))
-        reports = {r["name"]: r for r in verify_transform("all", inputs)}
+        reports = {r.name: r for r in verify_transform("all", inputs)}
         for name in REGISTRY_REQUIRED:
             rep = reports[name]
-            if rep["verdict"] == "skipped" or rep["residual"] > 1e-8:
-                failed.append((i, name, rep.get("residual")))
+            if rep.verdict == "skipped" or rep.residual > 1e-8:
+                failed.append((i, name, rep.residual))
             else:
-                worst = max(worst, rep["residual"])
+                worst = max(worst, rep.residual)
     # hand-checked scalar instances
     hand = TransformInputs(diagonal_monomial([2]), diagonal_monomial([2]),
                            order=16, symbol=_scalar_symbol({-1: 1.0}))
-    tau_resid = verify_transform("tau", hand)["residual"]
-    f_resid = verify_transform("prop61f", hand)["residual"]
+    tau_resid = verify_transform("tau", hand).residual
+    f_resid = verify_transform("prop61f", hand).residual
     ok = not failed and tau_resid <= 1e-12 and f_resid <= 1e-12
     announce(5, "transform registry, 50 instances", ok,
              f"worst residual {worst:.2e}, hand checks {tau_resid:.1e}/{f_resid:.1e}"
@@ -298,8 +298,8 @@ def test_criterion_7_unitarity(announce):
         t1 = random_inner(rng, 2, max_abs=0.5)
         t2 = random_inner(rng, 2, max_abs=0.5)
         inputs = TransformInputs(t1, t2, order=48)
-        eq_worst = max(eq_worst, verify_transform("eq_sz", inputs)["residual"])
-        eq_worst = max(eq_worst, verify_transform("eq_ddd", inputs)["residual"])
+        eq_worst = max(eq_worst, verify_transform("eq_sz", inputs).residual)
+        eq_worst = max(eq_worst, verify_transform("eq_ddd", inputs).residual)
 
     ok = worst <= 1e-9 and eq_worst <= 1e-8
     announce(7, "unitarity and shift identities", ok,

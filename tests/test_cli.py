@@ -69,6 +69,25 @@ def test_golden_scenarios_run_as_documented():
         assert code == want, name
 
 
+def test_every_record_follows_the_one_rule(capsys):
+    for path in sorted(SCENARIOS.glob("*.json")):
+        command = json.loads(path.read_text())["command"]
+        code = cli.main([command, "--scenario", str(path)])
+        report = json.loads(capsys.readouterr().out)
+        cli.main([command, "--scenario", str(path), "--format", "text"])
+        text = capsys.readouterr().out
+        assert code == (0 if report["overall"] == "accept" else 1), path.name
+        for rec in report["checks"]:
+            assert "scale" in rec, (path.name, rec)
+            if rec["name"].startswith("kernel-"):
+                assert report["details"]["agreement"] in rec["reason"], rec
+            if rec["verdict"] == "skipped" or rec["name"].startswith("kernel-"):
+                assert rec["reason"] and rec["reason"] in text, (path.name, rec)
+            else:
+                rule = rec["residual"] <= rec["threshold"] * (1 + rec["scale"])
+                assert rec["verdict"] == ("accept" if rule else "reject"), (path.name, rec)
+
+
 def test_verify_all_report_lists_registry(tmp_path, capsys):
     path = str(SCENARIOS / "verify_all_scalar.json")
     code, out, _ = _run(["verify", "--scenario", path], capsys)
@@ -123,6 +142,7 @@ def test_invalid_scenarios_exit_2(tmp_path, capsys):
         _base_doc(kind="H1", trunc_order=4),
         _base_doc(kind="H1", seed=-1),
         _base_doc(kind="Q7"),
+        _base_doc(kind=["H1"]),  # not a string
         _base_doc(),  # check without a kind
         {"theta1": {"powers": [2]}, "kind": "H1"},  # theta2 missing
         _base_doc(kind="H1", bogus=True),

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from matholab import (
+    Check,
     Conjugation,
     CrofootData,
     MatrixLaurent,
@@ -255,11 +256,11 @@ def test_registry_hand_checks_scalar():
     inputs = TransformInputs(theta, theta, order=16,
                              symbol=_scalar_symbol({-1: 1.0}))
     tau_rep = verify_transform("tau", inputs)
-    assert tau_rep["verdict"] == "accept" and tau_rep["residual"] <= 1e-12
+    assert tau_rep.verdict == "accept" and tau_rep.residual <= 1e-12
     f_rep = verify_transform("prop61f", inputs)
-    assert f_rep["verdict"] == "accept" and f_rep["residual"] <= 1e-12
+    assert f_rep.verdict == "accept" and f_rep.residual <= 1e-12
     crof = verify_transform("crofoot", inputs)
-    assert crof["verdict"] == "accept" and crof["residual"] <= 1e-12
+    assert crof.verdict == "accept" and crof.residual <= 1e-12
 
 
 def test_registry_full_sweep_blaschke():
@@ -274,12 +275,12 @@ def test_registry_full_sweep_blaschke():
         crofoot1=random_crofoot(rng, 2),
         crofoot2=random_crofoot(rng, 2))
     reports = verify_transform("all", inputs)
-    assert [r["name"] for r in reports] == list(REGISTRY_NAMES)
+    assert [r.name for r in reports] == list(REGISTRY_NAMES)
     for rep in reports:
-        if rep["verdict"] == "skipped":
-            assert rep["name"] == "remark412"
+        if rep.verdict == "skipped":
+            assert rep.name == "remark412"
             continue
-        assert rep["verdict"] == "accept", (rep["name"], rep["residual"])
+        assert rep.verdict == "accept", (rep.name, rep.residual)
 
 
 def test_registry_skips_without_j_symmetry():
@@ -289,12 +290,15 @@ def test_registry_skips_without_j_symmetry():
     inputs = TransformInputs(theta1, theta2, order=48,
                              symbol=random_symbol(rng, 2))
     rep = verify_transform("ctheta", inputs)
-    assert rep["verdict"] == "skipped"
-    assert "reason" in rep
+    assert rep.verdict == "skipped"
+    assert rep.reason is not None
     # identities that need no conjugation still run
-    assert verify_transform("tau", inputs)["verdict"] == "accept"
-    assert verify_transform("eq_sz", inputs)["verdict"] == "accept"
-    assert verify_transform("eq_ddd", inputs)["verdict"] == "accept"
+    assert verify_transform("tau", inputs).verdict == "accept"
+    assert verify_transform("eq_sz", inputs).verdict == "accept"
+    assert verify_transform("eq_ddd", inputs).verdict == "accept"
+    # the J-symmetry skip comes before the missing-symbol error
+    bare = TransformInputs(theta1, theta2, order=48)
+    assert verify_transform("ctheta", bare).verdict == "skipped"
 
 
 def test_registry_errors():
@@ -306,12 +310,17 @@ def test_registry_errors():
         verify_transform("tau", inputs)  # symbol missing
 
 
-def test_membership_report_serializes():
+def test_check_serializes():
     s1, s2 = _scalar_z2_pair()
     op = build_matho(s1, s2, _scalar_symbol({-1: 1.0}))
     rep = displacement_check(op, "H1")
     doc = rep.to_json()
-    assert doc["kind"] == "H1" and doc["verdict"] == "accept"
-    assert set(doc) == {"kind", "displacement_norm", "residual", "threshold", "verdict"}
+    assert doc["name"] == "H1" and doc["verdict"] == "accept"
+    assert set(doc) == {"name", "residual", "threshold", "scale", "verdict"}
+    assert doc["scale"] == pytest.approx(np.linalg.norm(op.matrix - s2.S @ op.matrix @ s1.S))
+    # the scale makes the threshold relative: accept iff residual <= threshold * (1 + scale)
+    assert Check.judge("x", 1.5e-8, 1e-8, 1.0).accepted()
+    assert not Check.judge("x", 1.5e-8, 1e-8, 0.0).accepted()
+    assert not Check.judge("x", 2.5e-8, 1e-8, 1.0).accepted()
     opdoc = op.to_json()
     assert "matrix" in opdoc and "theta1" in opdoc and "theta2" in opdoc

@@ -1,5 +1,6 @@
 """Callers outside the package: the demo scripts and the benchmark's tracer bindings."""
 
+import itertools
 import os
 import subprocess
 import sys
@@ -34,3 +35,23 @@ def test_benchmark_tracer_binds_the_library(monkeypatch):
     finally:
         tracer.uninstall()
     assert MatrixLaurent.__dict__["mul"] is original
+
+
+def test_benchmark_scenario_cycle_is_sound(monkeypatch):
+    # the benchmark scores each report's verdicts and the kernel details
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import groundtruth
+    import workloads
+
+    cycle = len(workloads.SCENARIO_CELLS)
+    outcomes = {}
+    for i, req in enumerate(itertools.islice(workloads.scenario_mix(1, workloads.MEASURED), cycle)):
+        try:
+            observed, error = req.run(), None
+        except groundtruth.BenchmarkError:
+            raise
+        except Exception as exc:  # noqa: BLE001 - scored like the benchmark does
+            observed, error = None, exc
+        outcomes[f"{i}:{req.cell}"] = groundtruth.judge(req.expected, observed, error)
+    assert len(outcomes) == cycle == 28
+    assert not {k: v for k, v in outcomes.items() if v in groundtruth.FAILED}
