@@ -1,9 +1,14 @@
 """Which symbols compress to the zero operator?
 
 kernel_test classifies a symbol against the kernel of the compression in
-two independent ways: distance to the span of the kernel generators, and
-the norm of the actually-built operator. "agreement: confirmed" means
-both ways said the same thing.
+two independent ways: the symbol's distance to the kernel class, and the
+norm of the actually-built operator. "agreement: confirmed" means both
+ways said the same thing. The class is factored once per space pair and
+family (operators.KernelClass); for toeplitz it splits into an analytic
+block shared by all columns and a co-analytic block shared by all rows,
+which meet only in the constant coefficient. Every query after the first
+on a pair reuses that factorization, so the eight queries below factor
+only two classes.
 """
 
 import numpy as np

@@ -16,6 +16,8 @@ and ktilde_0 e_l.
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 
 from .blaschke import PURITY_MARGIN, validate
@@ -95,6 +97,9 @@ class ModelSpace:
         if np.linalg.norm(self.theta0, 2) >= 1.0 - PURITY_MARGIN:
             raise ValueError("Theta is not pure: norm(Theta(0)) too close to 1")
         self._build_shift_structure()
+        # operators.kernel_test's factored kernel classes with this space as
+        # codomain, keyed by the domain space; they die with either space
+        self.kernel_classes = weakref.WeakKeyDictionary()
 
     # -- construction ------------------------------------------------------
 

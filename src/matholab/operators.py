@@ -33,13 +33,14 @@ from .blaschke import crofoot_theta
 from .conjugations import (CTheta, Conjugation, CrofootData, crofoot_map, jstar,
                            jsymmetry_defect, sandwich_pointwise, sandwich_reflected, tau)
 from .jsonio import matrix_to_json
+from .kernelclass import KernelClass
 from .laurent import Laurent, evaluate_many
 from .modelspace import ModelSpace
 
 __all__ = [
     "Check", "ModelOperator", "build_matto", "build_matho",
     "displacement_check", "shift_invariance_check", "recover_symbol",
-    "kernel_test", "kernel_check", "TransformInputs", "verify_transform",
+    "KernelClass", "kernel_test", "kernel_check", "TransformInputs", "verify_transform",
     "DISPLACEMENT_KINDS", "INVARIANCE_KINDS", "REGISTRY_NAMES", "SYMBOL_FREE_IDENTITIES",
 ]
 
@@ -283,19 +284,13 @@ def recover_symbol(op, family, conj1=None, conj2=None, threshold=1e-8):
 
 # -- symbol kernel test ------------------------------------------------------
 
-def _effective_reach(series, rel=1e-12):
-    """(most negative, most positive) index with non-negligible coefficient."""
-    norms = np.linalg.norm(series.coeffs.reshape(series.coeffs.shape[0], -1), axis=1)
-    top = norms.max()
-    if top == 0.0:
-        return 0, 0
-    idx = np.nonzero(norms > rel * top)[0]
-    return int(idx.min() - series.order), int(idx.max() - series.order)
-
-
-def _matrix_units(dim):
-    eye = np.eye(dim)
-    return [np.outer(eye[:, i], eye[:, j]) for i in range(dim) for j in range(dim)]
+def _kernel_class(space1, space2, family, conj1, conj2):
+    """The KernelClass of these inputs, built on first use and kept on space2."""
+    classes = space2.kernel_classes.setdefault(space1, {})
+    key = (family, conj1.U.tobytes(), conj2.U.tobytes())
+    if key not in classes:
+        classes[key] = KernelClass(space1, space2, family, conj1, conj2)
+    return classes[key]
 
 
 def kernel_test(symbol, space1, space2, family, conj1=None, conj2=None, threshold=1e-8):
@@ -304,59 +299,17 @@ def kernel_test(symbol, space1, space2, family, conj1=None, conj2=None, threshol
     Toeplitz class: Theta2 H^2 + (Theta1 H^2)^*. Hankel class (with the
     conjugations composed as maps): analytic symbols twisted by constant
     unitaries, plus the reflected sandwiches of Theta2~ z^k E Theta1.
-    The least-squares distance of Phi to the within-window span of the
-    generators decides the verdict, and the verdict is always cross-checked
+    The symbol's distance to the class (see KernelClass, factored once per
+    space pair, family and conjugations, and kept for as long as both spaces
+    live) decides the verdict, and the verdict is always cross-checked
     against the directly built operator; for the hankel family the class is
     only known to be contained in the kernel, so a zero operator outside the
     span is reported as "class-gap" rather than an error.
     """
     _check_symbol(symbol, space1, space2)
-    dim = space1.dim
-    order = max(space1.order, space2.order)
-    conj1 = conj1 if conj1 is not None else Conjugation.identity(dim)
-    conj2 = conj2 if conj2 is not None else Conjugation.identity(dim)
-    lo, hi = _effective_reach(symbol)
-    if lo < -order or hi > order:
-        raise ValueError(f"symbol support [{lo}, {hi}] exceeds the window [{-order}, {order}]")
-    t1 = space1.theta_series
-    t2 = space2.theta_series
-    d1 = _effective_reach(t1)[1]
-    d2 = _effective_reach(t2)[1]
-    units = _matrix_units(dim)
-
-    gens = []
-    if family == "toeplitz":
-        for k in range(order - d2 + 1):
-            for e in units:
-                gens.append(t2.mul(Laurent.monomial(k, e)).truncate(order))
-        for k in range(order - d1 + 1):
-            for e in units:
-                gens.append(t1.mul(Laurent.monomial(k, e)).adjoint_star())
-    elif family == "hankel":
-        if lo < 0 and order < d1 + d2:
-            raise ValueError(
-                f"window order {order} cannot hold the hankel kernel generators "
-                f"(needs at least {d1 + d2})")
-        for k in range(order + 1):
-            for e in units:
-                gens.append(Laurent.monomial(
-                    k, conj2.U @ e.T @ np.conj(conj1.U)))
-        tilde2 = t2.tilde()
-        for k in range(order - d1 - d2 + 1):
-            for e in units:
-                inner = tilde2.mul(Laurent.monomial(k, e)).mul(t1).truncate(order)
-                gens.append(sandwich_pointwise(conj2, inner, conj1))
-    else:
-        raise ValueError(f"unknown kernel family {family!r}")
-
-    stack = np.stack([g.with_order(order).coeffs.ravel() for g in gens], axis=1)
-    target = symbol.with_order(order).coeffs.ravel()
-    _, resid, rank, _ = np.linalg.lstsq(stack, target, rcond=None)
-    if resid.size:
-        distance = float(np.sqrt(resid[0]))
-    else:
-        fit = stack @ np.linalg.lstsq(stack, target, rcond=None)[0]
-        distance = float(np.linalg.norm(target - fit))
+    conj1 = conj1 if conj1 is not None else Conjugation.identity(space1.dim)
+    conj2 = conj2 if conj2 is not None else Conjugation.identity(space1.dim)
+    distance = _kernel_class(space1, space2, family, conj1, conj2).distance(symbol)
     in_kernel = _passes(distance, threshold, symbol.norm())
 
     build = build_matto if family == "toeplitz" else build_matho

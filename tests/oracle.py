@@ -1,12 +1,17 @@
-"""Circle-quadrature reference path used by the tests.
+"""Reference paths used by the tests.
 
-Everything here works on boundary values sampled at N roots of unity plus
-discrete Fourier projections. None of it touches the package's coefficient
-arithmetic (series are only unpacked into raw coefficient arrays), so when
-the two paths agree the agreement means something.
+The circle-quadrature helpers work on boundary values sampled at N roots of
+unity plus discrete Fourier projections. None of them touches the package's
+coefficient arithmetic (series are only unpacked into raw coefficient
+arrays), so when the two paths agree the agreement means something. The
+dense kernel-class reference at the end is the exception (see there).
 """
 
 import numpy as np
+
+from matholab.conjugations import sandwich_pointwise
+from matholab.kernelclass import _effective_reach
+from matholab.laurent import Laurent
 
 N_GRID = 512
 
@@ -80,3 +85,48 @@ def flip_values(f_vals, zs):
     n = len(zs)
     idx = (-np.arange(n)) % n
     return np.conj(zs)[:, None] * f_vals[idx]
+
+
+# -- dense kernel-class reference ----------------------------------------------
+# The explicit generator list and one dense least-squares solve: the reference
+# that operators.KernelClass must reproduce. Unlike the circle-quadrature
+# helpers above, it builds its generators with the package's series products.
+
+def _matrix_units(dim):
+    eye = np.eye(dim)
+    return [np.outer(eye[:, i], eye[:, j]) for i in range(dim) for j in range(dim)]
+
+
+def kernel_generators(space1, space2, family, conj1, conj2):
+    """The kernel class's generators, each a series on the pair's window."""
+    order = max(space1.order, space2.order)
+    t1, t2 = space1.theta_series, space2.theta_series
+    d1, d2 = _effective_reach(t1)[1], _effective_reach(t2)[1]
+    units = _matrix_units(space1.dim)
+    gens = []
+    if family == "toeplitz":
+        for k in range(order - d2 + 1):
+            for e in units:
+                gens.append(t2.mul(Laurent.monomial(k, e)).truncate(order))
+        for k in range(order - d1 + 1):
+            for e in units:
+                gens.append(t1.mul(Laurent.monomial(k, e)).adjoint_star())
+    else:
+        for k in range(order + 1):
+            for e in units:
+                gens.append(Laurent.monomial(k, conj2.U @ e.T @ np.conj(conj1.U)))
+        tilde2 = t2.tilde()
+        for k in range(order - d1 - d2 + 1):
+            for e in units:
+                inner_k = tilde2.mul(Laurent.monomial(k, e)).mul(t1).truncate(order)
+                gens.append(sandwich_pointwise(conj2, inner_k, conj1))
+    return [g.with_order(order) for g in gens]
+
+
+def dense_kernel_distance(symbol, space1, space2, family, conj1, conj2):
+    """Least-squares distance of the symbol to the stacked kernel generators."""
+    gens = kernel_generators(space1, space2, family, conj1, conj2)
+    target = symbol.with_order(max(space1.order, space2.order)).coeffs.ravel()
+    stack = np.stack([g.coeffs.ravel() for g in gens], axis=1)
+    fit = stack @ np.linalg.lstsq(stack, target, rcond=None)[0]
+    return float(np.linalg.norm(target - fit))
