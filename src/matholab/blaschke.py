@@ -198,9 +198,9 @@ class BlaschkePotapovProduct:
     def from_json(cls, obj, field="theta"):
         if not isinstance(obj, dict):
             raise ScenarioError(f"{field}: expected an object")
-        if "dim" not in obj or not isinstance(obj["dim"], int) or obj["dim"] < 1:
+        dim = obj.get("dim")
+        if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
             raise ScenarioError(f"{field}.dim: expected a positive integer")
-        dim = obj["dim"]
         left = np.eye(dim)
         if "left_unitary" in obj:
             left = matrix_from_json(obj["left_unitary"], f"{field}.left_unitary", shape=(dim, dim))

@@ -7,7 +7,8 @@ conjugation C_Theta f = Theta(z) conj(z) J(f(z)), which agrees with
 Jstar tau_Theta exactly when Theta is J-symmetric.
 
 Crofoot maps between K_Theta and K_{Theta^W} are realised by sampling the
-resolvent-type factor on the unit circle and refitting a series.
+resolvent-type factor on the unit circle and refitting a series; a whole
+stacked basis is refit at once.
 """
 
 from __future__ import annotations
@@ -165,6 +166,10 @@ def crofoot_map(theta_series, crofoot, f, direction="forward", n_grid=None):
     theta_series the SOURCE inner function Theta.
     direction "adjoint": J_W^* g = D_{W*} (I + Theta^W W*)^{-1} g, with
     theta_series the IMAGE inner function Theta^W.
+
+    A (d x k)-valued f (a whole model-space basis) is mapped column by
+    column in one solve and one refit; the image carries one tail_bound,
+    which bounds every column's error.
     """
     if direction == "forward":
         sign = -1.0
@@ -178,8 +183,8 @@ def crofoot_map(theta_series, crofoot, f, direction="forward", n_grid=None):
     def fn(nodes):
         tv = evaluate_many(theta_series, nodes)
         fv = evaluate_many(f, nodes)
-        core = np.linalg.solve(eye + sign * (tv @ wstar), fv[..., None])
-        return (crofoot.D_Wstar @ core)[..., 0]
+        core = np.linalg.solve(eye + sign * (tv @ wstar), fv.reshape(len(nodes), crofoot.dim, -1))
+        return (crofoot.D_Wstar @ core).reshape(fv.shape)
 
     order = max(theta_series.order, f.order)
     return refit_on_circle(fn, order, n_grid=n_grid)

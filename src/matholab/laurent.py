@@ -338,7 +338,7 @@ def _laurent_header(obj, field):
         if key not in obj:
             raise ScenarioError(f"{field}.{key}: missing")
     dim = obj["dim"]
-    if not isinstance(dim, int) or dim < 1:
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise ScenarioError(f"{field}.dim: expected a positive integer")
     raw = obj["coeffs"]
     if not isinstance(raw, dict):
@@ -352,11 +352,11 @@ def _laurent_header(obj, field):
             raise ScenarioError(f"{field}.coeffs[{key!r}]: key is not an integer index") from None
     order = max([abs(n) for n in indices], default=0)
     if declared is not None:
-        if not isinstance(declared, int) or declared < order:
+        if not isinstance(declared, int) or isinstance(declared, bool) or declared < order:
             raise ScenarioError(f"{field}.trunc_order: must be an integer >= {order}")
         order = declared
     tail = obj.get("tail_bound", 0.0)
-    if not isinstance(tail, (int, float)) or tail < 0:
+    if not isinstance(tail, (int, float)) or isinstance(tail, bool) or tail < 0:
         raise ScenarioError(f"{field}.tail_bound: expected a nonnegative number")
     return dim, order, float(tail), raw
 

@@ -117,17 +117,17 @@ class ModelSpace:
         return cls(theta.laurent(order), u @ coeffs, np.linalg.norm(u, 2) * tails, theta=theta)
 
     @classmethod
-    def from_basis(cls, theta_series, functions):
-        """Space carried by explicitly given (near-)orthonormal vector series.
-
-        Used for spaces reached through a unitary map (Crofoot images) where
-        no Potapov factorization of the target Theta is on hand.
+    def from_basis(cls, theta_series, basis):
+        """Space carried by an explicitly given (d x n)-valued series whose
+        columns are (near-)orthonormal, such as the stacked Crofoot image of a
+        basis, where no Potapov factorization of the target Theta is on hand.
+        Every column gets the series' tail_bound, which bounds each of them.
         """
-        if not functions:
-            raise ValueError("model space needs at least one basis function")
-        order = max(theta_series.order, max(f.order for f in functions))
-        coeffs = np.stack([f.with_order(order).coeffs for f in functions], axis=2)
-        return cls(theta_series, coeffs, [f.tail_bound for f in functions], theta=None)
+        if basis.coeffs.ndim != 3 or basis.coeffs.shape[2] == 0:
+            raise ValueError("model space needs a (d x n)-valued basis series, n >= 1")
+        order = max(theta_series.order, basis.order)
+        return cls(theta_series, basis.with_order(order).coeffs,
+                   np.full(basis.coeffs.shape[2], basis.tail_bound), theta=None)
 
     def basis_functions(self):
         """The basis functions b_1 ... b_n as separate vector series."""

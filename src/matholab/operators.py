@@ -134,6 +134,13 @@ _DISPLACEMENTS = {
 }
 
 
+def _displacement(op, kind, sh1, sh2):
+    """(displacement, right defect projection on space1, left on space2) of a base kind."""
+    expr, right_name, left_name = _DISPLACEMENTS[kind]
+    x = expr(op.matrix, sh1, sh1.conj().T, sh2, sh2.conj().T)
+    return x, getattr(op.domain, right_name), getattr(op.codomain, left_name)
+
+
 def displacement_check(op, kind, threshold=1e-8, modifier1=None, modifier2=None):
     """Membership via the residual of a displacement equation.
 
@@ -152,10 +159,9 @@ def displacement_check(op, kind, threshold=1e-8, modifier1=None, modifier2=None)
         sh2 = op.codomain.modified_shift(modifier2)
     else:
         sh1, sh2 = op.domain.S, op.codomain.S
-    expr, right_name, left_name = _DISPLACEMENTS[base]
-    x = expr(op.matrix, sh1, sh1.conj().T, sh2, sh2.conj().T)
-    q_right = np.eye(op.domain.dim_K) - getattr(op.domain, right_name)
-    q_left = np.eye(op.codomain.dim_K) - getattr(op.codomain, left_name)
+    x, p_right, p_left = _displacement(op, base, sh1, sh2)
+    q_right = np.eye(op.domain.dim_K) - p_right
+    q_left = np.eye(op.codomain.dim_K) - p_left
     resid = np.linalg.norm(q_left @ x @ q_right)
     return Check.judge(kind, resid, threshold, np.linalg.norm(x))
 
@@ -165,31 +171,11 @@ def _complement_basis(proj):
     return vecs[:, w < 0.5]
 
 
-# family, kind -> (right defect on space1, left defect on space2, lhs, rhs),
-# where the predicate is <lhs f, g> = <rhs f, g> over the orthocomplements.
-_INVARIANCE = {
-    ("toeplitz", "a"): ("P_D", "P_D",
-                        lambda a, s1, s2: s2 @ a @ s1.conj().T, lambda a, s1, s2: a),
-    ("toeplitz", "b"): ("P_Dt", "P_Dt",
-                        lambda a, s1, s2: s2.conj().T @ a @ s1, lambda a, s1, s2: a),
-    ("toeplitz", "c"): ("P_D", "P_Dt",
-                        lambda a, s1, s2: a @ s1.conj().T, lambda a, s1, s2: s2.conj().T @ a),
-    ("toeplitz", "d"): ("P_Dt", "P_D",
-                        lambda a, s1, s2: a @ s1, lambda a, s1, s2: s2 @ a),
-    ("hankel", "a"): ("P_Dt", "P_D",
-                      lambda a, s1, s2: s2 @ a @ s1, lambda a, s1, s2: a),
-    ("hankel", "b"): ("P_Dt", "P_Dt",
-                      lambda a, s1, s2: a @ s1, lambda a, s1, s2: s2.conj().T @ a),
-    ("hankel", "c"): ("P_D", "P_Dt",
-                      lambda a, s1, s2: s2.conj().T @ a @ s1.conj().T, lambda a, s1, s2: a),
-    ("hankel", "d"): ("P_D", "P_D",
-                      lambda a, s1, s2: a @ s1.conj().T, lambda a, s1, s2: s2 @ a),
-}
-
 # every `check` kind -> the operator family whose members satisfy it
 DISPLACEMENT_KINDS = {kind: "toeplitz" if _MODIFIED_BASE.get(kind, kind)[0] == "T" else "hankel"
                       for kind in (*_DISPLACEMENTS, *_MODIFIED_BASE)}
-INVARIANCE_KINDS = {f"{family}-{kind}": family for family, kind in _INVARIANCE}
+INVARIANCE_KINDS = {f"{family}-{kind}": family
+                    for family in ("toeplitz", "hankel") for kind in "abcd"}
 
 
 def shift_invariance_check(op, family, kind, threshold=1e-8):
@@ -198,19 +184,21 @@ def shift_invariance_check(op, family, kind, threshold=1e-8):
     Example, hankel kind a: <B z f, conj(z) g> = <B f, g> for all f with
     z f still in K_{Theta1} and g with conj(z) g still in K_{Theta2}; on
     those subspaces multiplication by z agrees with the compressed shift
-    matrices, so each pair becomes one scalar identity.
+    matrices, so each pair becomes one scalar identity. Its two sides
+    differ by minus the displacement of the matching kind (toeplitz a..d:
+    T1..T4, hankel a..d: H1..H4), on that kind's defect pair, so the
+    residual is max |<X f, g>| over orthonormal bases of the complements.
     """
-    key = (family, kind)
-    if key not in _INVARIANCE:
+    name = f"{family}-{kind}"
+    if name not in INVARIANCE_KINDS:
         raise ValueError(f"unknown shift-invariance check {family}({kind})")
-    right_name, left_name, lhs_fn, rhs_fn = _INVARIANCE[key]
-    f_basis = _complement_basis(getattr(op.domain, right_name))
-    g_basis = _complement_basis(getattr(op.codomain, left_name))
+    base = family[0].upper() + str("abcd".index(kind) + 1)
+    x, p_right, p_left = _displacement(op, base, op.domain.S, op.codomain.S)
+    f_basis = _complement_basis(p_right)
+    g_basis = _complement_basis(p_left)
     if f_basis.shape[1] == 0 or g_basis.shape[1] == 0:
-        return Check.judge(f"{family}-{kind}", 0.0, threshold, 0.0)
-    s1, s2 = op.domain.S, op.codomain.S
-    dev = g_basis.conj().T @ (lhs_fn(op.matrix, s1, s2) - rhs_fn(op.matrix, s1, s2)) @ f_basis
-    return Check.judge(f"{family}-{kind}", np.max(np.abs(dev)), threshold, 0.0)
+        return Check.judge(name, 0.0, threshold, 0.0)
+    return Check.judge(name, np.max(np.abs(g_basis.conj().T @ x @ f_basis)), threshold, 0.0)
 
 
 # -- symbol recovery ---------------------------------------------------------
@@ -394,13 +382,9 @@ class TransformInputs:
             theta = self.theta1 if which == 1 else self.theta2
             cro = self.crofoot1 if which == 1 else self.crofoot2
             src = self.space(str(which))
-            target_series = crofoot_theta(theta, cro, self.order)
-            # per function: each refit folds its own residual into its tail
-            mapped = [crofoot_map(src.theta_series, cro, b, "forward")
-                      for b in src.basis_functions()]
-            image = ModelSpace.from_basis(target_series, mapped)
-            fwd = np.stack([image.coords(m) for m in mapped], axis=1)
-            self._cache[key] = (image, fwd)
+            mapped = crofoot_map(src.theta_series, cro, src.basis, "forward")
+            image = ModelSpace.from_basis(crofoot_theta(theta, cro, self.order), mapped)
+            self._cache[key] = (image, image.coords(mapped))
         return self._cache[key]
 
     def jsym_gaps(self):
@@ -446,16 +430,18 @@ def _verify_tau(inp):
     return lhs, build_matho(k1t, k2t, psi).matrix
 
 
-def _verify_jstar(inp):
+def _verify_jstar(build, suffix, inp):
+    """Jstar into derived spaces: "jstar" (build_matho, the conjugated spaces "j"),
+    prop61c (build_matto, the tilde spaces "t") and prop61d (build_matho, "t")."""
     phi = inp.symbol
     k1, k2 = inp.space("1"), inp.space("2")
-    k1j, k2j = inp.space("1j"), inp.space("2j")
-    b = build_matho(k1, k2, phi).matrix
-    l1 = _map_matrix(lambda f: jstar(inp.conj1, f), k1j, k1)
-    l2 = _map_matrix(lambda f: jstar(inp.conj2, f), k2, k2j)
-    lhs = l2 @ np.conj(b @ l1)
+    k1x, k2x = inp.space("1" + suffix), inp.space("2" + suffix)
+    mat = build(k1, k2, phi).matrix
+    l1 = _map_matrix(lambda f: jstar(inp.conj1, f), k1x, k1)
+    l2 = _map_matrix(lambda f: jstar(inp.conj2, f), k2, k2x)
+    lhs = l2 @ np.conj(mat @ l1)
     psi = sandwich_reflected(inp.conj2, phi, inp.conj1)
-    return lhs, build_matho(k1j, k2j, psi).matrix
+    return lhs, build(k1x, k2x, psi).matrix
 
 
 def _ctheta_maps(inp):
@@ -489,19 +475,6 @@ def _verify_prop61a(inp):
     inner = k2.theta_series.adjoint_star().mul(phi).mul(k1.theta_series).truncate(inp.order)
     psi = sandwich_pointwise(inp.conj2, inner, inp.conj1)
     return lhs, build_matto(k1, k2, psi).matrix
-
-
-def _verify_prop61c(build, inp):
-    """Jstar on both tilde spaces: prop61c for build_matto, prop61d for build_matho."""
-    phi = inp.symbol
-    k1, k2 = inp.space("1"), inp.space("2")
-    k1t, k2t = inp.space("1t"), inp.space("2t")
-    mat = build(k1, k2, phi).matrix
-    l1 = _map_matrix(lambda f: jstar(inp.conj1, f), k1t, k1)
-    l2 = _map_matrix(lambda f: jstar(inp.conj2, f), k2, k2t)
-    lhs = l2 @ np.conj(mat @ l1)
-    psi = sandwich_reflected(inp.conj2, phi, inp.conj1)
-    return lhs, build(k1t, k2t, psi).matrix
 
 
 def _verify_prop61e(inp):
@@ -585,12 +558,12 @@ class _Identity(NamedTuple):
 _REGISTRY = {
     "crofoot": _Identity(_verify_crofoot),
     "tau": _Identity(_verify_tau),
-    "jstar": _Identity(_verify_jstar),
+    "jstar": _Identity(partial(_verify_jstar, build_matho, "j")),
     "ctheta": _Identity(_verify_ctheta, jsym=True),
     "prop61a": _Identity(_verify_prop61a, jsym=True),
     "prop61b": _Identity(_verify_ctheta, jsym=True),
-    "prop61c": _Identity(partial(_verify_prop61c, build_matto), jsym=True),
-    "prop61d": _Identity(partial(_verify_prop61c, build_matho), jsym=True),
+    "prop61c": _Identity(partial(_verify_jstar, build_matto, "t"), jsym=True),
+    "prop61d": _Identity(partial(_verify_jstar, build_matho, "t"), jsym=True),
     "prop61e": _Identity(_verify_prop61e, jsym=True),
     "prop61f": _Identity(_verify_prop61f, jsym=True),
     "eq_sz": _Identity(_verify_eq_sz, symbol=False),

@@ -4,7 +4,8 @@ The circle-quadrature helpers work on boundary values sampled at N roots of
 unity plus discrete Fourier projections. None of them touches the package's
 coefficient arithmetic (series are only unpacked into raw coefficient
 arrays), so when the two paths agree the agreement means something. The
-dense kernel-class reference at the end is the exception (see there).
+dense kernel-class reference and the shift-invariance predicates at the
+end are the exceptions (see there).
 """
 
 import numpy as np
@@ -12,6 +13,7 @@ import numpy as np
 from matholab.conjugations import sandwich_pointwise
 from matholab.kernelclass import _effective_reach
 from matholab.laurent import Laurent
+from matholab.operators import _complement_basis
 
 N_GRID = 512
 
@@ -130,3 +132,42 @@ def dense_kernel_distance(symbol, space1, space2, family, conj1, conj2):
     stack = np.stack([g.coeffs.ravel() for g in gens], axis=1)
     fit = stack @ np.linalg.lstsq(stack, target, rcond=None)[0]
     return float(np.linalg.norm(target - fit))
+
+
+# -- shift-invariance predicates in the paper's form ----------------------------
+# family, kind -> (right defect on space1, left defect on space2, lhs, rhs): the
+# bilinear predicate <lhs f, g> = <rhs f, g> for f and g in the orthocomplements
+# of the two defect spaces, where z f and conj(z) g stay in the model spaces and
+# act there as the compressed shifts; hankel a reads <B z f, conj(z) g> = <B f, g>.
+# It shares operators._complement_basis with the package, so the orthonormal
+# bases of the complements, and hence the residuals, can be compared exactly.
+
+INVARIANCE_PREDICATES = {
+    ("toeplitz", "a"): ("P_D", "P_D",
+                        lambda a, s1, s2: s2 @ a @ s1.conj().T, lambda a, s1, s2: a),
+    ("toeplitz", "b"): ("P_Dt", "P_Dt",
+                        lambda a, s1, s2: s2.conj().T @ a @ s1, lambda a, s1, s2: a),
+    ("toeplitz", "c"): ("P_D", "P_Dt",
+                        lambda a, s1, s2: a @ s1.conj().T, lambda a, s1, s2: s2.conj().T @ a),
+    ("toeplitz", "d"): ("P_Dt", "P_D",
+                        lambda a, s1, s2: a @ s1, lambda a, s1, s2: s2 @ a),
+    ("hankel", "a"): ("P_Dt", "P_D",
+                      lambda a, s1, s2: s2 @ a @ s1, lambda a, s1, s2: a),
+    ("hankel", "b"): ("P_Dt", "P_Dt",
+                      lambda a, s1, s2: a @ s1, lambda a, s1, s2: s2.conj().T @ a),
+    ("hankel", "c"): ("P_D", "P_Dt",
+                      lambda a, s1, s2: s2.conj().T @ a @ s1.conj().T, lambda a, s1, s2: a),
+    ("hankel", "d"): ("P_D", "P_D",
+                      lambda a, s1, s2: a @ s1.conj().T, lambda a, s1, s2: s2 @ a),
+}
+
+
+def invariance_residual(op, family, kind):
+    """max |<(lhs - rhs) f, g>| over orthonormal bases of the two complements."""
+    right, left, lhs, rhs = INVARIANCE_PREDICATES[(family, kind)]
+    f_basis = _complement_basis(getattr(op.domain, right))
+    g_basis = _complement_basis(getattr(op.codomain, left))
+    if f_basis.shape[1] == 0 or g_basis.shape[1] == 0:
+        return 0.0
+    a, s1, s2 = op.matrix, op.domain.S, op.codomain.S
+    return float(np.max(np.abs(g_basis.conj().T @ (lhs(a, s1, s2) - rhs(a, s1, s2)) @ f_basis)))

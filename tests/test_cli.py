@@ -136,6 +136,17 @@ def test_text_format(tmp_path, capsys):
     assert lines[-1].startswith("overall: accept")
 
 
+_COEFFS = {"-1": [[[1.0, 0.0]]]}
+# scenario fields whose integer or number is a JSON boolean, by field name
+_BOOLEAN_FIELDS = {
+    "symbol.dim": {"symbol": {"dim": True, "coeffs": _COEFFS}},
+    "theta1.dim": {"theta1": {"dim": True, "factors": [
+        {"a": [0.5, 0.0], "frame": [[[1.0, 0.0]]], "post_unitary": [[[1.0, 0.0]]]}]}},
+    "symbol.trunc_order": {"symbol": {"dim": 1, "trunc_order": True, "coeffs": _COEFFS}},
+    "symbol.tail_bound": {"symbol": {"dim": 1, "tail_bound": True, "coeffs": _COEFFS}},
+}
+
+
 def test_invalid_scenarios_exit_2(tmp_path, capsys):
     cases = [
         _base_doc(kind="H1", tolerance=1.0),
@@ -147,6 +158,7 @@ def test_invalid_scenarios_exit_2(tmp_path, capsys):
         {"theta1": {"powers": [2]}, "kind": "H1"},  # theta2 missing
         _base_doc(kind="H1", bogus=True),
         _base_doc(kind="H1", command="verify"),
+        *(_base_doc(kind="H1", **extra) for extra in _BOOLEAN_FIELDS.values()),
     ]
     for doc in cases:
         path = _write(tmp_path, doc)
@@ -171,6 +183,11 @@ def test_validation_names_the_field(tmp_path, capsys):
 
     code, _, err = _run(["check", "--scenario", str(tmp_path / "missing.json")], capsys)
     assert code == 2
+
+    for field, extra in _BOOLEAN_FIELDS.items():
+        path = _write(tmp_path, _base_doc(kind="H1", **extra))
+        code, _, err = _run(["check", "--scenario", path], capsys)
+        assert code == 2 and f"scenario error: {field}:" in err, field
 
 
 def test_unparseable_json_exits_2(tmp_path, capsys):

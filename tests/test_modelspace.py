@@ -180,7 +180,7 @@ def test_modified_shift_rules():
 
 def test_from_basis_matches_from_product():
     space, _ = _space(12)
-    clone = ModelSpace.from_basis(space.theta_series, space.basis_functions())
+    clone = ModelSpace.from_basis(space.theta_series, space.basis)
     assert clone.dim_K == space.dim_K
     assert np.linalg.norm(clone.S - space.S) < 1e-10
     assert np.linalg.norm(clone.D - space.D) < 1e-10

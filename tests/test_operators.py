@@ -26,6 +26,8 @@ from matholab import (
 )
 from matholab.sampling import random_inner, random_symbol, random_symmetric_inner
 
+import oracle
+
 DISPLACEMENT_TOEPLITZ = ("T1", "T2", "T3", "T4")
 DISPLACEMENT_HANKEL = ("H1", "H2", "H3", "H4")
 MODIFIED_HANKEL = ("MH-a", "MH-b", "MH-c", "MH-d")
@@ -140,6 +142,26 @@ def test_verdicts_agree_across_characterizations():
         verdicts = [displacement_check(op, k).accepted() for k in DISPLACEMENT_HANKEL]
         verdicts += [shift_invariance_check(op, "hankel", k).accepted() for k in "abcd"]
         assert all(v == expect for v in verdicts), verdicts
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_invariance_residual_is_the_paper_predicate(d):
+    # the residual read off the displacement table equals the paper's form
+    # <lhs f, g> = <rhs f, g> exactly: built toeplitz, built hankel and
+    # Gaussian operators, ten random space pairs per dimension
+    for seed in range(10):
+        rng = np.random.default_rng(1000 * d + seed)
+        s1 = ModelSpace.from_product(random_inner(rng, d, max_abs=0.7), 24)
+        s2 = ModelSpace.from_product(random_inner(rng, d, max_abs=0.7), 24)
+        phi = random_symbol(rng, d)
+        shape = (s2.dim_K, s1.dim_K)
+        gauss = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        for op in (build_matto(s1, s2, phi), build_matho(s1, s2, phi),
+                   ModelOperator(s1, s2, gauss)):
+            for family, kind in oracle.INVARIANCE_PREDICATES:
+                rep = shift_invariance_check(op, family, kind)
+                assert rep.residual == oracle.invariance_residual(op, family, kind), \
+                    (seed, family, kind)
 
 
 def test_toeplitz_recovery_roundtrip():

@@ -126,14 +126,55 @@ def test_crofoot_map_is_unitary_with_inverse():
     space = ModelSpace.from_product(theta, 64)
     image_series = crofoot_theta(theta, cro, 64)
     image = ModelSpace.from_basis(
-        image_series, [crofoot_map(space.theta_series, cro, b, "forward")
-                       for b in space.basis_functions()])
+        image_series, crofoot_map(space.theta_series, cro, space.basis, "forward"))
     f = _random_member(space, rng)
     jf = crofoot_map(space.theta_series, cro, f, "forward")
     assert abs(jf.norm() - f.norm()) < 1e-8
     assert image.membership_gap(jf) < 1e-7
     back = crofoot_map(image_series, cro, jf, "adjoint")
     assert (back - f.with_order(back.order)).norm() < 1e-7
+
+
+def _crofoot_case(d):
+    rng = np.random.default_rng(90 + d)
+    theta = random_inner(rng, d)
+    cro = CrofootData(0.35 * random_unitary(rng, d))
+    return theta, cro, ModelSpace.from_product(theta, 64)
+
+
+def _column(series, j):
+    return Laurent(series.coeffs[:, :, j], series.order)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_stacked_crofoot_map_matches_per_column(d):
+    theta, cro, space = _crofoot_case(d)
+    image_series = crofoot_theta(theta, cro, 64)
+    forward = crofoot_map(space.theta_series, cro, space.basis, "forward")
+    adjoint = crofoot_map(image_series, cro, forward, "adjoint")
+    for theta_series, stacked, direction, source in (
+            (space.theta_series, forward, "forward", space.basis),
+            (image_series, adjoint, "adjoint", forward)):
+        assert stacked.coeffs.shape[2] == space.dim_K
+        for j in range(space.dim_K):
+            single = crofoot_map(theta_series, cro, _column(source, j), direction)
+            order = max(single.order, stacked.order)
+            gap = _column(stacked, j).with_order(order) - single.with_order(order)
+            assert gap.norm() <= 1e-12, (direction, j)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_stacked_crofoot_map_matches_closed_form(d):
+    theta, cro, space = _crofoot_case(d)
+    mapped = crofoot_map(space.theta_series, cro, space.basis, "forward")
+    zs = oracle.nodes()
+    core = np.eye(d) - oracle.theta_values(theta, zs) @ cro.W.conj().T
+    b_vals = oracle.sample_series(space.basis)
+    want = cro.D_Wstar @ np.linalg.solve(core, b_vals)
+    got = oracle.sample_series(mapped)
+    for j in range(space.dim_K):
+        err = got[:, :, j] - want[:, :, j]
+        assert np.sqrt(oracle.inner(err, err).real) <= mapped.tail_bound + 1e-12, j
 
 
 def test_crofoot_data_validation():
