@@ -46,6 +46,12 @@ def _check_unitary(u, name):
     return u
 
 
+def _norms(x):
+    """Frobenius norms of the slices x[i]; hypot keeps norms below 1e-154
+    (deep in a window's tail) from underflowing to zero."""
+    return np.hypot.reduce(np.abs(x), axis=tuple(range(1, x.ndim)), initial=0.0)
+
+
 class PotapovFactor:
     """One elementary factor (I - P + b_a(z) P) U with P = frame @ frame*."""
 
@@ -68,32 +74,6 @@ class PotapovFactor:
         self.post_unitary = post
         self.dim = frame.shape[0]
         self.rank = frame.shape[1]
-
-    def projection(self):
-        return self.frame @ self.frame.conj().T
-
-    def value(self, z):
-        """Factor value at one point or an array of points with |z| <= 1."""
-        z = np.asarray(z, dtype=complex)
-        b = (z - self.a) / (1.0 - np.conj(self.a) * z)
-        p = self.projection()
-        eye = np.eye(self.dim)
-        core = eye - p + b[..., None, None] * p
-        return core @ self.post_unitary
-
-    def laurent(self, order):
-        """Series of the factor on [0, order] with a certified geometric tail."""
-        pu = self.projection() @ self.post_unitary
-        out = np.zeros((2 * order + 1, self.dim, self.dim), dtype=complex)
-        out[order] = (np.eye(self.dim) - (1.0 + self.a) * self.projection()) @ self.post_unitary
-        r = abs(self.a)
-        scale = 1.0 - r * r
-        powers = np.conj(self.a) ** np.arange(order)
-        out[order + 1:] = scale * powers[:, None, None] * pu
-        tail = 0.0
-        if r > 0:
-            tail = np.sqrt(self.rank) * (1.0 + r) * r ** order
-        return Laurent(out, order, float(tail))
 
     def to_json(self):
         return {"a": complex_to_pair(self.a),
@@ -135,24 +115,80 @@ class BlaschkePotapovProduct:
         self.factors = factors
 
     def evaluate(self, z):
-        """Closed-form value at points with |z| <= 1 (broadcasts over arrays)."""
+        """Closed-form value at points with |z| <= 1 (broadcasts over arrays);
+        a factor's value is U + (b_a(z) - 1) P U."""
         z = np.asarray(z, dtype=complex)
         out = np.broadcast_to(self.left_unitary, z.shape + (self.dim, self.dim)).copy()
         for f in self.factors:
-            out = out @ f.value(z)
+            b = (z - f.a) / (1.0 - np.conj(f.a) * z)
+            pu = f.frame @ (f.frame.conj().T @ f.post_unitary)
+            out = out @ (f.post_unitary + (b[..., None, None] - 1.0) * pu)
         return out
 
     def theta0(self):
         return self.evaluate(np.asarray(0.0 + 0.0j))
 
-    def laurent(self, order):
-        """Series on [-order, order] (analytic; negative slots stay zero)."""
-        cur = Laurent.constant(self.left_unitary)
-        if cur.dim != self.dim:
-            raise ValueError("dimension mismatch")
+    def realization(self):
+        """(A, B, C, D) with Theta(z) = D + z C (I - z A)^{-1} B.
+
+        Factor (a, V, U) contributes A = conj(a) I_r, B = s V* U, C = s V and
+        D = (I - (1 + a) V V*) U, s = sqrt(1 - |a|^2); the factors are joined in
+        series, the first one's state first, and left_unitary multiplies C and D.
+        So A is upper triangular, and for an inner product the colligation
+        [[A, B], [C, D]] is unitary and A* A + C* C = I (output-normal).
+        """
+        n = self.model_dim()
+        a_mat = np.zeros((n, n), dtype=complex)
+        b_mat = np.zeros((n, self.dim), dtype=complex)
+        c_mat = np.zeros((self.dim, n), dtype=complex)
+        d_mat = np.array(self.left_unitary, dtype=complex)
+        off = 0
         for f in self.factors:
-            cur = cur.mul(f.laurent(order)).truncate(order)
-        return cur.trim()
+            end, s = off + f.rank, np.sqrt(1.0 - abs(f.a) ** 2)
+            c_f, vu = s * f.frame, f.frame.conj().T @ f.post_unitary
+            d_f = f.post_unitary - (1.0 + f.a) * (f.frame @ vu)
+            a_mat[:off, off:end], b_mat[:off] = b_mat[:off] @ c_f, b_mat[:off] @ d_f
+            a_mat[off:end, off:end] = np.conj(f.a) * np.eye(f.rank)
+            b_mat[off:end] = s * vu
+            c_mat[:, off:end] = d_mat @ c_f
+            d_mat = d_mat @ d_f
+            off = end
+        return a_mat, b_mat, c_mat, d_mat
+
+    def state_window(self, order):
+        """The realization read on the window [-order, order]: (F, tails, series).
+
+        F[n] = C A^n (0 <= n <= order) is the model-space basis; tails[j] =
+        |A^{order+1} e_j| is the exact L^2 mass the window drops from column j
+        (output-normality); the series of Theta is D, then F[n-1] B. Its
+        tail_bound, the l^1 sum of |C A^m B|_F over m >= order, bounds the sup
+        and L^2 norms of the dropped part: 8K terms are summed, K the first
+        power of two with q = |A^K|_F <= 1/2, and |C A^m (A^K)^j B|_F <=
+        |C A^m|_F q^j finishes it geometrically.
+        """
+        a_mat, b_mat, c_mat, d_mat = self.realization()
+        step, reach = a_mat, 1
+        while (q := np.linalg.norm(step)) > 0.5:
+            step, reach = step @ step, 2 * reach
+        # the rows of C A^m for m < count, stacked by doubling
+        count, dim = order + 9 * reach, self.dim
+        rows, step = c_mat, a_mat
+        while len(rows) < count * dim:
+            rows, step = np.concatenate([rows, rows @ step]), step @ step
+        f = rows[:count * dim].reshape(count, dim, a_mat.shape[0])
+        theta = (rows[:count * dim] @ b_mat).reshape(count, dim, dim)
+        basis = np.concatenate([np.zeros((order,) + f.shape[1:]), f[:order + 1]])
+        coeffs = np.concatenate([np.zeros((order, dim, dim)), d_mat[None], theta[:order]])
+        exact = _norms(theta[order:order + 8 * reach]).sum()
+        # |B|_2 <= 1: B is a block of the unitary colligation
+        rest = _norms(f[order + 8 * reach:]).sum() / (1.0 - q)
+        tails = _norms(np.linalg.matrix_power(a_mat, order + 1).T)
+        return basis, tails, Laurent(coeffs, order, exact + rest).trim()
+
+    def laurent(self, order):
+        """Series on [-order, order] (analytic; negative slots stay zero) with a
+        certified sup-norm tail_bound, read off the realization."""
+        return self.state_window(order)[2]
 
     def tilde(self):
         """The reflected product Theta~(z) = Theta(conj(z))^*, in product form again.
@@ -222,19 +258,16 @@ class ValidationReport:
     theta0_norm: float
 
 
-def validate(theta, n_samples=64, tol=1e-8):
-    """Sampled sanity report: unitary boundary values and purity."""
-    nodes = np.exp(2j * np.pi * np.arange(n_samples) / n_samples)
-    vals = theta.evaluate(nodes)
-    eye = np.eye(theta.dim)
-    defect = np.linalg.norm(np.conj(np.transpose(vals, (0, 2, 1))) @ vals - eye, axis=(1, 2))
-    theta0 = np.linalg.norm(theta.theta0(), 2)
-    return ValidationReport(
-        inner=bool(defect.max() <= tol),
-        pure=bool(theta0 < 1.0 - PURITY_MARGIN),
-        max_unitary_defect=float(defect.max()),
-        theta0_norm=float(theta0),
-    )
+def validate(theta, tol=1e-8):
+    """Inner when the colligation G = [[A, B], [C, D]] of the realization is
+    unitary (``max_unitary_defect`` = |G* G - I|_F), pure when norm(D) < 1."""
+    a_mat, b_mat, c_mat, d_mat = theta.realization()
+    g = np.concatenate([np.concatenate([a_mat, b_mat], axis=1),
+                        np.concatenate([c_mat, d_mat], axis=1)])
+    defect = np.linalg.norm(g.conj().T @ g - np.eye(g.shape[0]))
+    theta0 = np.linalg.svd(d_mat, compute_uv=False)[0]
+    return ValidationReport(inner=bool(defect <= tol), pure=bool(theta0 < 1.0 - PURITY_MARGIN),
+                            max_unitary_defect=float(defect), theta0_norm=float(theta0))
 
 
 def crofoot_theta(theta, crofoot, order, n_grid=None):

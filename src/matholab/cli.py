@@ -112,7 +112,7 @@ def _parse_theta(obj, field):
         theta = BlaschkePotapovProduct.from_json(obj, field)
     report = validate(theta)
     if not report.inner:
-        raise ScenarioError(f"{field}: boundary values are not unitary "
+        raise ScenarioError(f"{field}: not inner, the colligation is not unitary "
                             f"(defect {report.max_unitary_defect:.2e})")
     if not report.pure:
         raise ScenarioError(f"{field}: not pure, the value at 0 has norm "

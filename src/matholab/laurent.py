@@ -33,7 +33,6 @@ __all__ = [
     "evaluate_many",
     "fit_circle_samples",
     "refit_on_circle",
-    "geometric_coeffs",
 ]
 
 
@@ -446,12 +445,3 @@ def refit_on_circle(fn, order, n_grid=None, drop_tol=1e-13):
     resid = twisted.sample_circle(n_grid) - fn(nodes * half)
     rms = float(np.sqrt(np.mean(np.sum(np.abs(resid.reshape(n_grid, -1)) ** 2, axis=1))))
     return Laurent(fitted.coeffs, fitted.order, fitted.tail_bound + rms)
-
-
-def geometric_coeffs(ratio, order):
-    """Coefficients of 1/(1 - ratio*z) on [0, order] plus its certified L^2 tail."""
-    ratio = complex(ratio)
-    powers = ratio ** np.arange(order + 1)
-    r = abs(ratio)
-    tail = 0.0 if r == 0 else r ** (order + 1) / np.sqrt(1.0 - r * r)
-    return powers, float(tail)

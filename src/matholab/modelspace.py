@@ -1,12 +1,11 @@
 """Finite-dimensional model spaces K_Theta and their shift structure.
 
-For a pure rational inner Theta, K_Theta = H^2 ominus Theta H^2 is spanned
-by the recursion K_{B Theta'} = K_B + B K_{Theta'}: one elementary factor
-with pole a and frame columns v_i contributes sqrt(1-|a|^2)/(1-conj(a)z) v_i,
-and the remaining factors are pushed through by multiplication. The basis
-this produces is orthonormal in exact arithmetic (factor-major order); a
-symmetric Loewdin pass absorbs the truncation-level defect without
-reordering or sign flips.
+For a pure rational inner Theta with output-normal realization (A, B, C, D)
+(``BlaschkePotapovProduct.realization``), K_Theta = H^2 ominus Theta H^2 has
+the basis F(z) = C (I - z A)^{-1}, coefficients C A^n, orthonormal in exact
+arithmetic; on a window it is the factor-major basis of the recursion
+K_{B Theta'} = K_B + B K_{Theta'}. A symmetric Loewdin pass absorbs the
+truncation-level defect without reordering or sign flips.
 
 All operators live as matrices in that fixed basis: the compressed shift
 S[i, j] = <z b_j, b_i>, the defect operators D = I - S S*, Dtilde = I - S* S,
@@ -21,42 +20,13 @@ import weakref
 import numpy as np
 
 from .blaschke import PURITY_MARGIN, validate
-from .laurent import Laurent, geometric_coeffs
+from .laurent import Laurent
 from .jsonio import matrix_to_json
 
 __all__ = ["ModelSpace", "random_modifier"]
 
 _RANK_TOL = 1e-8
 _GRAM_EXACT = 1e-14
-
-
-def _product_basis(factors, order):
-    """Basis of K_{F_1 ... F_k} on [-order, order]: (2M+1, d, n) coefficients
-    and one certified tail per function.
-
-    The elementary functions of the first factor come first; the basis of
-    the remaining product follows, multiplied by the first factor's series
-    in one product. Each column keeps its own tail: the product rule per
-    column plus the L^2 mass the window drops from that column.
-    """
-    head, rest = factors[0], factors[1:]
-    powers, tail = geometric_coeffs(np.conj(head.a), order)
-    scale = np.sqrt(1.0 - abs(head.a) ** 2)
-    coeffs = np.zeros((2 * order + 1, head.dim, head.rank), dtype=complex)
-    coeffs[order:] = scale * powers[:, None, None] * head.frame
-    tails = np.full(head.rank, scale * tail)
-    if not rest:
-        return coeffs, tails
-    g, g_tails = _product_basis(rest, order)
-    head_series = head.laurent(order)
-    full = head_series.mul(Laurent(g, order))
-    full = full.with_order(max(full.order, order)).coeffs
-    lo = (full.shape[0] - 1) // 2 - order
-    kept = full[lo:lo + 2 * order + 1]
-    dropped = np.linalg.norm(np.concatenate([full[:lo], full[lo + 2 * order + 1:]]), axis=(0, 1))
-    g_sup = np.linalg.norm(g, axis=1).sum(axis=0) + g_tails
-    g_tails = head_series.sup_bound() * g_tails + head_series.tail_bound * g_sup + dropped
-    return np.concatenate([coeffs, kept], axis=2), np.concatenate([tails, g_tails])
 
 
 def _orthonormalize(coeffs, tails):
@@ -92,8 +62,7 @@ class ModelSpace:
         self.basis = Laurent(coeffs, self.order, float(np.linalg.norm(self.tails)))
         # Theta(0) is the 0-indexed coefficient; refit series may carry
         # negligible anti-analytic noise, which a window sum at 0 cannot take.
-        theta0 = theta.theta0() if theta is not None else theta_series.coeff(0)
-        self.theta0 = np.asarray(theta0, dtype=complex)
+        self.theta0 = theta_series.coeff(0)
         if np.linalg.norm(self.theta0, 2) >= 1.0 - PURITY_MARGIN:
             raise ValueError("Theta is not pure: norm(Theta(0)) too close to 1")
         self._build_shift_structure()
@@ -107,14 +76,13 @@ class ModelSpace:
     def from_product(cls, theta, order=64):
         report = validate(theta)
         if not report.inner:
-            raise ValueError(f"Theta fails the sampled inner check (defect {report.max_unitary_defect:.2e})")
+            raise ValueError(f"Theta is not inner: its colligation is not unitary "
+                             f"(defect {report.max_unitary_defect:.2e})")
         if not report.pure:
+            # a constant (unitary) Theta lands here too: norm(Theta(0)) = 1
             raise ValueError(f"Theta is not pure (norm(Theta(0)) = {report.theta0_norm:.6f})")
-        if theta.model_dim() == 0:
-            raise ValueError("constant Theta has a trivial model space")
-        coeffs, tails = _product_basis(theta.factors, order)
-        u = theta.left_unitary
-        return cls(theta.laurent(order), u @ coeffs, np.linalg.norm(u, 2) * tails, theta=theta)
+        basis, tails, series = theta.state_window(order)
+        return cls(series, basis, tails, theta=theta)
 
     @classmethod
     def from_basis(cls, theta_series, basis):
@@ -142,8 +110,13 @@ class ModelSpace:
         eye = np.eye(self.dim_K)
         self.D = eye - self.S @ self.S_star
         self.D_tilde = eye - self.S_star @ self.S
-        self.k0_cols = self.coords(self.kernel(0.0, np.eye(self.dim), variant="k"))
-        self.kt0_cols = self.coords(self.kernel(0.0, np.eye(self.dim), variant="ktilde"))
+        # coordinates of k_0 = I - Theta(z) Theta(0)^* and ktilde_0 =
+        # (Theta(z) - Theta(0)) / z, read off the analytic window of Theta
+        m = self.order
+        b = self.basis.coeffs[m:].conj()
+        t = self.theta_series.with_order(m).coeffs[m:]
+        self.k0_cols = b[0].T - np.tensordot(b, t, axes=([0, 1], [0, 1])) @ self.theta0.conj().T
+        self.kt0_cols = np.tensordot(b[:-1], t[1:], axes=([0, 1], [0, 1]))
         self.P_D, self.defect_dim = _span_projection(self.k0_cols)
         self.P_Dt, self.defect_dim_tilde = _span_projection(self.kt0_cols)
 
@@ -197,9 +170,11 @@ class ModelSpace:
             theta_lam = self._theta_at(lam)
             v = Laurent.constant(x) - self.theta_series.mul(
                 Laurent.constant(theta_lam.conj().T @ x))
-            powers, tail = geometric_coeffs(np.conj(lam), self.order)
+            # the Szego profile 1 / (1 - conj(lam) z) and its certified L^2 tail
+            powers = np.conj(lam) ** np.arange(self.order + 1)
             szego = np.zeros((2 * self.order + 1, self.dim, self.dim), dtype=complex)
             szego[self.order:] = powers[:, None, None] * np.eye(self.dim)
+            tail = abs(lam) ** (self.order + 1) / np.sqrt(1.0 - abs(lam) ** 2)
             profile = Laurent(szego, self.order, np.sqrt(self.dim) * tail)
             return profile.mul(v).truncate(self.order)
         if variant == "ktilde":

@@ -89,6 +89,52 @@ def flip_values(f_vals, zs):
     return np.conj(zs)[:, None] * f_vals[idx]
 
 
+# -- recursive convolution reference for model spaces ----------------------------
+# The construction the state-space realization replaced: each elementary
+# factor written out as a constant plus a geometric tail, and the basis built
+# by the recursion K_{F_1 ... F_k} = K_{F_1} + F_1 K_{F_2 ... F_k} with the
+# package's series products. Truncated analytic products are exact on the
+# window, so there the realization must reproduce it up to round-off.
+
+def factor_series(factor, order):
+    """Series of one elementary factor (I - P + b_a P) U on [0, order]."""
+    p = factor.frame @ factor.frame.conj().T
+    out = np.zeros((2 * order + 1, factor.dim, factor.dim), dtype=complex)
+    out[order] = (np.eye(factor.dim) - (1.0 + factor.a) * p) @ factor.post_unitary
+    powers = np.conj(factor.a) ** np.arange(order)
+    out[order + 1:] = (1.0 - abs(factor.a) ** 2) * powers[:, None, None] * (p @ factor.post_unitary)
+    return Laurent(out, order)
+
+
+def _analytic_window(series, order):
+    """Coefficients 0 .. order of an analytic series."""
+    series = series.with_order(max(series.order, order))
+    return series.coeffs[series.order:series.order + order + 1]
+
+
+def product_series(theta, order):
+    """Coefficients 0 .. order of the product, multiplied out factor by factor."""
+    cur = Laurent.constant(theta.left_unitary)
+    for factor in theta.factors:
+        cur = cur.mul(factor_series(factor, order)).truncate(order)
+    return _analytic_window(cur, order)
+
+
+def product_basis(theta, order):
+    """Coefficients 0 .. order of the factor-major basis of K_Theta, (order + 1, d, n)."""
+    def basis(factors):
+        head, rest = factors[0], factors[1:]
+        powers = np.conj(head.a) ** np.arange(order + 1)
+        own = np.sqrt(1.0 - abs(head.a) ** 2) * powers[:, None, None] * head.frame
+        if not rest:
+            return own
+        tail = basis(rest)
+        padded = np.concatenate([np.zeros((order,) + tail.shape[1:]), tail])
+        moved = factor_series(head, order).mul(Laurent(padded, order))
+        return np.concatenate([own, _analytic_window(moved, order)], axis=2)
+    return theta.left_unitary @ basis(theta.factors)
+
+
 # -- dense kernel-class reference ----------------------------------------------
 # The explicit generator list and one dense least-squares solve: the reference
 # that operators.KernelClass must reproduce. Unlike the circle-quadrature

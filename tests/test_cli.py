@@ -198,6 +198,25 @@ def test_unparseable_json_exits_2(tmp_path, capsys):
     assert "not valid JSON" in err
 
 
+def test_theta_that_is_not_inner_exits_2(tmp_path, capsys, monkeypatch):
+    # the constructor refuses a non-unitary post_unitary, so spoil one after parsing
+    parse = cli.BlaschkePotapovProduct.from_json
+
+    def spoiled(obj, field="theta"):
+        theta = parse(obj, field)
+        theta.factors[0].post_unitary = 1.1 * theta.factors[0].post_unitary
+        return theta
+
+    monkeypatch.setattr(cli.BlaschkePotapovProduct, "from_json", spoiled)
+    doc = _base_doc(kind="H1")
+    doc["theta1"] = {"dim": 1, "factors": [{"a": [0.5, 0.0], "frame": [[[1.0, 0.0]]],
+                                            "post_unitary": [[[1.0, 0.0]]]}]}
+    path = _write(tmp_path, doc)
+    code, _, err = _run(["check", "--scenario", path], capsys)
+    assert code == 2
+    assert "scenario error: theta1: not inner" in err
+
+
 def test_inconsistent_inputs_exit_2(tmp_path, capsys):
     # symbol support wider than the window is an input problem, not a crash
     doc = _base_doc(kind="H1", family="hankel",

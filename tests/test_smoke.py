@@ -22,9 +22,11 @@ def test_demo_runs(script):
 
 
 def test_benchmark_tracer_binds_the_library(monkeypatch):
-    # the tracer wraps named functions and methods; a rename breaks install()
+    # the tracer wraps named functions and methods, and binds from_product's
+    # theta and order by name; a rename or a signature change breaks a traced run
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     import tracing
+    from matholab import ModelSpace, cli, diagonal_monomial
     from matholab.laurent import MatrixLaurent
 
     original = MatrixLaurent.__dict__["mul"]
@@ -32,9 +34,18 @@ def test_benchmark_tracer_binds_the_library(monkeypatch):
     try:
         tracer.install()
         assert MatrixLaurent.__dict__["mul"] is not original
+        tracer.request = 0
+        ModelSpace.from_product(diagonal_monomial([1, 2]), 16)
+        cli.parse_scenario({"theta1": {"powers": [2]}, "theta2": {"poles": [[0.5, 0.0]]}},
+                           "space")
     finally:
         tracer.uninstall()
     assert MatrixLaurent.__dict__["mul"] is original
+    metrics = tracer.layer_metrics(1)
+    assert metrics["modelspace.from_product.calls"][0] == 1
+    assert metrics["modelspace.from_product.distinct_ratio"][0] == 1.0
+    assert metrics["blaschke.validate.calls"][0] == 3
+    assert metrics["cli.parse.self_s"][0] > 0.0
 
 
 def test_benchmark_scenario_cycle_is_sound(monkeypatch):
