@@ -4,8 +4,8 @@ from .jsonio import ScenarioError
 from .laurent import (Laurent, MatrixLaurent, evaluate_many, fit_circle_samples,
                       inner_product, refit_on_circle)
 from .blaschke import (MAX_POLE_ABS, PURITY_MARGIN, BlaschkePotapovProduct, PotapovFactor,
-                       ValidationReport, crofoot_theta, diagonal_monomial, scalar_blaschke,
-                       validate)
+                       ValidationReport, crofoot_realization, crofoot_theta, diagonal_monomial,
+                       scalar_blaschke, validate)
 from .conjugations import (Conjugation, CrofootData, CTheta, crofoot_map, jstar,
                            jsymmetry_defect, sandwich_pointwise, sandwich_reflected, tau)
 from .modelspace import ModelSpace, random_modifier
@@ -21,7 +21,8 @@ __all__ = [
     "Laurent", "MatrixLaurent", "inner_product", "evaluate_many",
     "fit_circle_samples", "refit_on_circle",
     "MAX_POLE_ABS", "PURITY_MARGIN", "PotapovFactor", "BlaschkePotapovProduct",
-    "ValidationReport", "validate", "crofoot_theta", "diagonal_monomial", "scalar_blaschke",
+    "ValidationReport", "validate", "crofoot_realization", "crofoot_theta",
+    "diagonal_monomial", "scalar_blaschke",
     "Conjugation", "CrofootData", "CTheta", "jstar", "tau", "crofoot_map",
     "jsymmetry_defect", "sandwich_pointwise", "sandwich_reflected",
     "ModelSpace", "random_modifier",

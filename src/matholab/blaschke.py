@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .jsonio import ScenarioError, matrix_from_json, matrix_to_json, pair_to_complex, complex_to_pair
-from .laurent import Laurent, refit_on_circle
+from .laurent import Laurent
 
 __all__ = [
     "MAX_POLE_ABS",
@@ -27,6 +27,9 @@ __all__ = [
     "BlaschkePotapovProduct",
     "ValidationReport",
     "validate",
+    "check_colligation",
+    "state_window",
+    "crofoot_realization",
     "crofoot_theta",
     "diagonal_monomial",
     "scalar_blaschke",
@@ -155,40 +158,10 @@ class BlaschkePotapovProduct:
             off = end
         return a_mat, b_mat, c_mat, d_mat
 
-    def state_window(self, order):
-        """The realization read on the window [-order, order]: (F, tails, series).
-
-        F[n] = C A^n (0 <= n <= order) is the model-space basis; tails[j] =
-        |A^{order+1} e_j| is the exact L^2 mass the window drops from column j
-        (output-normality); the series of Theta is D, then F[n-1] B. Its
-        tail_bound, the l^1 sum of |C A^m B|_F over m >= order, bounds the sup
-        and L^2 norms of the dropped part: 8K terms are summed, K the first
-        power of two with q = |A^K|_F <= 1/2, and |C A^m (A^K)^j B|_F <=
-        |C A^m|_F q^j finishes it geometrically.
-        """
-        a_mat, b_mat, c_mat, d_mat = self.realization()
-        step, reach = a_mat, 1
-        while (q := np.linalg.norm(step)) > 0.5:
-            step, reach = step @ step, 2 * reach
-        # the rows of C A^m for m < count, stacked by doubling
-        count, dim = order + 9 * reach, self.dim
-        rows, step = c_mat, a_mat
-        while len(rows) < count * dim:
-            rows, step = np.concatenate([rows, rows @ step]), step @ step
-        f = rows[:count * dim].reshape(count, dim, a_mat.shape[0])
-        theta = (rows[:count * dim] @ b_mat).reshape(count, dim, dim)
-        basis = np.concatenate([np.zeros((order,) + f.shape[1:]), f[:order + 1]])
-        coeffs = np.concatenate([np.zeros((order, dim, dim)), d_mat[None], theta[:order]])
-        exact = _norms(theta[order:order + 8 * reach]).sum()
-        # |B|_2 <= 1: B is a block of the unitary colligation
-        rest = _norms(f[order + 8 * reach:]).sum() / (1.0 - q)
-        tails = _norms(np.linalg.matrix_power(a_mat, order + 1).T)
-        return basis, tails, Laurent(coeffs, order, exact + rest).trim()
-
     def laurent(self, order):
         """Series on [-order, order] (analytic; negative slots stay zero) with a
         certified sup-norm tail_bound, read off the realization."""
-        return self.state_window(order)[2]
+        return state_window(self.realization(), order)[2]
 
     def tilde(self):
         """The reflected product Theta~(z) = Theta(conj(z))^*, in product form again.
@@ -258,33 +231,73 @@ class ValidationReport:
     theta0_norm: float
 
 
-def validate(theta, tol=1e-8):
+def check_colligation(realization, tol=1e-8):
     """Inner when the colligation G = [[A, B], [C, D]] of the realization is
     unitary (``max_unitary_defect`` = |G* G - I|_F), pure when norm(D) < 1."""
-    a_mat, b_mat, c_mat, d_mat = theta.realization()
-    g = np.concatenate([np.concatenate([a_mat, b_mat], axis=1),
-                        np.concatenate([c_mat, d_mat], axis=1)])
+    a_mat, b_mat, c_mat, d_mat = realization
+    g = np.block([[a_mat, b_mat], [c_mat, d_mat]])
     defect = np.linalg.norm(g.conj().T @ g - np.eye(g.shape[0]))
     theta0 = np.linalg.svd(d_mat, compute_uv=False)[0]
     return ValidationReport(inner=bool(defect <= tol), pure=bool(theta0 < 1.0 - PURITY_MARGIN),
                             max_unitary_defect=float(defect), theta0_norm=float(theta0))
 
 
-def crofoot_theta(theta, crofoot, order, n_grid=None):
-    """Series of Theta^W = -W + D_{W*} (I - Theta W*)^{-1} Theta D_W.
+def validate(theta, tol=1e-8):
+    """``check_colligation`` of the product's realization."""
+    return check_colligation(theta.realization(), tol)
 
-    Evaluated pointwise on the circle and refit; the refit residual lands in
-    tail_bound. The result is inner again and pure whenever Theta is.
+
+def state_window(realization, order):
+    """A unitary realization read on the window [-order, order]: (F, tails, series).
+
+    F[n] = C A^n (0 <= n <= order) is the model-space basis; tails[j] =
+    |A^{order+1} e_j| is the exact L^2 mass the window drops from column j
+    (output-normality); the series of Theta is D, then F[n-1] B. Its
+    tail_bound, the l^1 sum of |C A^m B|_F over m >= order, bounds the sup
+    and L^2 norms of the dropped part: 8K terms are summed, K the first
+    power of two with q = |A^K|_F <= 1/2, and |C A^m (A^K)^j B|_F <=
+    |C A^m|_F q^j finishes it geometrically.
     """
-    w = crofoot.W
+    a_mat, b_mat, c_mat, d_mat = realization
+    step, reach = a_mat, 1
+    while (q := np.linalg.norm(step)) > 0.5:
+        step, reach = step @ step, 2 * reach
+    # the rows of C A^m for m < count, stacked by doubling
+    count, dim = order + 9 * reach, d_mat.shape[0]
+    rows, step = c_mat, a_mat
+    while len(rows) < count * dim:
+        rows, step = np.concatenate([rows, rows @ step]), step @ step
+    f = rows[:count * dim].reshape(count, dim, a_mat.shape[0])
+    theta = (rows[:count * dim] @ b_mat).reshape(count, dim, dim)
+    basis = np.concatenate([np.zeros((order,) + f.shape[1:]), f[:order + 1]])
+    coeffs = np.concatenate([np.zeros((order, dim, dim)), d_mat[None], theta[:order]])
+    exact = _norms(theta[order:order + 8 * reach]).sum()
+    # |B|_2 <= 1: B is a block of the unitary colligation
+    rest = _norms(f[order + 8 * reach:]).sum() / (1.0 - q)
+    tails = _norms(np.linalg.matrix_power(a_mat, order + 1).T)
+    return basis, tails, Laurent(coeffs, order, exact + rest).trim()
 
-    def fn(nodes):
-        vals = theta.evaluate(nodes)
-        eye = np.eye(theta.dim)
-        core = np.linalg.solve(eye - vals @ w.conj().T, vals @ crofoot.D_W)
-        return -w + crofoot.D_Wstar @ core
 
-    return refit_on_circle(fn, order, n_grid=n_grid)
+def crofoot_realization(theta, crofoot):
+    """Realization of Theta^W = -W + D_{W*} (I - Theta W*)^{-1} Theta D_W.
+
+    With G = (I - D W*)^{-1}: A_W = A + B W* G C, B_W = B (I + W* G D) D_W,
+    C_W = D_{W*} G C and D_W' = -W + D_{W*} G D D_W. The colligation stays
+    unitary, and J_W C (I - z A)^{-1} x = C_W (I - z A_W)^{-1} x: the Crofoot
+    map is the identity in state coordinates (Ball, Gohberg and Rodman 1990).
+    """
+    a_mat, b_mat, c_mat, d_mat = theta.realization()
+    wstar, n = crofoot.W.conj().T, a_mat.shape[0]
+    g_cd = np.linalg.solve(np.eye(theta.dim) - d_mat @ wstar, np.hstack([c_mat, d_mat]))
+    g_c, g_d = g_cd[:, :n], g_cd[:, n:]
+    return (a_mat + b_mat @ wstar @ g_c, b_mat @ (np.eye(theta.dim) + wstar @ g_d) @ crofoot.D_W,
+            crofoot.D_Wstar @ g_c, crofoot.D_Wstar @ g_d @ crofoot.D_W - crofoot.W)
+
+
+def crofoot_theta(theta, crofoot, order):
+    """Series of Theta^W, read off ``crofoot_realization`` with a certified
+    tail_bound. The result is inner again and pure whenever Theta is."""
+    return state_window(crofoot_realization(theta, crofoot), order)[2]
 
 
 def diagonal_monomial(powers):

@@ -3,8 +3,8 @@
 A scenario is a single JSON object naming the inner functions, the optional
 auxiliary data (conjugations, Crofoot parameters), a symbol or an explicit
 operator matrix, and the command to run.  The runner executes the command,
-prints a report (JSON by default, a plain table with --format text) and
-exits with
+prints a report (by default JSON on one compact line, which Python's C
+encoder writes; a plain table with --format text) and exits with
 
     0  every check accepted
     1  some check rejected
@@ -360,7 +360,7 @@ def run_command(scenario):
 
 def emit_report(report, fmt):
     if fmt == "json":
-        return json.dumps(report, indent=2)
+        return json.dumps(report)
     lines = [f"command: {report['command']}"]
     for rec in report["checks"]:
         if rec["verdict"] == "skipped":

@@ -6,9 +6,11 @@ tau_Theta f = conj(z) Thetatilde(z) f(conj(z)), and the pointwise
 conjugation C_Theta f = Theta(z) conj(z) J(f(z)), which agrees with
 Jstar tau_Theta exactly when Theta is J-symmetric.
 
-Crofoot maps between K_Theta and K_{Theta^W} are realised by sampling the
-resolvent-type factor on the unit circle and refitting a series; a whole
-stacked basis is refit at once.
+The Crofoot map between K_Theta and K_{Theta^W} is the identity in state
+coordinates (``blaschke.crofoot_realization``), which is how model-space
+images are built. ``crofoot_map`` applies it, or its adjoint, to an
+arbitrary series by sampling the resolvent-type factor on the unit circle
+and refitting; a whole stacked basis is refit at once.
 """
 
 from __future__ import annotations

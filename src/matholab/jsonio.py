@@ -6,6 +6,7 @@ __all__ = [
     "ScenarioError",
     "complex_to_pair",
     "pair_to_complex",
+    "array_to_json",
     "vector_to_json",
     "vector_from_json",
     "matrix_to_json",
@@ -32,8 +33,15 @@ def pair_to_complex(obj, field):
     return complex(obj[0], obj[1])
 
 
+def array_to_json(a):
+    """Nested lists in the array's shape with each entry an [re, im] pair,
+    encoded in one pass."""
+    a = np.asarray(a, dtype=complex)
+    return np.stack([a.real, a.imag], -1).tolist()
+
+
 def vector_to_json(v):
-    return [complex_to_pair(z) for z in np.asarray(v).ravel()]
+    return array_to_json(np.ravel(v))
 
 
 def vector_from_json(obj, field, length=None):
@@ -46,8 +54,7 @@ def vector_from_json(obj, field, length=None):
 
 
 def matrix_to_json(a):
-    a = np.asarray(a)
-    return [[complex_to_pair(z) for z in row] for row in a]
+    return array_to_json(a)
 
 
 def matrix_from_json(obj, field, shape=None):

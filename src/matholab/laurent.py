@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .jsonio import ScenarioError, matrix_from_json, matrix_to_json, vector_from_json, vector_to_json
+from .jsonio import ScenarioError, array_to_json, matrix_from_json, vector_from_json
 
 __all__ = [
     "Laurent",
@@ -304,10 +304,8 @@ class Laurent:
     # -- JSON --------------------------------------------------------------
 
     def to_json(self):
-        encode = vector_to_json if self.coeffs.ndim == 2 else matrix_to_json
-        doc = {}
-        for idx in self._nonzero():
-            doc[str(idx - self.order)] = encode(self.coeffs[idx])
+        nz = self._nonzero()
+        doc = dict(zip((str(n) for n in nz - self.order), array_to_json(self.coeffs[nz])))
         return {"dim": self.dim, "coeffs": doc, "trunc_order": self.order,
                 "tail_bound": self.tail_bound}
 
@@ -432,7 +430,7 @@ def refit_on_circle(fn, order, n_grid=None, drop_tol=1e-13):
     Samples at the roots of unity, projects onto [-order, order], then
     estimates the residual at half-offset points and folds it into
     tail_bound. This is the honest route for functions only available
-    pointwise (Crofoot transforms and their images).
+    pointwise (the Crofoot map of an arbitrary series).
     """
     if n_grid is None:
         n_grid = max(512, 4 * (order + 1))

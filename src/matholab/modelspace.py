@@ -1,7 +1,8 @@
 """Finite-dimensional model spaces K_Theta and their shift structure.
 
 For a pure rational inner Theta with output-normal realization (A, B, C, D)
-(``BlaschkePotapovProduct.realization``), K_Theta = H^2 ominus Theta H^2 has
+(``BlaschkePotapovProduct.realization``, or ``crofoot_realization`` for a
+Crofoot transform), K_Theta = H^2 ominus Theta H^2 has
 the basis F(z) = C (I - z A)^{-1}, coefficients C A^n, orthonormal in exact
 arithmetic; on a window it is the factor-major basis of the recursion
 K_{B Theta'} = K_B + B K_{Theta'}. A symmetric Loewdin pass absorbs the
@@ -19,7 +20,7 @@ import weakref
 
 import numpy as np
 
-from .blaschke import PURITY_MARGIN, validate
+from .blaschke import check_colligation, state_window
 from .laurent import Laurent
 from .jsonio import matrix_to_json
 
@@ -30,17 +31,18 @@ _GRAM_EXACT = 1e-14
 
 
 def _orthonormalize(coeffs, tails):
-    """Symmetric (Loewdin) orthonormalization of the columns, unless already exact."""
+    """Symmetric (Loewdin) orthonormalization of the columns, unless already
+    exact; also returns the matrix L applied to them (the identity if none)."""
     n = coeffs.shape[2]
     flat = coeffs.reshape(-1, n)
     gram = flat.conj().T @ flat  # gram[i, j] = <b_j, b_i>
     if np.max(np.abs(gram - np.eye(n))) <= _GRAM_EXACT:
-        return coeffs, tails
+        return coeffs, tails, np.eye(n)
     w, vecs = np.linalg.eigh(gram)
     if w.min() <= 1e-10:
         raise ValueError("basis functions are numerically dependent")
     inv_half = (vecs * (w ** -0.5)) @ vecs.conj().T
-    return coeffs @ inv_half, tails @ np.abs(inv_half)
+    return coeffs @ inv_half, tails @ np.abs(inv_half), inv_half
 
 
 class ModelSpace:
@@ -58,13 +60,10 @@ class ModelSpace:
         self.dim = theta_series.dim
         self.order = (coeffs.shape[0] - 1) // 2
         self.dim_K = coeffs.shape[2]
-        coeffs, self.tails = _orthonormalize(coeffs, np.asarray(tails, dtype=float))
+        # the basis is the given (state) basis times the Loewdin matrix
+        coeffs, self.tails, self.loewdin = _orthonormalize(coeffs, np.asarray(tails, dtype=float))
         self.basis = Laurent(coeffs, self.order, float(np.linalg.norm(self.tails)))
-        # Theta(0) is the 0-indexed coefficient; refit series may carry
-        # negligible anti-analytic noise, which a window sum at 0 cannot take.
         self.theta0 = theta_series.coeff(0)
-        if np.linalg.norm(self.theta0, 2) >= 1.0 - PURITY_MARGIN:
-            raise ValueError("Theta is not pure: norm(Theta(0)) too close to 1")
         self._build_shift_structure()
         # operators.kernel_test's factored kernel classes with this space as
         # codomain, keyed by the domain space; they die with either space
@@ -73,29 +72,22 @@ class ModelSpace:
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def from_product(cls, theta, order=64):
-        report = validate(theta)
+    def from_realization(cls, realization, order=64, theta=None):
+        """K_Theta for the Theta of a colligation (A, B, C, D), checked to be
+        unitary and pure, with the basis read off it on the window (``state_window``)."""
+        report = check_colligation(realization)
         if not report.inner:
             raise ValueError(f"Theta is not inner: its colligation is not unitary "
                              f"(defect {report.max_unitary_defect:.2e})")
         if not report.pure:
             # a constant (unitary) Theta lands here too: norm(Theta(0)) = 1
             raise ValueError(f"Theta is not pure (norm(Theta(0)) = {report.theta0_norm:.6f})")
-        basis, tails, series = theta.state_window(order)
+        basis, tails, series = state_window(realization, order)
         return cls(series, basis, tails, theta=theta)
 
     @classmethod
-    def from_basis(cls, theta_series, basis):
-        """Space carried by an explicitly given (d x n)-valued series whose
-        columns are (near-)orthonormal, such as the stacked Crofoot image of a
-        basis, where no Potapov factorization of the target Theta is on hand.
-        Every column gets the series' tail_bound, which bounds each of them.
-        """
-        if basis.coeffs.ndim != 3 or basis.coeffs.shape[2] == 0:
-            raise ValueError("model space needs a (d x n)-valued basis series, n >= 1")
-        order = max(theta_series.order, basis.order)
-        return cls(theta_series, basis.with_order(order).coeffs,
-                   np.full(basis.coeffs.shape[2], basis.tail_bound), theta=None)
+    def from_product(cls, theta, order=64):
+        return cls.from_realization(theta.realization(), order, theta)
 
     def basis_functions(self):
         """The basis functions b_1 ... b_n as separate vector series."""

@@ -29,9 +29,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .blaschke import crofoot_theta
-from .conjugations import (CTheta, Conjugation, CrofootData, crofoot_map, jstar,
-                           jsymmetry_defect, sandwich_pointwise, sandwich_reflected, tau)
+from .blaschke import crofoot_realization
+from .conjugations import (CTheta, Conjugation, CrofootData, jstar, jsymmetry_defect,
+                           sandwich_pointwise, sandwich_reflected, tau)
 from .jsonio import matrix_to_json
 from .kernelclass import KernelClass
 from .laurent import Laurent, evaluate_many
@@ -376,15 +376,17 @@ class TransformInputs:
         return self._cache[key]
 
     def crofoot_image(self, which):
-        """(image space, matrix of the forward Crofoot map) for theta1 or theta2."""
+        """(image space, matrix of the forward Crofoot map) for theta1 or theta2.
+
+        The map is the identity between the two state bases, so in the spaces'
+        bases it is L_image^{-1} L_source (their ``loewdin`` matrices)."""
         key = f"{which}w"
         if key not in self._cache:
             theta = self.theta1 if which == 1 else self.theta2
             cro = self.crofoot1 if which == 1 else self.crofoot2
+            image = ModelSpace.from_realization(crofoot_realization(theta, cro), self.order)
             src = self.space(str(which))
-            mapped = crofoot_map(src.theta_series, cro, src.basis, "forward")
-            image = ModelSpace.from_basis(crofoot_theta(theta, cro, self.order), mapped)
-            self._cache[key] = (image, image.coords(mapped))
+            self._cache[key] = (image, np.linalg.solve(image.loewdin, src.loewdin))
         return self._cache[key]
 
     def jsym_gaps(self):

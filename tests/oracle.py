@@ -5,7 +5,8 @@ unity plus discrete Fourier projections. None of them touches the package's
 coefficient arithmetic (series are only unpacked into raw coefficient
 arrays), so when the two paths agree the agreement means something. The
 dense kernel-class reference and the shift-invariance predicates at the
-end are the exceptions (see there).
+end are the exceptions (see there), and so are the per-element JSON
+encoders, which read the package's objects.
 """
 
 import numpy as np
@@ -28,6 +29,14 @@ def sample_series(series, n=N_GRID):
     ks = np.arange(-series.order, series.order + 1)
     powers = zs[:, None] ** ks[None, :]
     return np.tensordot(powers, series.coeffs, axes=(1, 0))
+
+
+def sample_series_fft(series, n):
+    """Boundary values at the n-th roots of unity by one FFT of the window;
+    slots beyond n fold onto slot mod n, so n must exceed the window's reach."""
+    bins = np.zeros((n,) + series.coeffs.shape[1:], dtype=complex)
+    np.add.at(bins, np.arange(-series.order, series.order + 1) % n, series.coeffs)
+    return np.fft.ifft(bins, axis=0) * n
 
 
 def inner(f_vals, g_vals):
@@ -217,3 +226,43 @@ def invariance_residual(op, family, kind):
         return 0.0
     a, s1, s2 = op.matrix, op.domain.S, op.codomain.S
     return float(np.max(np.abs(g_basis.conj().T @ (lhs(a, s1, s2) - rhs(a, s1, s2)) @ f_basis)))
+
+
+# -- per-element JSON encoders ----------------------------------------------------
+# The wire format written one complex scalar at a time: the reference that the
+# package's whole-array encoders must reproduce, float repr for float repr.
+
+def complex_to_pair(z):
+    z = complex(z)
+    return [float(z.real), float(z.imag)]
+
+
+def vector_to_json(v):
+    return [complex_to_pair(z) for z in np.asarray(v).ravel()]
+
+
+def matrix_to_json(a):
+    return [[complex_to_pair(z) for z in row] for row in np.asarray(a)]
+
+
+def laurent_to_json(series):
+    encode = vector_to_json if series.coeffs.ndim == 2 else matrix_to_json
+    doc = {}
+    for idx in series._nonzero():
+        doc[str(idx - series.order)] = encode(series.coeffs[idx])
+    return {"dim": series.dim, "coeffs": doc, "trunc_order": series.order,
+            "tail_bound": series.tail_bound}
+
+
+def describe(space):
+    return {
+        "dim": space.dim,
+        "dim_K": space.dim_K,
+        "trunc_order": space.order,
+        "defect_dim": space.defect_dim,
+        "defect_dim_tilde": space.defect_dim_tilde,
+        "S": matrix_to_json(space.S),
+        "D": matrix_to_json(space.D),
+        "D_tilde": matrix_to_json(space.D_tilde),
+        "basis": [laurent_to_json(b) for b in space.basis_functions()],
+    }

@@ -88,6 +88,18 @@ def test_every_record_follows_the_one_rule(capsys):
                 assert rec["verdict"] == ("accept" if rule else "reject"), (path.name, rec)
 
 
+def test_json_report_is_one_line_of_the_report(capsys):
+    for path in sorted(SCENARIOS.glob("*.json")):
+        raw = json.loads(path.read_text())
+        cli.main([raw["command"], "--scenario", str(path)])
+        out = capsys.readouterr().out
+        assert out.endswith("\n") and out.count("\n") == 1, path.name
+        report = cli.run_command(cli.parse_scenario(raw, raw["command"]))
+        emitted = json.loads(out)
+        del emitted["wall_time_s"], report["wall_time_s"]
+        assert emitted == report, path.name
+
+
 def test_verify_all_report_lists_registry(tmp_path, capsys):
     path = str(SCENARIOS / "verify_all_scalar.json")
     code, out, _ = _run(["verify", "--scenario", path], capsys)

@@ -5,9 +5,11 @@ import pytest
 
 from matholab import (
     Conjugation,
+    CrofootData,
     Laurent,
     MatrixLaurent,
     ModelSpace,
+    crofoot_realization,
     diagonal_monomial,
     kernel_test,
     random_modifier,
@@ -178,12 +180,15 @@ def test_modified_shift_rules():
         space.modified_shift(np.eye(space.dim_K + 1))
 
 
-def test_from_basis_matches_from_product():
-    space, _ = _space(12)
-    clone = ModelSpace.from_basis(space.theta_series, space.basis)
+def test_realization_constructor_matches_from_product():
+    # the Crofoot realization at W = 0 is Theta's own
+    space, theta = _space(12)
+    clone = ModelSpace.from_realization(
+        crofoot_realization(theta, CrofootData(np.zeros((2, 2)))), space.order)
     assert clone.dim_K == space.dim_K
-    assert np.linalg.norm(clone.S - space.S) < 1e-10
-    assert np.linalg.norm(clone.D - space.D) < 1e-10
+    assert np.linalg.norm(clone.S - space.S) < 1e-14
+    assert np.linalg.norm(clone.D - space.D) < 1e-14
+    assert np.max(np.abs(clone.basis.coeffs - space.basis.coeffs)) < 1e-14
 
 
 def test_coords_roundtrip():

@@ -1,11 +1,15 @@
 """The unitary realization of a Blaschke-Potapov product against the
-recursive convolution reference, and the refusal of a product that is not inner."""
+recursive convolution reference, the refusal of a product that is not inner,
+and the Crofoot realization against the closed-form transform."""
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from matholab import BlaschkePotapovProduct, ModelSpace, PotapovFactor, validate
+from matholab import (BlaschkePotapovProduct, CrofootData, ModelSpace, PotapovFactor,
+                      crofoot_realization, crofoot_theta, validate)
+from matholab.blaschke import state_window
+from matholab.laurent import Laurent
 from matholab.sampling import random_frame, random_inner, random_unitary
 
 import oracle
@@ -42,7 +46,7 @@ def corners(test):
 @corners
 @given(theta=products, order=orders)
 def test_window_matches_recursive_reference(theta, order):
-    basis, _, series = theta.state_window(order)
+    basis, _, series = state_window(theta.realization(), order)
     assert not basis[:order].any()
     assert np.max(np.abs(basis[order:] - oracle.product_basis(theta, order))) <= 1e-13
     got = series.with_order(order).coeffs[order:]
@@ -72,7 +76,7 @@ def test_basis_tails_are_the_dropped_mass(theta, order):
     dropped = np.abs(oracle.product_basis(theta, wide)[order + 1:])
     # hypot: tails of small poles at long windows lie below 1e-154, where squares underflow
     mass = np.hypot.reduce(dropped.reshape(-1, dropped.shape[2]), axis=0)
-    tails = theta.state_window(order)[1]
+    tails = state_window(theta.realization(), order)[1]
     assert np.all(np.abs(tails - mass) <= 1e-10 * mass)
 
 
@@ -97,3 +101,80 @@ def test_product_that_is_not_inner_is_refused():
     assert not report.inner and report.max_unitary_defect > 0.1
     with pytest.raises(ValueError, match="not inner"):
         ModelSpace.from_product(theta, 16)
+
+
+# -- the Crofoot transform Theta -> Theta^W ------------------------------------
+
+def _crofoot(dim, norm, seed):
+    """A Crofoot parameter W with |W|_2 = norm."""
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return CrofootData(g * (norm / np.linalg.norm(g, 2)))
+
+
+# |W| up to the 0.9 cap (a rescaled random matrix can round above 0.9 itself)
+crofoot_norms = st.just(0.0) | st.floats(0.0, 0.8999999)
+crofoot_seeds = st.integers(0, 2 ** 16)
+
+
+def crofoot_corners(test):
+    # W = 0.9 I sits on the cap exactly
+    for order in (8, 128):
+        test = example(theta=CORNER, norm=0.9, seed=-1, order=order)(test)
+    return test
+
+
+def _crofoot_for(theta, norm, seed):
+    """The drawn W, or W = 0.9 I for the corner examples (seed -1)."""
+    return CrofootData(0.9 * np.eye(theta.dim)) if seed < 0 else _crofoot(theta.dim, norm, seed)
+
+
+def _closed_form(theta, cro, zs):
+    """(Theta^W at zs, the pointwise factor D_{W*} (I - Theta W*)^{-1} at zs)."""
+    vals = oracle.theta_values(theta, zs)
+    factor = cro.D_Wstar @ np.linalg.inv(np.eye(theta.dim) - vals @ cro.W.conj().T)
+    return factor @ vals @ cro.D_W - cro.W, factor
+
+
+@settings(max_examples=60)
+@crofoot_corners
+@given(theta=products, norm=crofoot_norms, seed=crofoot_seeds, order=orders)
+def test_crofoot_colligation_is_unitary(theta, norm, seed, order):
+    a, b, c, d = crofoot_realization(theta, _crofoot_for(theta, norm, seed))
+    g = np.block([[a, b], [c, d]])
+    assert np.max(np.abs(g.conj().T @ g - np.eye(g.shape[0]))) <= 1e-13
+
+
+@settings(max_examples=60)
+@crofoot_corners
+@given(theta=products, norm=crofoot_norms, seed=crofoot_seeds, order=orders)
+def test_crofoot_series_matches_closed_form(theta, norm, seed, order):
+    cro = _crofoot_for(theta, norm, seed)
+    series = crofoot_theta(theta, cro, order)
+    want = _closed_form(theta, cro, oracle.nodes())[0]
+    gap = oracle.sample_series(series) - want
+    assert np.max(np.linalg.norm(gap, axis=(1, 2))) <= series.tail_bound + 1e-12
+
+
+@settings(max_examples=60)
+@crofoot_corners
+@given(theta=products, norm=crofoot_norms, seed=crofoot_seeds, order=orders)
+def test_crofoot_map_is_the_identity_in_state_coordinates(theta, norm, seed, order):
+    # column j of the image's window basis C_W A_W^n is the Crofoot image of
+    # the source's state basis function C (I - zA)^{-1} e_j, up to its tail
+    cro = _crofoot_for(theta, norm, seed)
+    image = crofoot_realization(theta, cro)
+    basis, tails, _ = state_window(image, order)
+    # Theta^W can have zeros near the circle (spectral radius of A_W up to
+    # about 0.998 at the caps), so the grid grows until the quadrature of
+    # the dropped tail stops aliasing: |A_W^N|_F <= 1e-14
+    n_grid, power = oracle.N_GRID, np.linalg.matrix_power(image[0], oracle.N_GRID)
+    while np.linalg.norm(power) > 1e-14:
+        n_grid, power = 2 * n_grid, power @ power
+    zs = oracle.nodes(n_grid)
+    a, _, c, _ = theta.realization()
+    resolvent = np.linalg.inv(np.eye(a.shape[0]) - zs[:, None, None] * a)
+    want = _closed_form(theta, cro, zs)[1] @ c @ resolvent
+    err = oracle.sample_series_fft(Laurent(basis, order), n_grid) - want
+    for j in range(basis.shape[2]):
+        assert np.sqrt(oracle.inner(err[:, :, j], err[:, :, j]).real) <= tails[j] + 1e-12, j

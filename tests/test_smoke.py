@@ -4,8 +4,10 @@ import itertools
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -44,8 +46,34 @@ def test_benchmark_tracer_binds_the_library(monkeypatch):
     metrics = tracer.layer_metrics(1)
     assert metrics["modelspace.from_product.calls"][0] == 1
     assert metrics["modelspace.from_product.distinct_ratio"][0] == 1.0
-    assert metrics["blaschke.validate.calls"][0] == 3
+    assert metrics["blaschke.validate.calls"][0] == 2
     assert metrics["cli.parse.self_s"][0] > 0.0
+
+
+def test_crofoot_identity_samples_no_circle(monkeypatch):
+    # the Crofoot image comes from the realization: no refit, map or sampling
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import tracing
+    from matholab import TransformInputs, operators
+    from matholab.sampling import random_crofoot, random_inner, random_symbol
+
+    rng = np.random.default_rng(5)
+    inputs = TransformInputs(random_inner(rng, 3, max_abs=0.9), random_inner(rng, 3, max_abs=0.9),
+                             order=32, symbol=random_symbol(rng, 3),
+                             crofoot1=random_crofoot(rng, 3), crofoot2=random_crofoot(rng, 3))
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        tracer.request = 0
+        check = operators.verify_transform("crofoot", inputs)
+    finally:
+        tracer.uninstall()
+    assert check.name == "crofoot" and check.verdict in ("accept", "reject")
+    calls = Counter(tracer.names[i] for i in tracer.span_name)
+    assert calls["operators.verify_transform"] == 1
+    assert calls["laurent.refit_on_circle"] == 0
+    assert calls["conjugations.crofoot_map"] == 0
+    assert calls["laurent.evaluate_many"] == 0
 
 
 def test_benchmark_scenario_cycle_is_sound(monkeypatch):

@@ -9,6 +9,7 @@ from matholab import (
     CTheta,
     ModelSpace,
     crofoot_map,
+    crofoot_realization,
     crofoot_theta,
     jstar,
     jsymmetry_defect,
@@ -16,7 +17,9 @@ from matholab import (
     sandwich_reflected,
     tau,
 )
+from matholab.blaschke import state_window
 from matholab.laurent import Laurent
+from matholab.operators import TransformInputs
 from matholab.sampling import random_inner, random_symmetric_inner, random_unitary
 
 import oracle
@@ -125,8 +128,7 @@ def test_crofoot_map_is_unitary_with_inverse():
     cro = CrofootData(0.35 * random_unitary(rng, 2))
     space = ModelSpace.from_product(theta, 64)
     image_series = crofoot_theta(theta, cro, 64)
-    image = ModelSpace.from_basis(
-        image_series, crofoot_map(space.theta_series, cro, space.basis, "forward"))
+    image = ModelSpace.from_realization(crofoot_realization(theta, cro), 64)
     f = _random_member(space, rng)
     jf = crofoot_map(space.theta_series, cro, f, "forward")
     assert abs(jf.norm() - f.norm()) < 1e-8
@@ -175,6 +177,26 @@ def test_stacked_crofoot_map_matches_closed_form(d):
     for j in range(space.dim_K):
         err = got[:, :, j] - want[:, :, j]
         assert np.sqrt(oracle.inner(err, err).real) <= mapped.tail_bound + 1e-12, j
+
+
+@pytest.mark.parametrize("order", [8, 16])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_crofoot_image_matrix_matches_refit_map(d, order):
+    # at short windows both spaces need their Loewdin pass, which the
+    # matrix of the map must carry from the source and undo on the image
+    rng = np.random.default_rng(120 + d)
+    theta = random_inner(rng, d, max_abs=0.8)
+    cro = CrofootData(0.5 * random_unitary(rng, d))
+    inputs = TransformInputs(theta, theta, order=order, crofoot1=cro, crofoot2=cro)
+    src = inputs.space("1")
+    image, forward = inputs.crofoot_image(1)
+    assert np.max(np.abs(image.loewdin - np.eye(image.dim_K))) > 1e-6
+    # the source basis B = F L continued far past the window, mapped on the circle
+    wide = 160
+    basis = Laurent(state_window(theta.realization(), wide)[0] @ src.loewdin, wide)
+    mapped = crofoot_map(theta.laurent(wide), cro, basis, "forward").with_order(wide)
+    want = mapped.coeffs[wide - order:wide + order + 1]
+    assert np.max(np.abs(image.basis.coeffs @ forward - want)) <= 1e-10
 
 
 def test_crofoot_data_validation():
