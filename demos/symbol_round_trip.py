@@ -32,13 +32,13 @@ print("  fit residual   ", resid)
 print("  rebuild error  ", np.linalg.norm(rebuilt.matrix - op.matrix))
 print("  symbol norms   ", phi.norm(), "->", psi.norm(), "(minimum-norm pick)")
 
-# Hankel recovery needs the conjugation data of both spaces.
-theta1, conj1 = random_symmetric_inner(rng, 2, max_abs=0.5)
-theta2, conj2 = random_symmetric_inner(rng, 2, max_abs=0.5)
+# Hankel recovery is the same solve; it needs no conjugation of either space.
+theta1, _ = random_symmetric_inner(rng, 2, max_abs=0.5)
+theta2, _ = random_symmetric_inner(rng, 2, max_abs=0.5)
 h1 = ModelSpace.from_product(theta1, 64)
 h2 = ModelSpace.from_product(theta2, 64)
 hop = build_matho(h1, h2, random_symbol(rng, 2))
-psi_h, resid_h = recover_symbol(hop, "hankel", conj1, conj2)
+psi_h, resid_h = recover_symbol(hop, "hankel")
 print("\nhankel recovery:")
 print("  fit residual   ", resid_h)
 print("  rebuild error  ",

@@ -311,8 +311,7 @@ def _cmd_recover(sc):
     checks = [rep]
     details = None
     if rep.accepted():
-        phi, resid = recover_symbol(op, family, sc.conj1, sc.conj2,
-                                    threshold=sc.tolerance)
+        phi, resid = recover_symbol(op, family, threshold=sc.tolerance)
         checks.append(Check.judge(f"rebuild-{family}", resid, sc.tolerance,
                                   np.linalg.norm(op.matrix)))
         details = {"symbol": phi.to_json()}

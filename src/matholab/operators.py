@@ -5,9 +5,10 @@ B_Phi f = P_{Theta2} J (I - P_+)(Phi f) (Hankel, with the flip
 (J f)(z) = conj(z) f(conj(z))). Everything downstream is matrix algebra
 in the fixed orthonormal bases of the two spaces: membership in the
 operator classes via displacement equations, the equivalent
-shift-invariance predicates, symbol recovery, symbol-kernel tests, and a
-registry of conjugation/transform identities checked as exact matrix
-equalities up to tolerance.
+shift-invariance predicates, symbol recovery (one minimum-norm solve on
+the linear map from symbol coefficients to the matrix, for both
+families), symbol-kernel tests, and a registry of conjugation/transform
+identities checked as exact matrix equalities up to tolerance.
 
 Every check comes back as one ``Check`` record (name, residual,
 threshold, scale, verdict, optional reason), and every accept/reject
@@ -203,70 +204,56 @@ def shift_invariance_check(op, family, kind, threshold=1e-8):
 
 # -- symbol recovery ---------------------------------------------------------
 
-def _vec(m):
-    return np.asarray(m).ravel(order="F")
+def _symbol_map(space1, space2, family, reach):
+    """(lags, M): column (k, a, b) of M is the flattened build of E_ab z^k.
+
+    Both families pair the analytic windows c^j of space1 and c^i of space2,
+    one einsum per lag. Toeplitz, lags -reach..reach: <z^k E b_j, b_i> =
+    sum_m conj(c^i_m)^T E c^j_{m-k} over the slots both windows hold.
+    Hankel, lags -reach..-1: lag -s gives sum_{p+q=s-1} conj(c^i_p)^T E c^j_q.
+    """
+    c1 = space1.basis.coeffs[space1.order:]
+    c2 = space2.basis.coeffs[space2.order:].conj()
+    m1, m2 = space1.order, space2.order
+    if family == "toeplitz":
+        lags = range(-reach, reach + 1)
+        pairs = [(c2[max(k, 0):min(m2, m1 + k) + 1], c1[max(-k, 0):min(m2 - k, m1) + 1])
+                 for k in lags]
+    else:
+        lags = range(-reach, 0)
+        pairs = [(c2[max(0, -k - 1 - m1):min(-k, m2 + 1)],
+                  c1[max(0, -k - 1 - m2):min(-k, m1 + 1)][::-1]) for k in lags]
+    blocks = np.stack([np.einsum("mai,mbj->abij", p, q) for p, q in pairs])
+    return list(lags), blocks.reshape(len(pairs) * space1.dim ** 2, -1).T
 
 
-def _unvec(v, rows, cols):
-    return np.asarray(v).reshape((rows, cols), order="F")
-
-
-def _recover_toeplitz(op):
-    s1, s2 = op.domain, op.codomain
-    n1, n2 = s1.dim_K, s2.dim_K
-    a = op.matrix
-    x = a - s2.S @ a @ s1.S_star
-    # X = B1 D1 + D2 C2 with C2 = B2*, solved at minimal Frobenius norm.
-    system = np.hstack([np.kron(s1.D.T, np.eye(n2)), np.kron(np.eye(n1), s2.D)])
-    sol = np.linalg.lstsq(system, _vec(x), rcond=None)[0]
-    b1 = _unvec(sol[:n1 * n2], n2, n1)
-    b2 = _unvec(sol[n1 * n2:], n2, n1).conj().T
-    # column l of Psi is B1 k_0 e_l, read off the coordinate matrix in one go
-    psi = s2.from_coords(b1 @ s1.k0_cols)
-    xi = s1.from_coords(b2 @ s2.k0_cols)
-    return psi + xi.adjoint_star()
-
-
-def recover_symbol(op, family, conj1=None, conj2=None, threshold=1e-8):
+def recover_symbol(op, family, threshold=1e-8):
     """A representative symbol for an accepted operator, plus the rebuild gap.
 
-    Toeplitz: minimal-Frobenius solve of the T1 displacement factorization,
-    then Psi(z) x = (B1 k_0 x)(z) and Xi likewise; Phi = Psi + Xi^*.
-    Hankel: transfer to a Toeplitz operator through Jstar_2 (.) C_{Theta1}
-    (this needs both Thetas J-symmetric), recover there, and map the symbol
-    back. Symbols are representatives only, unique modulo the kernel class.
+    One minimum-norm least-squares solve on the linear map Phi -> built
+    matrix (``_symbol_map``), over the lags -K..K (toeplitz) or -K..-1
+    (hankel) for K = 1, 2, 4, ... up to the smaller window order; the first
+    K whose solution reproduces the matrix within threshold wins. The
+    symbol is a finite Laurent polynomial, unique only modulo the kernel
+    class; the gap is measured by an independent build.
     """
-    if family == "toeplitz":
-        rep = displacement_check(op, "T1", threshold)
-        if not rep.accepted():
-            raise ValueError(f"operator rejected by T1 membership (residual {rep.residual:.2e})")
-        phi = _recover_toeplitz(op)
-        rebuilt = build_matto(op.domain, op.codomain, phi)
-    elif family == "hankel":
-        rep = displacement_check(op, "H1", threshold)
-        if not rep.accepted():
-            raise ValueError(f"operator rejected by H1 membership (residual {rep.residual:.2e})")
-        s1, s2 = op.domain, op.codomain
-        conj1 = conj1 if conj1 is not None else Conjugation.identity(s1.dim)
-        conj2 = conj2 if conj2 is not None else Conjugation.identity(s2.dim)
-        for label, space, conj in (("theta1", s1, conj1), ("theta2", s2, conj2)):
-            gap = jsymmetry_defect(space.theta_series, conj)
-            if gap > _JSYM_TOL:
-                raise ValueError(f"hankel recovery needs J-symmetric {label} (defect {gap:.2e})")
-        if s2.theta is None:
-            raise ValueError("hankel recovery needs a factored theta2 to reach K of its reflection")
-        tilde2 = ModelSpace.from_product(s2.theta.tilde(), s2.order)
-        c1 = CTheta(s1.theta_series, conj1)
-        l_c1 = _map_matrix(c1.apply, s1, s1)
-        l_j2 = _map_matrix(lambda f: jstar(conj2, f), s2, tilde2)
-        transferred = ModelOperator(s1, tilde2, l_j2 @ np.conj(op.matrix @ l_c1))
-        sigma = _recover_toeplitz(transferred)
-        phi = sandwich_pointwise(conj2, sigma, conj1).mul(
-            s1.theta_series.adjoint_star()).truncate(s1.order)
-        rebuilt = build_matho(op.domain, op.codomain, phi)
-    else:
+    if family not in ("toeplitz", "hankel"):
         raise ValueError(f"unknown recovery family {family!r}")
-    residual = float(np.linalg.norm(rebuilt.matrix - op.matrix))
+    kind, build = ("T1", build_matto) if family == "toeplitz" else ("H1", build_matho)
+    rep = displacement_check(op, kind, threshold)
+    if not rep.accepted():
+        raise ValueError(f"operator rejected by {kind} membership (residual {rep.residual:.2e})")
+    target = op.matrix.ravel()
+    scale, cap, reach = np.linalg.norm(target), min(op.domain.order, op.codomain.order), 1
+    while True:
+        lags, mat = _symbol_map(op.domain, op.codomain, family, min(reach, cap))
+        x = np.linalg.lstsq(mat, target, rcond=None)[0]
+        if reach >= cap or _passes(np.linalg.norm(mat @ x - target), threshold, scale):
+            break
+        reach *= 2
+    d = op.domain.dim
+    phi = Laurent.from_coeff_map(dict(zip(lags, x.reshape(-1, d, d))), d)
+    residual = float(np.linalg.norm(build(op.domain, op.codomain, phi).matrix - op.matrix))
     return phi, residual
 
 

@@ -4,9 +4,9 @@ The circle-quadrature helpers work on boundary values sampled at N roots of
 unity plus discrete Fourier projections. None of them touches the package's
 coefficient arithmetic (series are only unpacked into raw coefficient
 arrays), so when the two paths agree the agreement means something. The
-dense kernel-class reference and the shift-invariance predicates at the
-end are the exceptions (see there), and so are the per-element JSON
-encoders, which read the package's objects.
+dense kernel-class reference, the symbol-map reference and the
+shift-invariance predicates at the end are the exceptions (see there), and
+so are the per-element JSON encoders, which read the package's objects.
 """
 
 import numpy as np
@@ -14,7 +14,7 @@ import numpy as np
 from matholab.conjugations import sandwich_pointwise
 from matholab.kernelclass import _effective_reach
 from matholab.laurent import Laurent
-from matholab.operators import _complement_basis
+from matholab.operators import _complement_basis, build_matho, build_matto
 
 N_GRID = 512
 
@@ -147,7 +147,8 @@ def product_basis(theta, order):
 # -- dense kernel-class reference ----------------------------------------------
 # The explicit generator list and one dense least-squares solve: the reference
 # that operators.KernelClass must reproduce. Unlike the circle-quadrature
-# helpers above, it builds its generators with the package's series products.
+# helpers above, it builds its generators with the package's series products,
+# and the symbol-map reference after it uses the package's operator builds.
 
 def _matrix_units(dim):
     eye = np.eye(dim)
@@ -187,6 +188,16 @@ def dense_kernel_distance(symbol, space1, space2, family, conj1, conj2):
     stack = np.stack([g.coeffs.ravel() for g in gens], axis=1)
     fit = stack @ np.linalg.lstsq(stack, target, rcond=None)[0]
     return float(np.linalg.norm(target - fit))
+
+
+def symbol_map(space1, space2, family, reach):
+    """Reference for operators._symbol_map: (lags, M) with column (k, a, b) the
+    flattened build_matto/build_matho matrix of the unit symbol E_ab z^k."""
+    build = build_matto if family == "toeplitz" else build_matho
+    lags = list(range(-reach, reach + 1) if family == "toeplitz" else range(-reach, 0))
+    cols = [build(space1, space2, Laurent.monomial(k, e)).matrix.ravel()
+            for k in lags for e in _matrix_units(space1.dim)]
+    return lags, np.stack(cols, axis=1)
 
 
 # -- shift-invariance predicates in the paper's form ----------------------------

@@ -6,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from matholab import cli
+from matholab import Laurent, cli
+from matholab.sampling import random_inner, random_symbol
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -128,6 +129,45 @@ def test_build_emits_operator(tmp_path, capsys):
     matrix = report["details"]["operator"]["matrix"]
     got = np.array([[complex(*p) for p in row] for row in matrix])
     assert np.max(np.abs(got - np.array([[1.0, 0.0], [0.0, 0.0]]))) < 1e-12
+
+
+def _random_inner_doc(**extra):
+    # random_inner thetas are not J-symmetric, and the doc gives no j1/j2
+    rng = np.random.default_rng(77)
+    doc = {"theta1": random_inner(rng, 2, max_abs=0.5).to_json(),
+           "theta2": random_inner(rng, 2, max_abs=0.5).to_json(),
+           "symbol": random_symbol(rng, 2).to_json(), "trunc_order": 32}
+    doc.update(extra)
+    return doc
+
+
+def test_recover_hankel_without_j_symmetry(tmp_path, capsys):
+    path = _write(tmp_path, _random_inner_doc(family="hankel"))
+    code, out, _ = _run(["recover", "--scenario", path], capsys)
+    assert code == 0
+    checks = {rec["name"]: rec for rec in json.loads(out)["checks"]}
+    assert checks["H1"]["verdict"] == "accept"
+    assert checks["rebuild-hankel"]["verdict"] == "accept"
+
+
+@pytest.mark.parametrize("family", ["toeplitz", "hankel"])
+def test_recovered_symbol_builds_the_same_operator(tmp_path, capsys, family):
+    doc = _random_inner_doc(family=family)
+    code, out, _ = _run(["recover", "--scenario", _write(tmp_path, doc)], capsys)
+    assert code == 0
+    symbol = json.loads(out)["details"]["symbol"]
+    # a finite polynomial: nothing dropped, and its JSON reads back to itself
+    assert symbol["tail_bound"] == 0.0
+    assert Laurent.from_json(symbol).to_json() == symbol
+
+    def built(doc):
+        code, out, _ = _run(["build", "--scenario", _write(tmp_path, doc)], capsys)
+        assert code == 0
+        rows = json.loads(out)["details"]["operator"]["matrix"]
+        return np.array([[complex(*p) for p in row] for row in rows])
+
+    original = built(doc)
+    assert np.max(np.abs(built(dict(doc, symbol=symbol)) - original)) <= 1e-12
 
 
 def test_space_describes_basis(tmp_path, capsys):

@@ -76,6 +76,35 @@ def test_crofoot_identity_samples_no_circle(monkeypatch):
     assert calls["laurent.evaluate_many"] == 0
 
 
+def test_hankel_recovery_is_one_solve(monkeypatch):
+    # one min-norm solve on the window bases: no tilde space, no conjugation
+    # maps, no circle samples; the only product is the rebuild's
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import tracing
+    from matholab import ModelSpace, build_matho, operators
+    from matholab.sampling import random_symbol, random_symmetric_inner
+
+    rng = np.random.default_rng(5)
+    s1 = ModelSpace.from_product(random_symmetric_inner(rng, 3, max_abs=0.6)[0], 32)
+    s2 = ModelSpace.from_product(random_symmetric_inner(rng, 3, max_abs=0.6)[0], 32)
+    op = build_matho(s1, s2, random_symbol(rng, 3))
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        tracer.request = 0
+        _, gap = operators.recover_symbol(op, "hankel")
+    finally:
+        tracer.uninstall()
+    assert gap <= 1e-8 * (1.0 + np.linalg.norm(op.matrix))
+    calls = Counter(tracer.names[i] for i in tracer.span_name)
+    assert calls["operators.recover_symbol"] == 1
+    assert calls["modelspace.from_product"] == 0
+    assert calls["conjugations.maps"] == 0
+    assert calls["laurent.evaluate_many"] == 0
+    assert calls["operators.build"] == 1
+    assert calls["laurent.mul"] == 1
+
+
 def test_benchmark_scenario_cycle_is_sound(monkeypatch):
     # the benchmark scores each report's verdicts and the kernel details
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
