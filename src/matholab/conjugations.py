@@ -4,7 +4,8 @@ A conjugation J x = U conj(x) is fixed by a unitary symmetric matrix U.
 From it we build the coefficientwise lift Jstar, the unitary transform
 tau_Theta f = conj(z) Thetatilde(z) f(conj(z)), and the pointwise
 conjugation C_Theta f = Theta(z) conj(z) J(f(z)), which agrees with
-Jstar tau_Theta exactly when Theta is J-symmetric.
+Jstar tau_Theta exactly when Theta is J-symmetric (``realization_jsymmetry_defect``
+decides that exactly; ``jsymmetry_defect`` samples any series on the circle).
 
 The Crofoot map between K_Theta and K_{Theta^W} is the identity in state
 coordinates (``blaschke.crofoot_realization``), which is how model-space
@@ -24,7 +25,7 @@ from .laurent import Laurent, evaluate_many, refit_on_circle
 __all__ = [
     "Conjugation", "CrofootData", "jstar", "tau", "CTheta",
     "crofoot_map", "sandwich_pointwise", "sandwich_reflected",
-    "jsymmetry_defect",
+    "jsymmetry_defect", "realization_jsymmetry_defect",
 ]
 
 _SYM_TOL = 1e-12
@@ -118,6 +119,20 @@ def jsymmetry_defect(theta_series, conj_j, n_samples=64):
     uj = conj_j.U
     sym = uj[None] @ np.conj(vals) @ np.conj(uj)[None]
     gap = sym - np.conj(np.transpose(vals, (0, 2, 1)))
+    return float(np.linalg.norm(gap, axis=(1, 2)).max())
+
+
+def realization_jsymmetry_defect(realization, conj_j):
+    """max over k <= 2n of norm(U conj(t_k) conj(U) - t_k^*), with t_0 = D and
+    t_k = C A^(k-1) B for an n-state realization (A, B, C, D). The two sides'
+    difference has a 2n-state realization, so by Cayley-Hamilton these first
+    2n + 1 coefficients vanish only if all do: the defect is exact."""
+    a_mat, b_mat, c_mat, d_mat = realization
+    t, step = [d_mat], b_mat
+    for _ in range(2 * len(a_mat)):
+        t, step = t + [c_mat @ step], a_mat @ step
+    t = np.stack(t)
+    gap = conj_j.U @ np.conj(t) @ np.conj(conj_j.U) - np.conj(np.transpose(t, (0, 2, 1)))
     return float(np.linalg.norm(gap, axis=(1, 2)).max())
 
 

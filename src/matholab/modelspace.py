@@ -52,9 +52,11 @@ class ModelSpace:
     d x n matrices (``basis``), on the space's window, together with one
     certified tail per basis function (``tails``). Coordinates, operator
     matrices and maps between spaces are then single products against B.
+    The checked colligation (A, B, C, D) it was read from is ``realization``.
     """
 
-    def __init__(self, theta_series, coeffs, tails, theta=None):
+    def __init__(self, realization, theta_series, coeffs, tails, theta=None):
+        self.realization = realization
         self.theta = theta
         self.theta_series = theta_series
         self.dim = theta_series.dim
@@ -83,7 +85,7 @@ class ModelSpace:
             # a constant (unitary) Theta lands here too: norm(Theta(0)) = 1
             raise ValueError(f"Theta is not pure (norm(Theta(0)) = {report.theta0_norm:.6f})")
         basis, tails, series = state_window(realization, order)
-        return cls(series, basis, tails, theta=theta)
+        return cls(realization, series, basis, tails, theta=theta)
 
     @classmethod
     def from_product(cls, theta, order=64):
@@ -207,6 +209,8 @@ class ModelSpace:
     # -- reporting -----------------------------------------------------------
 
     def describe(self):
+        """A JSON-ready report whose size does not grow with the window. The basis is
+        exactly ``state_window(realization, trunc_order)[0] @ loewdin``; ``tails`` bound it."""
         return {
             "dim": self.dim,
             "dim_K": self.dim_K,
@@ -216,7 +220,9 @@ class ModelSpace:
             "S": matrix_to_json(self.S),
             "D": matrix_to_json(self.D),
             "D_tilde": matrix_to_json(self.D_tilde),
-            "basis": [b.to_json() for b in self.basis_functions()],
+            "realization": dict(zip("ABCD", map(matrix_to_json, self.realization))),
+            "loewdin": matrix_to_json(self.loewdin),
+            "tails": self.tails.tolist(),
         }
 
 

@@ -32,7 +32,8 @@ import numpy as np
 
 from .blaschke import crofoot_realization
 from .conjugations import (CTheta, Conjugation, CrofootData, jstar, jsymmetry_defect,
-                           sandwich_pointwise, sandwich_reflected, tau)
+                           realization_jsymmetry_defect, sandwich_pointwise,
+                           sandwich_reflected, tau)
 from .jsonio import matrix_to_json
 from .kernelclass import KernelClass
 from .laurent import Laurent, evaluate_many
@@ -377,8 +378,11 @@ class TransformInputs:
         return self._cache[key]
 
     def jsym_gaps(self):
-        return (jsymmetry_defect(self.space("1").theta_series, self.conj1),
-                jsymmetry_defect(self.space("2").theta_series, self.conj2))
+        """The exact J-symmetry defects of theta1 and theta2, computed once."""
+        if "jsym" not in self._cache:
+            self._cache["jsym"] = tuple(realization_jsymmetry_defect(self.space(k).realization, c)
+                                        for k, c in (("1", self.conj1), ("2", self.conj2)))
+        return self._cache["jsym"]
 
 
 # Each _verify_* returns the two sides (lhs, rhs) of its identity as matrices;

@@ -275,5 +275,17 @@ def describe(space):
         "S": matrix_to_json(space.S),
         "D": matrix_to_json(space.D),
         "D_tilde": matrix_to_json(space.D_tilde),
-        "basis": [laurent_to_json(b) for b in space.basis_functions()],
+        "realization": {k: matrix_to_json(m) for k, m in zip("ABCD", space.realization)},
+        "loewdin": matrix_to_json(space.loewdin),
+        "tails": [float(t) for t in space.tails],
     }
+
+
+# -- sampled J-symmetry defect ----------------------------------------------------
+
+def jsymmetry_defect(series, conj_j, n=64):
+    """max over n roots of unity of norm(J Theta(z) J - Theta(z)^*), from a
+    direct power sum: the reference for the exact coefficient check."""
+    vals = sample_series(series, n)
+    sym = conj_j.U[None] @ np.conj(vals) @ np.conj(conj_j.U)[None]
+    return float(np.linalg.norm(sym - np.conj(np.transpose(vals, (0, 2, 1))), axis=(1, 2)).max())

@@ -1,6 +1,7 @@
 """Scenario runner: exit codes, report schema, determinism."""
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -176,6 +177,37 @@ def test_space_describes_basis(tmp_path, capsys):
     assert code == 0
     report = json.loads(out)
     assert report["details"]["theta1"]["dim_K"] == 3
+
+
+def test_space_report_does_not_grow_with_the_window(tmp_path, capsys):
+    # the report carries each space's realization, not its window basis
+    rng = np.random.default_rng(12)
+    doc = {"theta1": random_inner(rng, 3, n_factors=2, max_abs=0.9).to_json(),
+           "theta2": random_inner(rng, 3, n_factors=2, max_abs=0.9).to_json()}
+    path = _write(tmp_path, doc)
+
+    def report(window):
+        code, out, _ = _run(["space", "--scenario", path, "--trunc-order", str(window)], capsys)
+        assert code == 0
+        return out
+
+    first, second = report(64), report(64)
+    assert len(first.encode()) <= 24_000
+    untimed = [re.sub(r'"wall_time_s": [-+.e0-9]+', "", text) for text in (first, second)]
+    assert untimed[0] == untimed[1] and '"wall_time_s"' not in untimed[0]
+
+    def shapes(details):
+        # the shape of every array in the details, by theta and field
+        out = {}
+        for key, space in details.items():
+            arrays = dict(space, **{f"realization.{k}": v
+                                    for k, v in space["realization"].items()})
+            out.update({(key, f): np.shape(v) for f, v in arrays.items() if isinstance(v, list)})
+        return out
+
+    small, large = (json.loads(text)["details"] for text in (report(16), first))
+    assert shapes(small) == shapes(large) and len(shapes(large)) == 18
+    assert small["theta1"]["realization"] == large["theta1"]["realization"]
 
 
 def test_text_format(tmp_path, capsys):

@@ -1,7 +1,10 @@
 """Model space bases, projections, kernels, shifts, defects."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from matholab import (
     Conjugation,
@@ -15,6 +18,8 @@ from matholab import (
     random_modifier,
     scalar_blaschke,
 )
+from matholab.blaschke import state_window
+from matholab.jsonio import matrix_from_json
 from matholab.sampling import random_inner
 
 import oracle
@@ -201,14 +206,30 @@ def test_coords_roundtrip():
 
 
 def test_describe_is_json_ready():
-    import json
-
     space, _ = _space(14)
     doc = space.describe()
     text = json.dumps(doc)
     assert '"dim_K"' in text
-    for key in ("dim", "trunc_order", "defect_dim", "defect_dim_tilde", "S", "basis"):
+    for key in ("dim", "trunc_order", "defect_dim", "defect_dim_tilde", "S",
+                "realization", "loewdin", "tails"):
         assert key in doc
+
+
+@example(dim=3, n_factors=4, max_abs=0.9, order=8, seed=0)
+@given(dim=st.integers(1, 3), n_factors=st.integers(1, 4), max_abs=st.floats(0.0, 0.9),
+       order=st.integers(8, 64), seed=st.integers(0, 2 ** 32 - 1))
+def test_describe_rebuilds_the_basis(dim, n_factors, max_abs, order, seed):
+    # the report carries the realization and the Loewdin matrix instead of the
+    # window: the basis is state_window(realization, trunc_order)[0] @ loewdin
+    theta = random_inner(np.random.default_rng(seed), dim, n_factors=n_factors, max_abs=max_abs)
+    space = ModelSpace.from_product(theta, order)
+    doc = json.loads(json.dumps(space.describe()))
+    realization = [matrix_from_json(doc["realization"][k], k) for k in "ABCD"]
+    loewdin = matrix_from_json(doc["loewdin"], "loewdin")
+    basis = state_window(realization, doc["trunc_order"])[0] @ loewdin
+    for i, b in enumerate(space.basis_functions()):
+        assert np.max(np.abs(basis[:, :, i] - b.coeffs)) <= 1e-13
+    assert doc["tails"] == space.tails.tolist()
 
 
 def test_purity_required():

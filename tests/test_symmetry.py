@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from matholab import (
     Conjugation,
@@ -18,8 +19,9 @@ from matholab import (
     tau,
 )
 from matholab.blaschke import state_window
+from matholab.conjugations import realization_jsymmetry_defect
 from matholab.laurent import Laurent
-from matholab.operators import TransformInputs
+from matholab.operators import _JSYM_TOL, TransformInputs
 from matholab.sampling import random_inner, random_symmetric_inner, random_unitary
 
 import oracle
@@ -120,6 +122,24 @@ def test_jsymmetry_defect_detects_asymmetry():
     assert jsymmetry_defect(theta.laurent(64), conj) < 1e-9
     plain = random_inner(rng, 2)
     assert jsymmetry_defect(plain.laurent(64), Conjugation.identity(2)) > 1e-3
+
+
+@settings(max_examples=60)
+@example(symmetric=True, dim=3, n_factors=4, max_abs=0.9, seed=0)
+@example(symmetric=False, dim=3, n_factors=4, max_abs=0.9, seed=0)
+@given(symmetric=st.booleans(), dim=st.integers(1, 3), n_factors=st.integers(1, 4),
+       max_abs=st.floats(0.0, 0.9), seed=st.integers(0, 2 ** 32 - 1))
+def test_exact_jsymmetry_gate_matches_sampled_reference(symmetric, dim, n_factors, max_abs, seed):
+    # the coefficient check over t_0 .. t_2n against the 64-node sampled defect
+    rng = np.random.default_rng(seed)
+    theta, conj = random_symmetric_inner(rng, dim, n_poles=n_factors, max_abs=max_abs)
+    if not symmetric:
+        theta = random_inner(rng, dim, n_factors=n_factors, max_abs=max_abs)
+    exact = realization_jsymmetry_defect(theta.realization(), conj)
+    reference = oracle.jsymmetry_defect(theta.laurent(64), conj)
+    if symmetric:
+        assert exact <= 1e-13
+    assert (exact > _JSYM_TOL) == (reference > _JSYM_TOL)
 
 
 def test_crofoot_map_is_unitary_with_inverse():
