@@ -5,7 +5,8 @@ From it we build the coefficientwise lift Jstar, the unitary transform
 tau_Theta f = conj(z) Thetatilde(z) f(conj(z)), and the pointwise
 conjugation C_Theta f = Theta(z) conj(z) J(f(z)), which agrees with
 Jstar tau_Theta exactly when Theta is J-symmetric (``realization_jsymmetry_defect``
-decides that exactly; ``jsymmetry_defect`` samples any series on the circle).
+sums a realization's coefficient gaps, which vanish exactly when it is;
+``jsymmetry_defect`` samples any series on the circle).
 
 The Crofoot map between K_Theta and K_{Theta^W} is the identity in state
 coordinates (``blaschke.crofoot_realization``), which is how model-space
@@ -122,18 +123,19 @@ def jsymmetry_defect(theta_series, conj_j, n_samples=64):
     return float(np.linalg.norm(gap, axis=(1, 2)).max())
 
 
-def realization_jsymmetry_defect(realization, conj_j):
-    """max over k <= 2n of norm(U conj(t_k) conj(U) - t_k^*), with t_0 = D and
-    t_k = C A^(k-1) B for an n-state realization (A, B, C, D). The two sides'
-    difference has a 2n-state realization, so by Cayley-Hamilton these first
-    2n + 1 coefficients vanish only if all do: the defect is exact."""
-    a_mat, b_mat, c_mat, d_mat = realization
-    t, step = [d_mat], b_mat
-    for _ in range(2 * len(a_mat)):
-        t, step = t + [c_mat @ step], a_mat @ step
+def realization_jsymmetry_defect(realization, window, conj_j):
+    """sum over k <= max(M, 2n) of norm(U conj(t_k) conj(U) - t_k^*): t_0 .. t_M
+    from the order-M ``window`` of the n-state realization (A, B, C, D), then
+    t_k = C A^(k-1) B. The sum bounds the window's gap everywhere on the circle,
+    so it is at least ``jsymmetry_defect`` at any nodes; and the gap has a 2n-state
+    realization, so by Cayley-Hamilton the sum is 0 only if Theta is J-symmetric."""
+    a_mat, b_mat, c_mat, _ = realization
+    t = list(window.coeffs[window.order:])
+    while len(t) <= 2 * len(a_mat):
+        t.append(c_mat @ np.linalg.matrix_power(a_mat, len(t) - 1) @ b_mat)
     t = np.stack(t)
     gap = conj_j.U @ np.conj(t) @ np.conj(conj_j.U) - np.conj(np.transpose(t, (0, 2, 1)))
-    return float(np.linalg.norm(gap, axis=(1, 2)).max())
+    return float(np.linalg.norm(gap, axis=(1, 2)).sum())
 
 
 class CrofootData:

@@ -378,11 +378,9 @@ class TransformInputs:
         return self._cache[key]
 
     def jsym_gaps(self):
-        """The exact J-symmetry defects of theta1 and theta2, computed once."""
-        if "jsym" not in self._cache:
-            self._cache["jsym"] = tuple(realization_jsymmetry_defect(self.space(k).realization, c)
-                                        for k, c in (("1", self.conj1), ("2", self.conj2)))
-        return self._cache["jsym"]
+        """J-symmetry defects of theta1 and theta2 (``realization_jsymmetry_defect``)."""
+        return tuple(realization_jsymmetry_defect(s.realization, s.theta_series, c)
+                     for s, c in ((self.space("1"), self.conj1), (self.space("2"), self.conj2)))
 
 
 # Each _verify_* returns the two sides (lhs, rhs) of its identity as matrices;

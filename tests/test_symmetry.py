@@ -125,21 +125,48 @@ def test_jsymmetry_defect_detects_asymmetry():
 
 
 @settings(max_examples=60)
-@example(symmetric=True, dim=3, n_factors=4, max_abs=0.9, seed=0)
-@example(symmetric=False, dim=3, n_factors=4, max_abs=0.9, seed=0)
+@example(symmetric=True, dim=3, n_factors=4, max_abs=0.9, order=8, seed=0)
+@example(symmetric=False, dim=3, n_factors=4, max_abs=0.9, order=64, seed=0)
 @given(symmetric=st.booleans(), dim=st.integers(1, 3), n_factors=st.integers(1, 4),
-       max_abs=st.floats(0.0, 0.9), seed=st.integers(0, 2 ** 32 - 1))
-def test_exact_jsymmetry_gate_matches_sampled_reference(symmetric, dim, n_factors, max_abs, seed):
-    # the coefficient check over t_0 .. t_2n against the 64-node sampled defect
+       max_abs=st.floats(0.0, 0.9), order=st.integers(8, 64), seed=st.integers(0, 2 ** 32 - 1))
+def test_coefficient_jsymmetry_gate_matches_sampled_reference(symmetric, dim, n_factors,
+                                                              max_abs, order, seed):
+    # the coefficient sum over t_0 .. t_max(M, 2n) against the 64-node sampled defect
     rng = np.random.default_rng(seed)
     theta, conj = random_symmetric_inner(rng, dim, n_poles=n_factors, max_abs=max_abs)
     if not symmetric:
         theta = random_inner(rng, dim, n_factors=n_factors, max_abs=max_abs)
-    exact = realization_jsymmetry_defect(theta.realization(), conj)
-    reference = oracle.jsymmetry_defect(theta.laurent(64), conj)
+    window = theta.laurent(order)
+    exact = realization_jsymmetry_defect(theta.realization(), window, conj)
+    reference = oracle.jsymmetry_defect(window, conj)
     if symmetric:
         assert exact <= 1e-13
     assert (exact > _JSYM_TOL) == (reference > _JSYM_TOL)
+
+
+@settings(max_examples=60)
+@example(dim=3, n_factors=4, max_abs=0.9, order=8, log_eps=-8.0, seed=0)
+@given(dim=st.integers(2, 3), n_factors=st.integers(1, 4), max_abs=st.floats(0.0, 0.9),
+       order=st.integers(8, 64), log_eps=st.floats(-10.0, -6.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_coefficient_jsymmetry_gate_bounds_sampled_defect_near_tolerance(
+        dim, n_factors, max_abs, order, log_eps, seed):
+    # Theta V, with V = exp(i eps H) a constant unitary, is inner and misses
+    # J-symmetry by O(eps); eps spans the gate's tolerance. The coefficient sum is
+    # never below the sampled defect, so the gate admits no theta that sampling
+    # the same window rejects.
+    rng = np.random.default_rng(seed)
+    theta, conj = random_symmetric_inner(rng, dim, n_poles=n_factors, max_abs=max_abs)
+    h = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    w, q = np.linalg.eigh(h + h.conj().T)
+    v = (q * np.exp(1j * 10 ** log_eps * w / np.abs(w).max())) @ q.conj().T
+    a_mat, b_mat, c_mat, d_mat = theta.realization()
+    window = theta.laurent(order)
+    window = Laurent(window.coeffs @ v, window.order, window.tail_bound)
+    exact = realization_jsymmetry_defect((a_mat, b_mat @ v, c_mat, d_mat @ v), window, conj)
+    reference = oracle.jsymmetry_defect(window, conj)
+    assert exact >= reference - 1e-14
+    assert exact > _JSYM_TOL or reference <= _JSYM_TOL
 
 
 def test_crofoot_map_is_unitary_with_inverse():
