@@ -3,12 +3,12 @@
 kernel_test classifies a symbol against the kernel of the compression in
 two independent ways: the symbol's distance to the kernel class, and the
 norm of the actually-built operator. "agreement: confirmed" means both
-ways said the same thing. The class is factored once per space pair and
-family (operators.KernelClass); for toeplitz it splits into an analytic
-block shared by all columns and a co-analytic block shared by all rows,
-which meet only in the constant coefficient. Every query after the first
-on a pair reuses that factorization, so the eight queries below factor
-only two classes.
+ways said the same thing. The class is the kernel of the linear map from
+symbol coefficients to the built matrix, the map recover_symbol solves
+on; no conjugation enters, so the hankel queries below would give the
+same answers without conj. The map is factored by one SVD per space pair
+and family, and every query after the first on a pair reuses it, so the
+eight queries below factor it only twice.
 """
 
 import numpy as np

@@ -321,8 +321,7 @@ def _cmd_recover(sc):
 def _cmd_kernel(sc):
     family = sc.params["family"]
     sp1, sp2 = _spaces(sc)
-    result = kernel_test(sc.symbol, sp1, sp2, family, sc.conj1, sc.conj2,
-                         threshold=sc.tolerance)
+    result = kernel_test(sc.symbol, sp1, sp2, family, threshold=sc.tolerance)
     return [kernel_check(sc.symbol, result, sc.tolerance)], result
 
 

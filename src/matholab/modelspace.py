@@ -67,8 +67,9 @@ class ModelSpace:
         self.basis = Laurent(coeffs, self.order, float(np.linalg.norm(self.tails)))
         self.theta0 = theta_series.coeff(0)
         self._build_shift_structure()
-        # operators.kernel_test's factored kernel classes with this space as
-        # codomain, keyed by the domain space; they die with either space
+        # operators.kernel_test's kernel classes (one SVD of the symbol map
+        # each) with this space as codomain, keyed by the domain space, then
+        # by family; they die with either space
         self.kernel_classes = weakref.WeakKeyDictionary()
 
     # -- construction ------------------------------------------------------

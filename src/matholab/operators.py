@@ -35,14 +35,13 @@ from .conjugations import (CTheta, Conjugation, CrofootData, jstar, jsymmetry_de
                            realization_jsymmetry_defect, sandwich_pointwise,
                            sandwich_reflected, tau)
 from .jsonio import matrix_to_json
-from .kernelclass import KernelClass
 from .laurent import Laurent, evaluate_many
-from .modelspace import ModelSpace
+from .modelspace import _RANK_TOL, ModelSpace
 
 __all__ = [
     "Check", "ModelOperator", "build_matto", "build_matho",
     "displacement_check", "shift_invariance_check", "recover_symbol",
-    "KernelClass", "kernel_test", "kernel_check", "TransformInputs", "verify_transform",
+    "kernel_test", "kernel_check", "TransformInputs", "verify_transform",
     "DISPLACEMENT_KINDS", "INVARIANCE_KINDS", "REGISTRY_NAMES", "SYMBOL_FREE_IDENTITIES",
 ]
 
@@ -210,16 +209,19 @@ def _symbol_map(space1, space2, family, reach):
 
     Both families pair the analytic windows c^j of space1 and c^i of space2,
     one einsum per lag. Toeplitz, lags -reach..reach: <z^k E b_j, b_i> =
-    sum_m conj(c^i_m)^T E c^j_{m-k} over the slots both windows hold.
+    sum_m conj(c^i_m)^T E c^j_{m-k} over the slots m both windows hold
+    (none past either window, where the column is zero).
     Hankel, lags -reach..-1: lag -s gives sum_{p+q=s-1} conj(c^i_p)^T E c^j_q.
     """
     c1 = space1.basis.coeffs[space1.order:]
     c2 = space2.basis.coeffs[space2.order:].conj()
     m1, m2 = space1.order, space2.order
     if family == "toeplitz":
-        lags = range(-reach, reach + 1)
-        pairs = [(c2[max(k, 0):min(m2, m1 + k) + 1], c1[max(-k, 0):min(m2 - k, m1) + 1])
-                 for k in lags]
+        lags, pairs = range(-reach, reach + 1), []
+        for k in lags:
+            lo = max(k, 0)
+            hi = max(lo, min(m2, m1 + k) + 1)
+            pairs.append((c2[lo:hi], c1[lo - k:hi - k]))
     else:
         lags = range(-reach, 0)
         pairs = [(c2[max(0, -k - 1 - m1):min(-k, m2 + 1)],
@@ -260,36 +262,41 @@ def recover_symbol(op, family, threshold=1e-8):
 
 # -- symbol kernel test ------------------------------------------------------
 
-def _kernel_class(space1, space2, family, conj1, conj2):
-    """The KernelClass of these inputs, built on first use and kept on space2."""
-    classes = space2.kernel_classes.setdefault(space1, {})
-    key = (family, conj1.U.tobytes(), conj2.U.tobytes())
-    if key not in classes:
-        classes[key] = KernelClass(space1, space2, family, conj1, conj2)
-    return classes[key]
-
-
 def kernel_test(symbol, space1, space2, family, conj1=None, conj2=None, threshold=1e-8):
     """Is Phi in the kernel class (symbols building the zero operator)?
 
-    Toeplitz class: Theta2 H^2 + (Theta1 H^2)^*. Hankel class (with the
-    conjugations composed as maps): analytic symbols twisted by constant
-    unitaries, plus the reflected sandwiches of Theta2~ z^k E Theta1.
-    The symbol's distance to the class (see KernelClass, factored once per
-    space pair, family and conjugations, and kept for as long as both spaces
-    live) decides the verdict, and the verdict is always cross-checked
-    against the directly built operator; for the hankel family the class is
-    only known to be contained in the kernel, so a zero operator outside the
-    span is reported as "class-gap" rather than an error.
+    The class is ker M for the linear map M: Phi -> built matrix
+    (``_symbol_map``) over every lag the windows reach, so the symbol's
+    distance to it is |M^+ M Phi| = |M^+ a|: the norm of the minimum-norm
+    symbol with the same build a. For toeplitz that class is Sarason's
+    Theta2 H^2 + (Theta1 H^2)^* on the window. One SVD of M per space
+    pair and family, cut at _RANK_TOL * s_0 and kept on space2 for as
+    long as both spaces live, leaves each query one build and one small
+    product |W^* vec(a)| with W = U_r / s_r. No J-symmetry enters: conj1
+    and conj2 are accepted and ignored. The class distance decides the
+    verdict, and the verdict is always cross-checked against the norm of
+    the built operator; a zero operator at a class distance above the
+    threshold is reported as "class-gap" rather than an error.
     """
     _check_symbol(symbol, space1, space2)
-    conj1 = conj1 if conj1 is not None else Conjugation.identity(space1.dim)
-    conj2 = conj2 if conj2 is not None else Conjugation.identity(space1.dim)
-    distance = _kernel_class(space1, space2, family, conj1, conj2).distance(symbol)
-    in_kernel = _passes(distance, threshold, symbol.norm())
-
+    if family not in ("toeplitz", "hankel"):
+        raise ValueError(f"unknown kernel family {family!r}")
+    order = max(space1.order, space2.order)
+    lo, hi = symbol.support()
+    if lo < -order or hi > order:
+        raise ValueError(f"symbol support [{lo}, {hi}] exceeds the window [{-order}, {order}]")
+    classes = space2.kernel_classes.setdefault(space1, {})
+    if family not in classes:
+        reach = order if family == "toeplitz" else space1.order + space2.order + 1
+        u, s, _ = np.linalg.svd(_symbol_map(space1, space2, family, reach)[1],
+                                full_matrices=False)
+        keep = s > _RANK_TOL * s.max(initial=0.0)
+        classes[family] = (u[:, keep] / s[keep]).conj().T
     build = build_matto if family == "toeplitz" else build_matho
-    op_norm = float(np.linalg.norm(build(space1, space2, symbol).matrix))
+    built = build(space1, space2, symbol).matrix.ravel()
+    distance = float(np.linalg.norm(classes[family] @ built))
+    in_kernel = _passes(distance, threshold, symbol.norm())
+    op_norm = float(np.linalg.norm(built))
     is_zero = _passes(op_norm, 1e-10, symbol.norm())
     if in_kernel == is_zero:
         agreement = "confirmed"
@@ -305,16 +312,16 @@ def kernel_test(symbol, space1, space2, family, conj1=None, conj2=None, threshol
 
 
 _AGREEMENT_REASONS = {
-    "confirmed": "confirmed: the span distance and the built operator agree",
-    "conflict": "conflict: in the generator span, but the built operator is not zero",
-    "class-gap": "class-gap: the built operator is zero, but the symbol is outside the span",
+    "confirmed": "confirmed: the class distance and the built operator agree",
+    "conflict": "conflict: in the class by distance, but the built operator is not zero",
+    "class-gap": "class-gap: the built operator is zero, but the class distance is over threshold",
 }
 
 
 def kernel_check(symbol, result, threshold):
     """A kernel_test result as a record: accepted iff its agreement is confirmed.
 
-    The residual is the span distance, judged inside kernel_test against
+    The residual is the class distance, judged inside kernel_test against
     threshold * (1 + |symbol|); the record's verdict is the cross-check,
     so a conflict or class-gap rejects whatever the distance says.
     """

@@ -4,15 +4,14 @@ The circle-quadrature helpers work on boundary values sampled at N roots of
 unity plus discrete Fourier projections. None of them touches the package's
 coefficient arithmetic (series are only unpacked into raw coefficient
 arrays), so when the two paths agree the agreement means something. The
-dense kernel-class reference, the symbol-map reference and the
-shift-invariance predicates at the end are the exceptions (see there), and
-so are the per-element JSON encoders, which read the package's objects.
+symbol-map and kernel-class references and the shift-invariance predicates
+at the end are the exceptions (see there), and so are the per-element JSON
+encoders, which read the package's objects.
 """
 
 import numpy as np
 
 from matholab.conjugations import sandwich_pointwise
-from matholab.kernelclass import _effective_reach
 from matholab.laurent import Laurent
 from matholab.operators import _complement_basis, build_matho, build_matto
 
@@ -144,19 +143,65 @@ def product_basis(theta, order):
     return theta.left_unitary @ basis(theta.factors)
 
 
-# -- dense kernel-class reference ----------------------------------------------
-# The explicit generator list and one dense least-squares solve: the reference
-# that operators.KernelClass must reproduce. Unlike the circle-quadrature
-# helpers above, it builds its generators with the package's series products,
-# and the symbol-map reference after it uses the package's operator builds.
+# -- symbol-map and kernel-class references -----------------------------------
+# The symbol map from the package's builds of every unit symbol, and the
+# kernel class as its nullspace through one dense least-squares solve: the
+# reference that operators.kernel_test must reproduce. The explicit generator
+# list of the J-symmetric class is a second, independent reference on exact
+# windows; it builds its generators with the package's series products.
+
+# the package's rank cut, relative to the top singular value
+RANK_CUT = 1e-8
+
 
 def _matrix_units(dim):
     eye = np.eye(dim)
     return [np.outer(eye[:, i], eye[:, j]) for i in range(dim) for j in range(dim)]
 
 
+def symbol_map(space1, space2, family, reach):
+    """Reference for operators._symbol_map: (lags, M) with column (k, a, b) the
+    flattened build_matto/build_matho matrix of the unit symbol E_ab z^k."""
+    build = build_matto if family == "toeplitz" else build_matho
+    lags = list(range(-reach, reach + 1) if family == "toeplitz" else range(-reach, 0))
+    cols = [build(space1, space2, Laurent.monomial(k, e)).matrix.ravel()
+            for k in lags for e in _matrix_units(space1.dim)]
+    return lags, np.stack(cols, axis=1)
+
+
+def full_reach(space1, space2, family):
+    """The largest lag at which a unit symbol still builds a nonzero matrix."""
+    m1, m2 = space1.order, space2.order
+    return max(m1, m2) if family == "toeplitz" else m1 + m2 + 1
+
+
+def map_kernel_distance(symbol, lags, mat):
+    """Distance of the symbol's coefficients on lags to ker M: the norm of the
+    minimum-norm solution of M x = M phi, with M's rank cut at RANK_CUT."""
+    phi = np.concatenate([symbol.coeff(k).ravel() for k in lags])
+    return float(np.linalg.norm(np.linalg.lstsq(mat, mat @ phi, rcond=RANK_CUT)[0]))
+
+
+def map_nullspace(mat):
+    """Orthonormal basis (columns) of ker M, M's rank cut at RANK_CUT."""
+    _, s, vh = np.linalg.svd(mat)
+    return vh[int(np.sum(s > RANK_CUT * s.max(initial=0.0))):].conj().T
+
+
+def _effective_reach(series, rel=1e-12):
+    """(most negative, most positive) index with non-negligible coefficient."""
+    norms = np.linalg.norm(series.coeffs.reshape(series.coeffs.shape[0], -1), axis=1)
+    top = norms.max()
+    if top == 0.0:
+        return 0, 0
+    idx = np.nonzero(norms > rel * top)[0]
+    return int(idx.min() - series.order), int(idx.max() - series.order)
+
+
 def kernel_generators(space1, space2, family, conj1, conj2):
-    """The kernel class's generators, each a series on the pair's window."""
+    """The J-symmetric kernel class's generators, each a series on the pair's
+    window: Theta2 z^k E and (Theta1 z^k E)^* (toeplitz), z^k U2 E^T conj(U1)
+    and J2 (Theta2~ z^k E Theta1) J1 (hankel), for the k the window holds."""
     order = max(space1.order, space2.order)
     t1, t2 = space1.theta_series, space2.theta_series
     d1, d2 = _effective_reach(t1)[1], _effective_reach(t2)[1]
@@ -188,16 +233,6 @@ def dense_kernel_distance(symbol, space1, space2, family, conj1, conj2):
     stack = np.stack([g.coeffs.ravel() for g in gens], axis=1)
     fit = stack @ np.linalg.lstsq(stack, target, rcond=None)[0]
     return float(np.linalg.norm(target - fit))
-
-
-def symbol_map(space1, space2, family, reach):
-    """Reference for operators._symbol_map: (lags, M) with column (k, a, b) the
-    flattened build_matto/build_matho matrix of the unit symbol E_ab z^k."""
-    build = build_matto if family == "toeplitz" else build_matho
-    lags = list(range(-reach, reach + 1) if family == "toeplitz" else range(-reach, 0))
-    cols = [build(space1, space2, Laurent.monomial(k, e)).matrix.ravel()
-            for k in lags for e in _matrix_units(space1.dim)]
-    return lags, np.stack(cols, axis=1)
 
 
 # -- shift-invariance predicates in the paper's form ----------------------------

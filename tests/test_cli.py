@@ -7,8 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from matholab import Laurent, cli
+from matholab import Laurent, ModelSpace, cli
 from matholab.sampling import random_inner, random_symbol
+
+import oracle
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -120,6 +122,25 @@ def test_kernel_flags_non_member(tmp_path, capsys):
     report = json.loads(out)
     assert report["details"]["verdict"] == "not-in-kernel"
     assert report["details"]["agreement"] == "confirmed"
+
+
+def test_kernel_without_j_symmetry(tmp_path, capsys):
+    # random_inner thetas are not J-symmetric; the symbol is drawn from the
+    # exact nullspace of the hankel symbol map on an exact window (poles up
+    # to 0.3, window 48), so its built operator is zero
+    rng = np.random.default_rng(0)
+    theta1, theta2 = random_inner(rng, 2, max_abs=0.3), random_inner(rng, 2, max_abs=0.3)
+    s1, s2 = (ModelSpace.from_product(theta, 48) for theta in (theta1, theta2))
+    lags, mat = oracle.symbol_map(s1, s2, "hankel", 48)
+    null = oracle.map_nullspace(mat)
+    x = null @ rng.standard_normal(null.shape[1])
+    symbol = Laurent.from_coeff_map(dict(zip(lags, x.reshape(-1, 2, 2))), 2)
+    doc = {"theta1": theta1.to_json(), "theta2": theta2.to_json(),
+           "symbol": symbol.to_json(), "trunc_order": 48, "family": "hankel"}
+    code, out, _ = _run(["kernel", "--scenario", _write(tmp_path, doc)], capsys)
+    assert code == 0
+    details = json.loads(out)["details"]
+    assert details["verdict"] == "in-kernel" and details["agreement"] == "confirmed"
 
 
 def test_build_emits_operator(tmp_path, capsys):

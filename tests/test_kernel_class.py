@@ -1,4 +1,5 @@
-"""The factored kernel class against the dense generator-stack oracle, its cache, and edges."""
+"""The kernel test against the dense symbol-map reference, the J-symmetric
+generator span on exact windows, the per-pair cache, and edges."""
 
 import gc
 import itertools
@@ -12,11 +13,11 @@ from hypothesis import given, strategies as st
 from matholab import Conjugation, ModelSpace, diagonal_monomial, operators
 from matholab.blaschke import BlaschkePotapovProduct, PotapovFactor
 from matholab.cli import parse_scenario
-from matholab.kernelclass import _effective_reach
 from matholab.laurent import Laurent
-from matholab.operators import KernelClass, kernel_test
-from matholab.sampling import random_unitary
-from oracle import dense_kernel_distance, kernel_generators
+from matholab.operators import kernel_test
+from matholab.sampling import random_inner, random_unitary
+from oracle import (_effective_reach, dense_kernel_distance, full_reach, kernel_generators,
+                    map_kernel_distance, map_nullspace, symbol_map)
 
 ROOT = Path(__file__).resolve().parent.parent
 THRESHOLD = 1e-8
@@ -55,19 +56,25 @@ def _bumped(rng, member, family):
     return member + Laurent.monomial(slot, bump).with_order(member.order)
 
 
-def _assert_matches_oracle(symbol, s1, s2, family, conj1, conj2):
-    """kernel_test equals the dense oracle: distance to 1e-12 (1 + |Phi|), same verdicts."""
-    res = kernel_test(symbol, s1, s2, family, conj1, conj2)
-    ref = dense_kernel_distance(symbol, s1, s2, family, conj1, conj2)
-    scale = symbol.norm()
-    assert abs(res["distance"] - ref) <= 1e-12 * (1.0 + scale), (res, ref)
-    ref_in = ref <= THRESHOLD * (1.0 + scale)
-    assert res["verdict"] == ("in-kernel" if ref_in else "not-in-kernel")
-    is_zero = res["matrix_norm"] <= 1e-10 * (1.0 + scale)
-    ref_agreement = ("confirmed" if ref_in == is_zero
-                     else "conflict" if ref_in else "class-gap")
-    assert res["agreement"] == ref_agreement
-    return res
+def _reference_map(s1, s2, family):
+    """(lags, M): the unit-symbol-build reference map at full reach."""
+    return symbol_map(s1, s2, family, full_reach(s1, s2, family))
+
+
+def _null_member(rng, s1, s2, family, ref_map):
+    """A random symbol from the exact nullspace of the map, on the pair's window."""
+    order, dim = max(s1.order, s2.order), s1.dim
+    lags, mat = ref_map
+    window = [k for k in lags if k >= -order]
+    null = map_nullspace(mat[:, np.repeat(np.array(lags) >= -order, dim * dim)])
+    x = null @ (rng.standard_normal(null.shape[1]) + 1j * rng.standard_normal(null.shape[1]))
+    phi = Laurent.from_coeff_map(dict(zip(window, x.reshape(-1, dim, dim))), dim)
+    return phi.with_order(order)
+
+
+def _exact(s1, s2):
+    """True when both windows hold their basis functions up to 1e-13."""
+    return max(s1.tails.max(), s2.tails.max()) < 1e-13
 
 
 def _hankel_guarded(symbol, s1, s2):
@@ -76,16 +83,34 @@ def _hankel_guarded(symbol, s1, s2):
     return _effective_reach(symbol)[0] < 0 and max(s1.order, s2.order) < needs
 
 
+def _assert_matches_oracle(symbol, s1, s2, family, ref_map=None, conj1=None, conj2=None):
+    """kernel_test equals the dense map reference: distance to 1e-12 (1 + |Phi|),
+    same verdicts; with conj1 and conj2 (J-symmetric thetas) and an exact
+    window, the distance also equals that to the generator span."""
+    res = kernel_test(symbol, s1, s2, family, conj1, conj2)
+    ref = map_kernel_distance(symbol, *(ref_map or _reference_map(s1, s2, family)))
+    scale = symbol.norm()
+    assert abs(res["distance"] - ref) <= 1e-12 * (1.0 + scale), (res, ref)
+    ref_in = ref <= THRESHOLD * (1.0 + scale)
+    assert res["verdict"] == ("in-kernel" if ref_in else "not-in-kernel")
+    is_zero = res["matrix_norm"] <= 1e-10 * (1.0 + scale)
+    ref_agreement = ("confirmed" if ref_in == is_zero
+                     else "conflict" if ref_in else "class-gap")
+    assert res["agreement"] == ref_agreement
+    if conj1 is not None and _exact(s1, s2) and not (
+            family == "hankel" and _hankel_guarded(symbol, s1, s2)):
+        span = dense_kernel_distance(symbol, s1, s2, family, conj1, conj2)
+        assert abs(res["distance"] - span) <= 1e-12 * (1.0 + scale), (res, span)
+    return res
+
+
 def _check_pair(rng, s1, s2, family, conj1, conj2):
     order, dim = max(s1.order, s2.order), s1.dim
     gens = kernel_generators(s1, s2, family, conj1, conj2)
     member = _member(rng, gens, order, dim)
+    ref_map = _reference_map(s1, s2, family)
     for symbol in (member, _bumped(rng, member, family)):
-        if family == "hankel" and _hankel_guarded(symbol, s1, s2):
-            with pytest.raises(ValueError, match="cannot hold the hankel kernel generators"):
-                kernel_test(symbol, s1, s2, family, conj1, conj2)
-            continue
-        _assert_matches_oracle(symbol, s1, s2, family, conj1, conj2)
+        _assert_matches_oracle(symbol, s1, s2, family, ref_map, conj1, conj2)
 
 
 def _check_random_pair(rng, family, dim, order, modulus):
@@ -135,9 +160,13 @@ def test_benchmark_symbols_match_dense_oracle(monkeypatch):
     stream = workloads.kernel_classify(3, workloads.MEASURED)
     for req in itertools.islice(stream, prefix):
         req.run()
+    ref_maps = {}
     for req in itertools.islice(stream, cycle):
         pair, symbol, family, conj1, conj2 = req.run.args
-        res = _assert_matches_oracle(symbol, *pair["spaces"], family, conj1, conj2)
+        spaces = pair["spaces"]
+        if id(pair) not in ref_maps:
+            ref_maps[id(pair)] = _reference_map(*spaces, family)
+        res = _assert_matches_oracle(symbol, *spaces, family, ref_maps[id(pair)], conj1, conj2)
         assert res["verdict"] == req.expected["class"]
 
     kernel_cells = 0
@@ -148,55 +177,95 @@ def test_benchmark_symbols_match_dense_oracle(monkeypatch):
             continue
         sc = parse_scenario(doc, command)
         spaces = [ModelSpace.from_product(t, sc.trunc_order) for t in (sc.theta1, sc.theta2)]
-        res = _assert_matches_oracle(sc.symbol, *spaces, sc.params["family"], sc.conj1, sc.conj2)
+        conj = Conjugation.identity(sc.theta1.dim)
+        res = _assert_matches_oracle(sc.symbol, *spaces, sc.params["family"], None, conj, conj)
         assert res["verdict"] == req.expected["class"]
         kernel_cells += 1
     assert kernel_cells == 4
 
 
+# -- pairs that are not J-symmetric ---------------------------------------------
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("family", ["toeplitz", "hankel"])
+def test_exact_kernel_members_without_j_symmetry(family, dim):
+    # random_inner thetas are not J-symmetric; poles up to 0.4 make window 40
+    # exact, so no class-gap may occur
+    rng = np.random.default_rng([46, dim])
+    for _ in range(2):
+        s1 = ModelSpace.from_product(random_inner(rng, dim, 2, 0.4), 40)
+        s2 = ModelSpace.from_product(random_inner(rng, dim, 2, 0.4), 40)
+        assert _exact(s1, s2)
+        ref_map = _reference_map(s1, s2, family)
+        member = _null_member(rng, s1, s2, family, ref_map)
+        res = _assert_matches_oracle(member, s1, s2, family, ref_map)
+        assert res["verdict"] == "in-kernel" and res["agreement"] == "confirmed"
+        res = _assert_matches_oracle(_bumped(rng, member, family), s1, s2, family, ref_map)
+        assert res["verdict"] == "not-in-kernel" and res["agreement"] == "confirmed"
+
+
+@pytest.mark.parametrize("order", [8, 64])
+def test_caps_never_confirm_a_wrong_verdict(order):
+    # poles at the 0.9 cap, d = 3 and four factors per theta: the widest
+    # spread of singular values in the documented range
+    rng = np.random.default_rng([47, order])
+    s1 = ModelSpace.from_product(random_inner(rng, 3, 4, 0.8999999), order)
+    s2 = ModelSpace.from_product(random_inner(rng, 3, 4, 0.8999999), order)
+    for family in ("toeplitz", "hankel"):
+        ref_map = _reference_map(s1, s2, family)
+        member = _null_member(rng, s1, s2, family, ref_map)
+        for symbol, truth in ((member, "in-kernel"),
+                              (_bumped(rng, member, family), "not-in-kernel")):
+            res = kernel_test(symbol, s1, s2, family)
+            assert res["agreement"] != "confirmed" or res["verdict"] == truth, res
+
+
 # -- the per-pair cache --------------------------------------------------------
 
 def _counting(monkeypatch):
-    built = []
+    """Record the family of every symbol map kernel_test factors."""
+    factored = []
+    symbol_map = operators._symbol_map
 
-    class Counting(KernelClass):
-        def __init__(self, *args):
-            built.append(args[2])
-            super().__init__(*args)
+    def counting(space1, space2, family, reach):
+        factored.append(family)
+        return symbol_map(space1, space2, family, reach)
 
-    monkeypatch.setattr(operators, "KernelClass", Counting)
-    return built
+    monkeypatch.setattr(operators, "_symbol_map", counting)
+    return factored
 
 
 def test_second_query_on_a_pair_builds_nothing(monkeypatch):
-    built = _counting(monkeypatch)
+    factored = _counting(monkeypatch)
     s1 = ModelSpace.from_product(diagonal_monomial([2, 1]), 16)
     s2 = ModelSpace.from_product(diagonal_monomial([1, 2]), 16)
     first = kernel_test(Laurent.monomial(-2, np.eye(2)), s1, s2, "toeplitz")
     second = kernel_test(Laurent.monomial(0, np.eye(2)), s1, s2, "toeplitz")
-    assert built == ["toeplitz"]
+    assert factored == ["toeplitz"]
     assert first["verdict"] == "in-kernel" and second["verdict"] == "not-in-kernel"
+    kernel_test(Laurent.monomial(-2, np.eye(2)), s1, s2, "hankel")
+    kernel_test(Laurent.monomial(-3, np.eye(2)), s1, s2, "hankel")
+    assert factored == ["toeplitz", "hankel"]
     kernel_test(Laurent.monomial(-2, np.eye(2)), s2, s1, "toeplitz")
-    assert built == ["toeplitz", "toeplitz"]
+    assert factored == ["toeplitz", "hankel", "toeplitz"]
 
 
-def test_each_conjugation_pair_gets_its_own_hankel_class(monkeypatch):
-    # diagonal thetas are J-symmetric for every diagonal J, so both pairs
-    # have a hankel class that the built operators confirm
-    built = _counting(monkeypatch)
+def test_conjugations_do_not_change_the_result():
+    # fresh spaces per conjugation pair, so each result is factored anew
     rng = np.random.default_rng(41)
-    s1 = ModelSpace.from_product(diagonal_monomial([2, 1]), 16)
-    s2 = ModelSpace.from_product(diagonal_monomial([1, 2]), 16)
-    ident = Conjugation.identity(2)
-    phased = Conjugation(np.diag([1j, -1.0]))
-    for j1, j2 in ((ident, ident), (phased, ident), (ident, ident), (phased, ident)):
-        gens = kernel_generators(s1, s2, "hankel", j1, j2)
-        member = _member(rng, gens[17 * 4:], 16, 2)   # past the 17 x 4 monomials
-        res = _assert_matches_oracle(member, s1, s2, "hankel", j1, j2)
-        assert res["verdict"] == "in-kernel" and res["agreement"] == "confirmed"
-        res = _assert_matches_oracle(_bumped(rng, member, "hankel"), s1, s2, "hankel", j1, j2)
-        assert res["verdict"] == "not-in-kernel" and res["agreement"] == "confirmed"
-    assert built == ["hankel", "hankel"]
+    theta1 = random_inner(rng, 2, 2, 0.5)
+    theta2 = random_inner(rng, 2, 2, 0.5)
+    symbol = Laurent(rng.standard_normal((9, 2, 2)) + 1j * rng.standard_normal((9, 2, 2)), 4)
+    w = random_unitary(rng, 2)
+    conjugations = (None, Conjugation.identity(2), Conjugation(np.diag([1j, -1.0])),
+                    Conjugation(w @ w.T))
+    for family in ("toeplitz", "hankel"):
+        results = []
+        for conj1, conj2 in itertools.product(conjugations, repeat=2):
+            s1 = ModelSpace.from_product(theta1, 16)
+            s2 = ModelSpace.from_product(theta2, 16)
+            results.append(kernel_test(symbol, s1, s2, family, conj1, conj2))
+        assert all(res == results[0] for res in results)
 
 
 def test_cache_holds_no_strong_reference_to_the_spaces():
@@ -215,8 +284,9 @@ def test_cache_holds_no_strong_reference_to_the_spaces():
 # -- numerical edges -----------------------------------------------------------
 
 def test_large_member_stays_in_kernel():
-    # the distance is the norm of an explicit residual; a difference of squared
-    # norms would lose about sqrt(eps) |Phi|, as large as the threshold itself
+    # the distance is the norm of |W^* a| for the member's own build a; a
+    # difference of squared norms would lose about sqrt(eps) |Phi|, as large
+    # as the threshold itself
     rng = np.random.default_rng(42)
     for family in ("toeplitz", "hankel"):
         theta1, conj1 = _symmetric_theta(rng, 2, 0.25)
@@ -226,14 +296,15 @@ def test_large_member_stays_in_kernel():
         gens = kernel_generators(s1, s2, family, conj1, conj2)
         member = _member(rng, gens[len(gens) // 2:], 64, 2)
         member = member.scale(1e4 / member.norm())
-        res = _assert_matches_oracle(member, s1, s2, family, conj1, conj2)
+        res = _assert_matches_oracle(member, s1, s2, family, None, conj1, conj2)
         assert res["verdict"] == "in-kernel" and res["agreement"] == "confirmed"
         assert res["distance"] <= 1e-10 * member.norm()
 
 
 def test_empty_generator_blocks():
     # poles at 0.9 reach the whole window 8: each toeplitz side keeps only
-    # its k = 0 generators, and the hankel sandwich block is empty
+    # its k = 0 generators, and the hankel sandwich block is empty; the map
+    # has no such limit, so a symbol with negative lags still gets an answer
     rng = np.random.default_rng(43)
     theta1, conj1 = _symmetric_theta(rng, 2, 0.9)
     theta2, conj2 = _symmetric_theta(rng, 2, 0.9)
@@ -242,24 +313,26 @@ def test_empty_generator_blocks():
     assert len(kernel_generators(s1, s2, "toeplitz", conj1, conj2)) == 2 * 4
     assert len(kernel_generators(s1, s2, "hankel", conj1, conj2)) == 9 * 4
     symbol = Laurent(rng.standard_normal((17, 2, 2)) + 0j, 8)
-    res = _assert_matches_oracle(symbol, s1, s2, "toeplitz", conj1, conj2)
+    res = _assert_matches_oracle(symbol, s1, s2, "toeplitz", None, conj1, conj2)
     assert res["verdict"] == "not-in-kernel"
     analytic = symbol.riesz_split()[0].with_order(8)
-    res = _assert_matches_oracle(analytic, s1, s2, "hankel", conj1, conj2)
+    res = _assert_matches_oracle(analytic, s1, s2, "hankel", None, conj1, conj2)
     assert res["verdict"] == "in-kernel" and res["distance"] == 0.0
-    with pytest.raises(ValueError, match="cannot hold the hankel kernel generators"):
-        kernel_test(symbol, s1, s2, "hankel", conj1, conj2)
+    res = _assert_matches_oracle(symbol, s1, s2, "hankel", None, conj1, conj2)
+    assert res["verdict"] == "not-in-kernel" and res["agreement"] == "confirmed"
 
 
 def test_spaces_of_different_orders():
+    # at poles 0.9 the lags past the smaller window still build nonzero columns
     rng = np.random.default_rng(44)
     for family in ("toeplitz", "hankel"):
-        theta1, conj1 = _symmetric_theta(rng, 2, 0.25)
-        theta2, conj2 = _symmetric_theta(rng, 2, 0.25)
-        for o1, o2 in ((40, 56), (56, 40)):
-            s1 = ModelSpace.from_product(theta1, o1)
-            s2 = ModelSpace.from_product(theta2, o2)
-            _check_pair(rng, s1, s2, family, conj1, conj2)
+        for modulus, orders in ((0.25, (40, 56)), (0.9, (8, 16))):
+            theta1, conj1 = _symmetric_theta(rng, 2, modulus)
+            theta2, conj2 = _symmetric_theta(rng, 2, modulus)
+            for o1, o2 in (orders, orders[::-1]):
+                s1 = ModelSpace.from_product(theta1, o1)
+                s2 = ModelSpace.from_product(theta2, o2)
+                _check_pair(rng, s1, s2, family, conj1, conj2)
 
 
 def test_scalar_pair():
@@ -270,11 +343,3 @@ def test_scalar_pair():
     s2 = ModelSpace.from_product(theta2, 64)
     for family in ("toeplitz", "hankel"):
         _check_pair(rng, s1, s2, family, conj1, conj2)
-
-
-def test_hankel_guard_message_is_unchanged():
-    tight = ModelSpace.from_product(diagonal_monomial([5]), 8)
-    conj = Conjugation.identity(1)
-    with pytest.raises(ValueError, match=r"^window order 8 cannot hold the hankel kernel "
-                                         r"generators \(needs at least 10\)$"):
-        kernel_test(Laurent.monomial(-3, np.eye(1)), tight, tight, "hankel", conj, conj)

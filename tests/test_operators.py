@@ -237,12 +237,14 @@ def test_kernel_window_guards():
     wide = _scalar_symbol({-9: 1.0})
     with pytest.raises(ValueError):
         kernel_test(wide, s1, s2, "toeplitz")
-    # hankel generators need room for deg(theta1) + deg(theta2)
+    # the hankel kernel needs no room for deg(theta1) + deg(theta2): B maps
+    # z^j to z^(2 - j) for j = 0, 1, 2, all inside K_{z^5}
     tight1 = ModelSpace.from_product(diagonal_monomial([5]), 8)
     tight2 = ModelSpace.from_product(diagonal_monomial([5]), 8)
     conj = Conjugation.identity(1)
-    with pytest.raises(ValueError):
-        kernel_test(_scalar_symbol({-3: 1.0}), tight1, tight2, "hankel", conj, conj)
+    res = kernel_test(_scalar_symbol({-3: 1.0}), tight1, tight2, "hankel", conj, conj)
+    assert res["verdict"] == "not-in-kernel" and res["agreement"] == "confirmed"
+    assert abs(res["matrix_norm"] - np.sqrt(3.0)) < 1e-12
 
 
 def test_kernel_random_class_combinations():

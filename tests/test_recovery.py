@@ -13,6 +13,10 @@ import oracle
 families = st.sampled_from(["toeplitz", "hankel"])
 
 
+# unequal windows at full reach: lags past either window give zero columns
+@example(family="toeplitz", dim=2, order1=13, order2=8, reach=13, seed=0)
+@example(family="toeplitz", dim=2, order1=8, order2=13, reach=13, seed=0)
+@example(family="hankel", dim=2, order1=13, order2=8, reach=22, seed=0)
 @given(family=families, dim=st.integers(1, 3), order1=st.integers(8, 64),
        order2=st.integers(8, 64), reach=st.integers(1, 6), seed=st.integers(0, 2 ** 16))
 def test_symbol_map_matches_unit_symbol_builds(family, dim, order1, order2, reach, seed):
