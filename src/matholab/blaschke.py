@@ -29,6 +29,7 @@ __all__ = [
     "validate",
     "check_colligation",
     "state_window",
+    "matrix_powers",
     "crofoot_realization",
     "crofoot_theta",
     "diagonal_monomial",
@@ -229,17 +230,20 @@ class ValidationReport:
     pure: bool
     max_unitary_defect: float
     theta0_norm: float
+    realization: tuple  # the judged colligation (A, B, C, D)
 
 
 def check_colligation(realization, tol=1e-8):
     """Inner when the colligation G = [[A, B], [C, D]] of the realization is
-    unitary (``max_unitary_defect`` = |G* G - I|_F), pure when norm(D) < 1."""
+    unitary (``max_unitary_defect`` = |G* G - I|_F), pure when norm(D) < 1.
+    The report keeps the realization, which ``ModelSpace`` is built from."""
     a_mat, b_mat, c_mat, d_mat = realization
     g = np.block([[a_mat, b_mat], [c_mat, d_mat]])
     defect = np.linalg.norm(g.conj().T @ g - np.eye(g.shape[0]))
     theta0 = np.linalg.svd(d_mat, compute_uv=False)[0]
     return ValidationReport(inner=bool(defect <= tol), pure=bool(theta0 < 1.0 - PURITY_MARGIN),
-                            max_unitary_defect=float(defect), theta0_norm=float(theta0))
+                            max_unitary_defect=float(defect), theta0_norm=float(theta0),
+                            realization=realization)
 
 
 def validate(theta, tol=1e-8):
@@ -262,20 +266,25 @@ def state_window(realization, order):
     step, reach = a_mat, 1
     while (q := np.linalg.norm(step)) > 0.5:
         step, reach = step @ step, 2 * reach
-    # the rows of C A^m for m < count, stacked by doubling
     count, dim = order + 9 * reach, d_mat.shape[0]
-    rows, step = c_mat, a_mat
-    while len(rows) < count * dim:
-        rows, step = np.concatenate([rows, rows @ step]), step @ step
-    f = rows[:count * dim].reshape(count, dim, a_mat.shape[0])
-    theta = (rows[:count * dim] @ b_mat).reshape(count, dim, dim)
+    powers = matrix_powers(a_mat, count)
+    f = c_mat @ powers
+    theta = f @ b_mat
     basis = np.concatenate([np.zeros((order,) + f.shape[1:]), f[:order + 1]])
     coeffs = np.concatenate([np.zeros((order, dim, dim)), d_mat[None], theta[:order]])
     exact = _norms(theta[order:order + 8 * reach]).sum()
     # |B|_2 <= 1: B is a block of the unitary colligation
     rest = _norms(f[order + 8 * reach:]).sum() / (1.0 - q)
-    tails = _norms(np.linalg.matrix_power(a_mat, order + 1).T)
+    tails = _norms(powers[order + 1].T)
     return basis, tails, Laurent(coeffs, order, exact + rest).trim()
+
+
+def matrix_powers(mat, count):
+    """mat^0 .. mat^(count - 1), stacked; the stack doubles each step."""
+    out, step = np.eye(len(mat), dtype=complex)[None], mat
+    while len(out) < count:
+        out, step = np.concatenate([out, out @ step]), step @ step
+    return out[:count]
 
 
 def crofoot_realization(theta, crofoot):

@@ -59,14 +59,16 @@ _KNOWN_FIELDS = {"schema_version", "command", "trunc_order", "tolerance", "seed"
 class Scenario:
     """Validated inputs for one runner invocation."""
 
-    def __init__(self, command, trunc_order, tolerance, seed, theta1, theta2,
+    def __init__(self, command, trunc_order, tolerance, seed, space1, space2,
                  conj1, conj2, crofoot1, crofoot2, symbol, operator, params):
         self.command = command
         self.trunc_order = trunc_order
         self.tolerance = tolerance
         self.seed = seed
-        self.theta1 = theta1
-        self.theta2 = theta2
+        self.space1 = space1
+        self.space2 = space2
+        self.theta1 = space1.theta if space1 is not None else None
+        self.theta2 = space2.theta if space2 is not None else None
         self.conj1 = conj1
         self.conj2 = conj2
         self.crofoot1 = crofoot1
@@ -89,7 +91,8 @@ def load_scenario(path):
     return obj
 
 
-def _parse_theta(obj, field):
+def _parse_space(obj, field, order):
+    """The model space of a theta document; its realization is built and checked once."""
     if not isinstance(obj, dict):
         raise ScenarioError(f"{field}: expected an object")
     if "powers" in obj:
@@ -110,14 +113,10 @@ def _parse_theta(obj, field):
             raise ScenarioError(f"{field}.poles: {exc}") from None
     else:
         theta = BlaschkePotapovProduct.from_json(obj, field)
-    report = validate(theta)
-    if not report.inner:
-        raise ScenarioError(f"{field}: not inner, the colligation is not unitary "
-                            f"(defect {report.max_unitary_defect:.2e})")
-    if not report.pure:
-        raise ScenarioError(f"{field}: not pure, the value at 0 has norm "
-                            f"{report.theta0_norm:.6f}")
-    return theta
+    try:
+        return ModelSpace(validate(theta), order, theta)
+    except ValueError as exc:
+        raise ScenarioError(f"{field}: {exc}") from None
 
 
 def _parse_crofoot(obj, field):
@@ -158,30 +157,30 @@ def parse_scenario(obj, command, tol=None, trunc_order=None, seed=None):
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         raise ScenarioError("seed: expected a nonnegative integer")
 
-    theta1 = _parse_theta(obj["theta1"], "theta1") if "theta1" in obj else None
-    theta2 = _parse_theta(obj["theta2"], "theta2") if "theta2" in obj else None
-    if theta1 is not None and theta2 is not None and theta1.dim != theta2.dim:
-        raise ScenarioError(f"theta2: dimension {theta2.dim} does not match "
-                            f"theta1 dimension {theta1.dim}")
+    space1 = _parse_space(obj["theta1"], "theta1", order) if "theta1" in obj else None
+    space2 = _parse_space(obj["theta2"], "theta2", order) if "theta2" in obj else None
+    if space1 is not None and space2 is not None and space1.dim != space2.dim:
+        raise ScenarioError(f"theta2: dimension {space2.dim} does not match "
+                            f"theta1 dimension {space1.dim}")
 
     conj1 = conj2 = None
     if "j1" in obj:
         conj1 = Conjugation.from_json(obj["j1"], "j1")
-        if theta1 is not None and conj1.dim != theta1.dim:
+        if space1 is not None and conj1.dim != space1.dim:
             raise ScenarioError("j1: dimension does not match theta1")
     if "j2" in obj:
         conj2 = Conjugation.from_json(obj["j2"], "j2")
-        if theta2 is not None and conj2.dim != theta2.dim:
+        if space2 is not None and conj2.dim != space2.dim:
             raise ScenarioError("j2: dimension does not match theta2")
 
     crofoot1 = crofoot2 = None
     if "w1" in obj:
         crofoot1 = _parse_crofoot(obj["w1"], "w1")
-        if theta1 is not None and crofoot1.dim != theta1.dim:
+        if space1 is not None and crofoot1.dim != space1.dim:
             raise ScenarioError("w1: dimension does not match theta1")
     if "w2" in obj:
         crofoot2 = _parse_crofoot(obj["w2"], "w2")
-        if theta2 is not None and crofoot2.dim != theta2.dim:
+        if space2 is not None and crofoot2.dim != space2.dim:
             raise ScenarioError("w2: dimension does not match theta2")
 
     symbol = None
@@ -189,9 +188,9 @@ def parse_scenario(obj, command, tol=None, trunc_order=None, seed=None):
         symbol = Laurent.from_json(obj["symbol"], "symbol")
         if symbol.coeffs.ndim != 3:
             raise ScenarioError("symbol.coeffs: expected square matrix coefficients")
-        if theta1 is not None and symbol.dim != theta1.dim:
+        if space1 is not None and symbol.dim != space1.dim:
             raise ScenarioError(f"symbol: dimension {symbol.dim} does not match "
-                                f"theta1 dimension {theta1.dim}")
+                                f"theta1 dimension {space1.dim}")
 
     operator = None
     if "operator" in obj:
@@ -205,16 +204,16 @@ def parse_scenario(obj, command, tol=None, trunc_order=None, seed=None):
         if key in obj and key not in params:
             params[key] = obj[key]
 
-    sc = Scenario(command, order, tolerance, seed, theta1, theta2,
+    sc = Scenario(command, order, tolerance, seed, space1, space2,
                   conj1, conj2, crofoot1, crofoot2, symbol, operator, params)
     _check_required(sc)
     return sc
 
 
 def _check_required(sc):
-    if sc.theta1 is None:
+    if sc.space1 is None:
         raise ScenarioError("theta1: required for every command")
-    if sc.command != "space" and sc.theta2 is None:
+    if sc.command != "space" and sc.space2 is None:
         raise ScenarioError(f"theta2: required for the {sc.command} command")
     if sc.command in ("build", "kernel") and sc.symbol is None:
         raise ScenarioError(f"symbol: required for the {sc.command} command")
@@ -240,12 +239,6 @@ def _check_required(sc):
 
 # -- command execution --------------------------------------------------------
 
-def _spaces(sc):
-    sp1 = ModelSpace.from_product(sc.theta1, sc.trunc_order)
-    sp2 = ModelSpace.from_product(sc.theta2, sc.trunc_order)
-    return sp1, sp2
-
-
 def _build(sc, sp1, sp2, family):
     build = build_matto if family == "toeplitz" else build_matho
     return build(sp1, sp2, sc.symbol)
@@ -264,20 +257,18 @@ def _operator(sc, sp1, sp2, family):
 def _cmd_space(sc):
     checks = []
     details = {}
-    for key, theta in (("theta1", sc.theta1), ("theta2", sc.theta2)):
-        if theta is None:
+    for key, space in (("theta1", sc.space1), ("theta2", sc.space2)):
+        if space is None:
             continue
-        space = ModelSpace.from_product(theta, sc.trunc_order)
-        gram = space.coords(space.basis)
-        resid = float(np.linalg.norm(gram - np.eye(space.dim_K)))
-        checks.append(Check.judge(f"{key}-basis", resid, sc.tolerance, 0.0))
+        # the state basis is orthonormal exactly when the colligation is unitary
+        checks.append(Check.judge(f"{key}-basis", space.unitary_defect, sc.tolerance, 0.0))
         details[key] = space.describe()
     return checks, details
 
 
 def _cmd_build(sc):
     family = sc.params["family"]
-    sp1, sp2 = _spaces(sc)
+    sp1, sp2 = sc.space1, sc.space2
     op = _build(sc, sp1, sp2, family)
     kind = "T1" if family == "toeplitz" else "H1"
     return [displacement_check(op, kind, sc.tolerance)], {"operator": op.to_json()}
@@ -285,7 +276,7 @@ def _cmd_build(sc):
 
 def _cmd_check(sc):
     kind = sc.params["kind"]
-    sp1, sp2 = _spaces(sc)
+    sp1, sp2 = sc.space1, sc.space2
     if kind in INVARIANCE_KINDS:
         family, variant = kind.split("-")
         rep = shift_invariance_check(_operator(sc, sp1, sp2, family), family, variant,
@@ -304,7 +295,7 @@ def _cmd_check(sc):
 
 def _cmd_recover(sc):
     family = sc.params["family"]
-    sp1, sp2 = _spaces(sc)
+    sp1, sp2 = sc.space1, sc.space2
     op = _operator(sc, sp1, sp2, family)
     kind = "T1" if family == "toeplitz" else "H1"
     rep = displacement_check(op, kind, sc.tolerance)
@@ -320,17 +311,17 @@ def _cmd_recover(sc):
 
 def _cmd_kernel(sc):
     family = sc.params["family"]
-    sp1, sp2 = _spaces(sc)
+    sp1, sp2 = sc.space1, sc.space2
     result = kernel_test(sc.symbol, sp1, sp2, family, threshold=sc.tolerance)
     return [kernel_check(sc.symbol, result, sc.tolerance)], result
 
 
 def _cmd_verify(sc):
     name = sc.params.get("name", "all")
-    inputs = TransformInputs(sc.theta1, sc.theta2, order=sc.trunc_order,
-                             symbol=sc.symbol, conj1=sc.conj1, conj2=sc.conj2,
-                             crofoot1=sc.crofoot1, crofoot2=sc.crofoot2,
-                             threshold=sc.tolerance)
+    inputs = TransformInputs.from_spaces(sc.space1, sc.space2, symbol=sc.symbol,
+                                         conj1=sc.conj1, conj2=sc.conj2,
+                                         crofoot1=sc.crofoot1, crofoot2=sc.crofoot2,
+                                         threshold=sc.tolerance)
     out = verify_transform(name, inputs)
     return (out if name == "all" else [out]), None
 

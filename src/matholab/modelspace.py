@@ -2,16 +2,13 @@
 
 For a pure rational inner Theta with output-normal realization (A, B, C, D)
 (``BlaschkePotapovProduct.realization``, or ``crofoot_realization`` for a
-Crofoot transform), K_Theta = H^2 ominus Theta H^2 has
-the basis F(z) = C (I - z A)^{-1}, coefficients C A^n, orthonormal in exact
-arithmetic; on a window it is the factor-major basis of the recursion
-K_{B Theta'} = K_B + B K_{Theta'}. A symmetric Loewdin pass absorbs the
-truncation-level defect without reordering or sign flips.
-
-All operators live as matrices in that fixed basis: the compressed shift
-S[i, j] = <z b_j, b_i>, the defect operators D = I - S S*, Dtilde = I - S* S,
-and the projections onto the defect spaces spanned by the kernels k_0 e_l
-and ktilde_0 e_l.
+Crofoot transform), K_Theta = H^2 ominus Theta H^2 has the state basis
+F(z) e_j, F(z) = C (I - z A)^{-1}, orthonormal because A* A + C* C = I.
+In that basis every operator datum is a small exact matrix read off the
+realization: the compressed shift S[i, j] = <z b_j, b_i> is A*, the
+defect operators D = I - S S* and Dtilde = I - S* S are C* C and B B*, and
+the kernels k_0 e_l and ktilde_0 e_l have the coordinates C* e_l and B e_l.
+The coordinates of a function c (I - z a)^{-1} solve one Stein equation.
 """
 
 from __future__ import annotations
@@ -24,49 +21,59 @@ from .blaschke import check_colligation, state_window
 from .laurent import Laurent
 from .jsonio import matrix_to_json
 
-__all__ = ["ModelSpace", "random_modifier"]
+__all__ = ["ModelSpace", "random_modifier", "stein"]
 
 _RANK_TOL = 1e-8
-_GRAM_EXACT = 1e-14
+# squarings in ``stein``: 2^40 terms, far past any stable contraction's need
+_STEIN_SQUARINGS = 40
 
 
-def _orthonormalize(coeffs, tails):
-    """Symmetric (Loewdin) orthonormalization of the columns, unless already
-    exact; also returns the matrix L applied to them (the identity if none)."""
-    n = coeffs.shape[2]
-    flat = coeffs.reshape(-1, n)
-    gram = flat.conj().T @ flat  # gram[i, j] = <b_j, b_i>
-    if np.max(np.abs(gram - np.eye(n))) <= _GRAM_EXACT:
-        return coeffs, tails, np.eye(n)
-    w, vecs = np.linalg.eigh(gram)
-    if w.min() <= 1e-10:
-        raise ValueError("basis functions are numerically dependent")
-    inv_half = (vecs * (w ** -0.5)) @ vecs.conj().T
-    return coeffs @ inv_half, tails @ np.abs(inv_half), inv_half
+def stein(p, q, r):
+    """Y = sum_{m >= 0} P^m Q R^m solves Y = P Y R + Q (Q may carry leading batch
+    axes), by squared Smith iteration: Y += P Y R, then P <- P^2 and R <- R^2.
+    After k steps the rest is P Y R for the current P and R, so it stops once
+    |P| |R| is below rounding: about 9 steps at spectral radius 0.9 and 14 at
+    0.997. A P or R that is not stable raises ValueError."""
+    y = np.array(q, dtype=complex)
+    for _ in range(_STEIN_SQUARINGS):
+        if np.linalg.norm(p) * np.linalg.norm(r) <= np.finfo(float).eps:
+            return y
+        y = y + p @ y @ r
+        p, r = p @ p, r @ r
+    raise ValueError("Stein equation: the state matrix is not stable")
 
 
 class ModelSpace:
-    """K_Theta with a fixed orthonormal basis and the derived operator data.
+    """K_Theta in the state basis of its checked realization.
 
-    The basis is held as one series B(z) = [b_1 ... b_n] with values in the
-    d x n matrices (``basis``), on the space's window, together with one
-    certified tail per basis function (``tails``). Coordinates, operator
-    matrices and maps between spaces are then single products against B.
-    The checked colligation (A, B, C, D) it was read from is ``realization``.
+    ``realization`` is the colligation (A, B, C, D); ``S``, ``S_star``,
+    ``D``, ``D_tilde``, ``k0_cols`` and ``kt0_cols`` are read off it. The
+    basis read on the space's window is one series B(z) = [b_1 ... b_n] with
+    values in the d x n matrices (``basis``), with one certified tail per
+    basis function (``tails``); ``theta_series`` is Theta on the same window.
     """
 
-    def __init__(self, realization, theta_series, coeffs, tails, theta=None):
-        self.realization = realization
+    def __init__(self, checked, order=64, theta=None):
+        """K_Theta from a ``check_colligation`` report, refused unless inner and pure."""
+        if not checked.inner:
+            raise ValueError(f"not inner, the colligation is not unitary "
+                             f"(defect {checked.max_unitary_defect:.2e})")
+        if not checked.pure:
+            # a constant (unitary) Theta lands here too: norm(Theta(0)) = 1
+            raise ValueError(f"not pure, the value at 0 has norm {checked.theta0_norm:.6f}")
+        self.realization = a_mat, b_mat, c_mat, _ = checked.realization
+        self.unitary_defect = checked.max_unitary_defect
         self.theta = theta
-        self.theta_series = theta_series
-        self.dim = theta_series.dim
-        self.order = (coeffs.shape[0] - 1) // 2
-        self.dim_K = coeffs.shape[2]
-        # the basis is the given (state) basis times the Loewdin matrix
-        coeffs, self.tails, self.loewdin = _orthonormalize(coeffs, np.asarray(tails, dtype=float))
-        self.basis = Laurent(coeffs, self.order, float(np.linalg.norm(self.tails)))
-        self.theta0 = theta_series.coeff(0)
-        self._build_shift_structure()
+        coeffs, self.tails, self.theta_series = state_window(self.realization, order)
+        self.basis = Laurent(coeffs, order, float(np.linalg.norm(self.tails)))
+        self.dim, self.dim_K = c_mat.shape
+        self.order = order
+        self.S, self.S_star = a_mat.conj().T, a_mat
+        self.D = c_mat.conj().T @ c_mat
+        self.D_tilde = b_mat @ b_mat.conj().T
+        self.k0_cols, self.kt0_cols = c_mat.conj().T, b_mat
+        self.P_D, self.defect_dim = _span_projection(self.k0_cols)
+        self.P_Dt, self.defect_dim_tilde = _span_projection(self.kt0_cols)
         # operators.kernel_test's kernel classes (one SVD of the symbol map
         # each) with this space as codomain, keyed by the domain space, then
         # by family; they die with either space
@@ -78,15 +85,7 @@ class ModelSpace:
     def from_realization(cls, realization, order=64, theta=None):
         """K_Theta for the Theta of a colligation (A, B, C, D), checked to be
         unitary and pure, with the basis read off it on the window (``state_window``)."""
-        report = check_colligation(realization)
-        if not report.inner:
-            raise ValueError(f"Theta is not inner: its colligation is not unitary "
-                             f"(defect {report.max_unitary_defect:.2e})")
-        if not report.pure:
-            # a constant (unitary) Theta lands here too: norm(Theta(0)) = 1
-            raise ValueError(f"Theta is not pure (norm(Theta(0)) = {report.theta0_norm:.6f})")
-        basis, tails, series = state_window(realization, order)
-        return cls(realization, series, basis, tails, theta=theta)
+        return cls(check_colligation(realization), order, theta)
 
     @classmethod
     def from_product(cls, theta, order=64):
@@ -97,23 +96,11 @@ class ModelSpace:
         return [Laurent(self.basis.coeffs[:, :, i], self.order, t)
                 for i, t in enumerate(self.tails)]
 
-    def _build_shift_structure(self):
-        # S[i, j] = <z b_j, b_i>: pair each slot of B with the slot below it
-        c = self.basis.coeffs
-        self.S = c[1:].reshape(-1, self.dim_K).conj().T @ c[:-1].reshape(-1, self.dim_K)
-        self.S_star = self.S.conj().T
-        eye = np.eye(self.dim_K)
-        self.D = eye - self.S @ self.S_star
-        self.D_tilde = eye - self.S_star @ self.S
-        # coordinates of k_0 = I - Theta(z) Theta(0)^* and ktilde_0 =
-        # (Theta(z) - Theta(0)) / z, read off the analytic window of Theta
-        m = self.order
-        b = self.basis.coeffs[m:].conj()
-        t = self.theta_series.with_order(m).coeffs[m:]
-        self.k0_cols = b[0].T - np.tensordot(b, t, axes=([0, 1], [0, 1])) @ self.theta0.conj().T
-        self.kt0_cols = np.tensordot(b[:-1], t[1:], axes=([0, 1], [0, 1]))
-        self.P_D, self.defect_dim = _span_projection(self.k0_cols)
-        self.P_Dt, self.defect_dim_tilde = _span_projection(self.kt0_cols)
+    def state_coords(self, c, a):
+        """The matrix X with X x the coordinates of P_Theta c (I - z a)^{-1} x,
+        for a stable a: the solution of the Stein equation X = A* X a + C* c."""
+        a_mat, _, c_mat, _ = self.realization
+        return stein(a_mat.conj().T, c_mat.conj().T @ c, a)
 
     # -- coordinates -------------------------------------------------------
 
@@ -211,7 +198,7 @@ class ModelSpace:
 
     def describe(self):
         """A JSON-ready report whose size does not grow with the window. The basis is
-        exactly ``state_window(realization, trunc_order)[0] @ loewdin``; ``tails`` bound it."""
+        exactly ``state_window(realization, trunc_order)[0]``; ``tails`` bound it."""
         return {
             "dim": self.dim,
             "dim_K": self.dim_K,
@@ -222,7 +209,6 @@ class ModelSpace:
             "D": matrix_to_json(self.D),
             "D_tilde": matrix_to_json(self.D_tilde),
             "realization": dict(zip("ABCD", map(matrix_to_json, self.realization))),
-            "loewdin": matrix_to_json(self.loewdin),
             "tails": self.tails.tolist(),
         }
 

@@ -3,12 +3,13 @@
 A symbol Phi acts by A_Phi f = P_{Theta2}(Phi f) (Toeplitz) or
 B_Phi f = P_{Theta2} J (I - P_+)(Phi f) (Hankel, with the flip
 (J f)(z) = conj(z) f(conj(z))). Everything downstream is matrix algebra
-in the fixed orthonormal bases of the two spaces: membership in the
-operator classes via displacement equations, the equivalent
-shift-invariance predicates, symbol recovery (one minimum-norm solve on
-the linear map from symbol coefficients to the matrix, for both
-families), symbol-kernel tests, and a registry of conjugation/transform
-identities checked as exact matrix equalities up to tolerance.
+in the state bases of the two spaces: the builds (the exact linear map
+from symbol coefficients to the matrix, one Stein solve per pair of
+spaces), membership in the operator classes via displacement equations,
+the equivalent shift-invariance predicates, symbol recovery (one
+minimum-norm solve on that map, for both families), symbol-kernel tests,
+and a registry of conjugation/transform identities checked as exact
+matrix equalities up to tolerance.
 
 Every check comes back as one ``Check`` record (name, residual,
 threshold, scale, verdict, optional reason), and every accept/reject
@@ -30,13 +31,12 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .blaschke import crofoot_realization
-from .conjugations import (CTheta, Conjugation, CrofootData, jstar, jsymmetry_defect,
-                           realization_jsymmetry_defect, sandwich_pointwise,
-                           sandwich_reflected, tau)
+from .blaschke import crofoot_realization, matrix_powers
+from .conjugations import (Conjugation, CrofootData, jsymmetry_defect,
+                           realization_jsymmetry_defect, sandwich_pointwise, sandwich_reflected)
 from .jsonio import matrix_to_json
 from .laurent import Laurent, evaluate_many
-from .modelspace import _RANK_TOL, ModelSpace
+from .modelspace import _RANK_TOL, ModelSpace, stein
 
 __all__ = [
     "Check", "ModelOperator", "build_matto", "build_matho",
@@ -105,17 +105,25 @@ def _check_symbol(symbol, space1, space2):
         raise ValueError("symbol dimension does not match the spaces")
 
 
-def build_matto(space1, space2, symbol):
-    """Matrix of f -> P_{Theta2}(Phi f) on K_{Theta1}: Phi times the whole basis at once."""
+def _build(space1, space2, symbol, family):
+    """The symbol map (``_symbol_map``) over the symbol's support, applied to its coefficients."""
     _check_symbol(symbol, space1, space2)
-    return ModelOperator(space1, space2, space2.coords(symbol.mul(space1.basis)))
+    lo, hi = symbol.support()
+    reach = max(-lo, hi) if family == "toeplitz" else max(-lo, 0)
+    lags, mat = _symbol_map(space1, space2, family, reach)
+    window = symbol.with_order(reach).coeffs[:len(lags)]
+    return ModelOperator(space1, space2,
+                         (mat @ window.ravel()).reshape(space2.dim_K, space1.dim_K))
+
+
+def build_matto(space1, space2, symbol):
+    """Matrix of f -> P_{Theta2}(Phi f) on K_{Theta1}."""
+    return _build(space1, space2, symbol, "toeplitz")
 
 
 def build_matho(space1, space2, symbol):
     """Matrix of f -> P_{Theta2} J (I - P_+)(Phi f) on K_{Theta1}."""
-    _check_symbol(symbol, space1, space2)
-    minus = symbol.mul(space1.basis).riesz_split()[1]
-    return ModelOperator(space1, space2, space2.coords(minus.flip()))
+    return _build(space1, space2, symbol, "hankel")
 
 
 # -- membership characterizations -------------------------------------------
@@ -207,38 +215,47 @@ def shift_invariance_check(op, family, kind, threshold=1e-8):
 def _symbol_map(space1, space2, family, reach):
     """(lags, M): column (k, a, b) of M is the flattened build of E_ab z^k.
 
-    Both families pair the analytic windows c^j of space1 and c^i of space2,
-    one einsum per lag. Toeplitz, lags -reach..reach: <z^k E b_j, b_i> =
-    sum_m conj(c^i_m)^T E c^j_{m-k} over the slots m both windows hold
-    (none past either window, where the column is zero).
-    Hankel, lags -reach..-1: lag -s gives sum_{p+q=s-1} conj(c^i_p)^T E c^j_q.
+    Exact in the state bases of the two realizations. With Q = C2* E_ab C1,
+    the toeplitz lags -reach..reach give (A2*)^k Y at k >= 0 and Y A1^|k|
+    at k < 0, where Y solves the Stein equation Y = A2* Y A1 + Q: pairing
+    z^k E C1 A1^m with C2 A2^n sums (A2*)^n Q A1^m over n - m = k. The
+    hankel lags -reach..-1 give H_s = sum_{q+p=s-1} (A2*)^q Q A1^p at lag
+    -s; splitting the sum at q = L gives H_{s+L} = (A2*)^L H_s + H_L A1^s,
+    which doubles the known H_1 = Q .. H_L.
     """
-    c1 = space1.basis.coeffs[space1.order:]
-    c2 = space2.basis.coeffs[space2.order:].conj()
-    m1, m2 = space1.order, space2.order
+    a1, _, c1, _ = space1.realization
+    a2, _, c2, _ = space2.realization
+    a2h = a2.conj().T
+    p1, p2 = matrix_powers(a1, reach + 1), matrix_powers(a2h, reach + 1)
+    q = np.einsum("ai,bj->abij", c2.conj(), c1)
     if family == "toeplitz":
-        lags, pairs = range(-reach, reach + 1), []
-        for k in lags:
-            lo = max(k, 0)
-            hi = max(lo, min(m2, m1 + k) + 1)
-            pairs.append((c2[lo:hi], c1[lo - k:hi - k]))
+        lags = range(-reach, reach + 1)
+        y = stein(a2h, q, a1)
+        blocks = np.concatenate([y @ p1[:0:-1, None, None], p2[:, None, None] @ y])
     else:
-        lags = range(-reach, 0)
-        pairs = [(c2[max(0, -k - 1 - m1):min(-k, m2 + 1)],
-                  c1[max(0, -k - 1 - m2):min(-k, m1 + 1)][::-1]) for k in lags]
-    blocks = np.stack([np.einsum("mai,mbj->abij", p, q) for p, q in pairs])
-    return list(lags), blocks.reshape(len(pairs) * space1.dim ** 2, -1).T
+        lags, blocks = range(-reach, 0), q[None]
+        while len(blocks) < reach:
+            half = len(blocks)
+            blocks = np.concatenate([blocks, p2[half] @ blocks
+                                     + blocks[-1] @ p1[1:half + 1, None, None]])
+        blocks = blocks[:reach][::-1]
+    shape = (len(lags) * space1.dim ** 2, space2.dim_K * space1.dim_K)
+    return list(lags), blocks.reshape(shape).T
 
 
 def recover_symbol(op, family, threshold=1e-8):
     """A representative symbol for an accepted operator, plus the rebuild gap.
 
-    One minimum-norm least-squares solve on the linear map Phi -> built
-    matrix (``_symbol_map``), over the lags -K..K (toeplitz) or -K..-1
-    (hankel) for K = 1, 2, 4, ... up to the smaller window order; the first
-    K whose solution reproduces the matrix within threshold wins. The
-    symbol is a finite Laurent polynomial, unique only modulo the kernel
-    class; the gap is measured by an independent build.
+    One minimum-norm least-squares solve on the map Phi -> built matrix
+    (``_symbol_map``) over the lags -K..K (toeplitz) or -K..-1 (hankel), at
+    the Cayley-Hamilton reach K = max(n1, n2) - 1 or n1 + n2 - 1 (n1, n2 the
+    state dimensions): no further lag adds to the map's range. Toeplitz: lag
+    k of E is (A2*)^k Y(E), and (A2*)^k for k >= n2 is a combination of
+    lower powers; likewise Y(E) A1^|k|. Hankel: H_s(E) is the coefficient of
+    w^(s-1) in (I - w A2*)^{-1} Q (I - w A1)^{-1} = N(w) / p(w), with
+    deg N <= n1 + n2 - 2 and p(0) = 1, deg p <= n1 + n2; p's recurrence puts
+    every H_s with s >= n1 + n2 in the span of the ones before. The symbol is
+    a finite Laurent polynomial, unique only modulo the kernel class.
     """
     if family not in ("toeplitz", "hankel"):
         raise ValueError(f"unknown recovery family {family!r}")
@@ -246,14 +263,10 @@ def recover_symbol(op, family, threshold=1e-8):
     rep = displacement_check(op, kind, threshold)
     if not rep.accepted():
         raise ValueError(f"operator rejected by {kind} membership (residual {rep.residual:.2e})")
-    target = op.matrix.ravel()
-    scale, cap, reach = np.linalg.norm(target), min(op.domain.order, op.codomain.order), 1
-    while True:
-        lags, mat = _symbol_map(op.domain, op.codomain, family, min(reach, cap))
-        x = np.linalg.lstsq(mat, target, rcond=None)[0]
-        if reach >= cap or _passes(np.linalg.norm(mat @ x - target), threshold, scale):
-            break
-        reach *= 2
+    n1, n2 = op.domain.dim_K, op.codomain.dim_K
+    reach = max(n1, n2) - 1 if family == "toeplitz" else n1 + n2 - 1
+    lags, mat = _symbol_map(op.domain, op.codomain, family, reach)
+    x = np.linalg.lstsq(mat, op.matrix.ravel(), rcond=None)[0]
     d = op.domain.dim
     phi = Laurent.from_coeff_map(dict(zip(lags, x.reshape(-1, d, d))), d)
     residual = float(np.linalg.norm(build(op.domain, op.codomain, phi).matrix - op.matrix))
@@ -266,10 +279,10 @@ def kernel_test(symbol, space1, space2, family, conj1=None, conj2=None, threshol
     """Is Phi in the kernel class (symbols building the zero operator)?
 
     The class is ker M for the linear map M: Phi -> built matrix
-    (``_symbol_map``) over every lag the windows reach, so the symbol's
+    (``_symbol_map``) over every lag the windows hold, so the symbol's
     distance to it is |M^+ M Phi| = |M^+ a|: the norm of the minimum-norm
     symbol with the same build a. For toeplitz that class is Sarason's
-    Theta2 H^2 + (Theta1 H^2)^* on the window. One SVD of M per space
+    Theta2 H^2 + (Theta1 H^2)^*, cut to the window. One SVD of M per space
     pair and family, cut at _RANK_TOL * s_0 and kept on space2 for as
     long as both spaces live, leaves each query one build and one small
     product |W^* vec(a)| with W = U_r / s_r. No J-symmetry enters: conj1
@@ -333,13 +346,27 @@ def kernel_check(symbol, result, threshold):
 
 # -- transform identity registry ---------------------------------------------
 
-def _map_matrix(fn, src, dst):
-    """Matrix whose columns are dst-coordinates of fn(basis of src).
+# The registry's maps in state coordinates, each one Stein solve: the matrix
+# of a linear map, or the L of an antilinear map's action c -> L conj(c).
 
-    fn acts on the stacked basis series in one call. For a linear fn this
-    is the matrix of the map; for an antilinear fn it is the L of the
-    action c -> L conj(c)."""
-    return dst.coords(fn(src.basis))
+def _tau(src, dst):
+    """tau_Theta from src = K_Theta into dst = K_Theta~. It sends C (I - zA)^{-1} x
+    to B* (I - zA*)^{-1} x, by output-normality and A* B + C* D = 0."""
+    a_mat, b_mat, _, _ = src.realization
+    return dst.state_coords(b_mat.conj().T, a_mat.conj().T)
+
+
+def _jstar(conj, src, dst):
+    """Jstar from src into dst, compressed: it sends C (I - zA)^{-1} x to
+    U conj(C) (I - z conj(A))^{-1} conj(x)."""
+    a_mat, _, c_mat, _ = src.realization
+    return dst.state_coords(conj.U @ c_mat.conj(), a_mat.conj())
+
+
+def _ctheta(space, conj):
+    """C_Theta compressed to K_Theta: X = A X conj(A) + B U conj(C)."""
+    a_mat, b_mat, c_mat, _ = space.realization
+    return stein(a_mat, b_mat @ conj.U @ c_mat.conj(), a_mat.conj())
 
 
 class TransformInputs:
@@ -359,6 +386,13 @@ class TransformInputs:
         self.threshold = threshold
         self._cache = {}
 
+    @classmethod
+    def from_spaces(cls, space1, space2, **kwargs):
+        """Inputs over two built spaces of one window, reused as spaces "1" and "2"."""
+        inputs = cls(space1.theta, space2.theta, space1.order, **kwargs)
+        inputs._cache.update({"1": space1, "2": space2})
+        return inputs
+
     def space(self, key):
         if key not in self._cache:
             theta = {"1": self.theta1, "2": self.theta2}[key[0]]
@@ -371,17 +405,14 @@ class TransformInputs:
         return self._cache[key]
 
     def crofoot_image(self, which):
-        """(image space, matrix of the forward Crofoot map) for theta1 or theta2.
-
-        The map is the identity between the two state bases, so in the spaces'
-        bases it is L_image^{-1} L_source (their ``loewdin`` matrices)."""
+        """K_{Theta^W} for theta1 or theta2. The forward Crofoot map is the
+        identity between the source's and the image's state bases."""
         key = f"{which}w"
         if key not in self._cache:
             theta = self.theta1 if which == 1 else self.theta2
             cro = self.crofoot1 if which == 1 else self.crofoot2
-            image = ModelSpace.from_realization(crofoot_realization(theta, cro), self.order)
-            src = self.space(str(which))
-            self._cache[key] = (image, np.linalg.solve(image.loewdin, src.loewdin))
+            self._cache[key] = ModelSpace.from_realization(crofoot_realization(theta, cro),
+                                                           self.order)
         return self._cache[key]
 
     def jsym_gaps(self):
@@ -396,10 +427,7 @@ class TransformInputs:
 def _verify_crofoot(inp):
     phi = inp.symbol
     k1, k2 = inp.space("1"), inp.space("2")
-    b = build_matho(k1, k2, phi).matrix
-    k1w, f1 = inp.crofoot_image(1)
-    k2w, f2 = inp.crofoot_image(2)
-    lhs = f2 @ b @ f1.conj().T
+    lhs = build_matho(k1, k2, phi).matrix
     cro1, cro2 = inp.crofoot1, inp.crofoot2
     d1inv = np.linalg.inv(cro1.D_Wstar)
     d2inv = np.linalg.inv(cro2.D_Wstar)
@@ -413,7 +441,7 @@ def _verify_crofoot(inp):
     right = (Laurent.constant(np.eye(k1.dim))
              - k1.theta_series.right_const(cro1.W.conj().T)).right_const(d1inv)
     psi = left.mul(phi).mul(right).truncate(inp.order)
-    return lhs, build_matho(k1w, k2w, psi).matrix
+    return lhs, build_matho(inp.crofoot_image(1), inp.crofoot_image(2), psi).matrix
 
 
 def _verify_tau(inp):
@@ -421,9 +449,7 @@ def _verify_tau(inp):
     k1, k2 = inp.space("1"), inp.space("2")
     k1t, k2t = inp.space("1t"), inp.space("2t")
     b = build_matho(k1, k2, phi).matrix
-    t1 = _map_matrix(lambda f: tau(k1.theta_series, f), k1, k1t)
-    t2 = _map_matrix(lambda f: tau(k2.theta_series, f), k2, k2t)
-    lhs = t2 @ b @ t1.conj().T
+    lhs = _tau(k2, k2t) @ b @ _tau(k1, k1t).conj().T
     psi = k2.theta_series.tilde().mul(phi).mul(k1.theta_series).reflect_z().truncate(inp.order)
     return lhs, build_matho(k1t, k2t, psi).matrix
 
@@ -435,18 +461,9 @@ def _verify_jstar(build, suffix, inp):
     k1, k2 = inp.space("1"), inp.space("2")
     k1x, k2x = inp.space("1" + suffix), inp.space("2" + suffix)
     mat = build(k1, k2, phi).matrix
-    l1 = _map_matrix(lambda f: jstar(inp.conj1, f), k1x, k1)
-    l2 = _map_matrix(lambda f: jstar(inp.conj2, f), k2, k2x)
-    lhs = l2 @ np.conj(mat @ l1)
+    lhs = _jstar(inp.conj2, k2, k2x) @ np.conj(mat @ _jstar(inp.conj1, k1x, k1))
     psi = sandwich_reflected(inp.conj2, phi, inp.conj1)
     return lhs, build(k1x, k2x, psi).matrix
-
-
-def _ctheta_maps(inp):
-    k1, k2 = inp.space("1"), inp.space("2")
-    c1 = CTheta(k1.theta_series, inp.conj1)
-    c2 = CTheta(k2.theta_series, inp.conj2)
-    return (_map_matrix(c1.apply, k1, k1), _map_matrix(c2.apply, k2, k2))
 
 
 def _verify_ctheta(inp):
@@ -454,8 +471,7 @@ def _verify_ctheta(inp):
     phi = inp.symbol
     k1, k2 = inp.space("1"), inp.space("2")
     b = build_matho(k1, k2, phi).matrix
-    l_c1, l_c2 = _ctheta_maps(inp)
-    lhs = l_c2 @ np.conj(b @ l_c1)
+    lhs = _ctheta(k2, inp.conj2) @ np.conj(b @ _ctheta(k1, inp.conj1))
     # composing the tau identity with the coefficient conjugations puts the
     # reflected Theta2 on the left; writing Theta2(z) there instead loses the
     # anti-analytic mass of the symbol and breaks the operator equality
@@ -468,8 +484,7 @@ def _verify_prop61a(inp):
     phi = inp.symbol
     k1, k2 = inp.space("1"), inp.space("2")
     a = build_matto(k1, k2, phi).matrix
-    l_c1, l_c2 = _ctheta_maps(inp)
-    lhs = l_c2 @ np.conj(a @ l_c1)
+    lhs = _ctheta(k2, inp.conj2) @ np.conj(a @ _ctheta(k1, inp.conj1))
     inner = k2.theta_series.adjoint_star().mul(phi).mul(k1.theta_series).truncate(inp.order)
     psi = sandwich_pointwise(inp.conj2, inner, inp.conj1)
     return lhs, build_matto(k1, k2, psi).matrix
@@ -480,9 +495,7 @@ def _verify_prop61e(inp):
     k1, k2 = inp.space("1"), inp.space("2")
     k1t = inp.space("1t")
     a = build_matto(k1, k2, phi).matrix
-    l1 = _map_matrix(lambda f: jstar(inp.conj1, f), k1t, k1)
-    l_c2 = _ctheta_maps(inp)[1]
-    lhs = l_c2 @ np.conj(a @ l1)
+    lhs = _ctheta(k2, inp.conj2) @ np.conj(a @ _jstar(inp.conj1, k1t, k1))
     inner = k2.theta_series.tilde().mul(phi.reflect_z()).truncate(inp.order)
     psi = sandwich_pointwise(inp.conj2, inner, inp.conj1)
     return lhs, build_matho(k1t, k2, psi).matrix
@@ -493,9 +506,7 @@ def _verify_prop61f(inp):
     k1, k2 = inp.space("1"), inp.space("2")
     k2t = inp.space("2t")
     b = build_matho(k1, k2, phi).matrix
-    l_c1 = _ctheta_maps(inp)[0]
-    l2 = _map_matrix(lambda f: jstar(inp.conj2, f), k2, k2t)
-    lhs = l2 @ np.conj(b @ l_c1)
+    lhs = _jstar(inp.conj2, k2, k2t) @ np.conj(b @ _ctheta(k1, inp.conj1))
     inner = phi.mul(k1.theta_series).truncate(inp.order)
     psi = sandwich_pointwise(inp.conj2, inner, inp.conj1)
     return lhs, build_matto(k1, k2t, psi).matrix
@@ -503,13 +514,13 @@ def _verify_prop61f(inp):
 
 def _verify_eq_sz(inp):
     k1, k1t = inp.space("1"), inp.space("1t")
-    t = _map_matrix(lambda f: tau(k1.theta_series, f), k1, k1t)
+    t = _tau(k1, k1t)
     return t @ k1.S @ t.conj().T, k1t.S_star
 
 
 def _verify_eq_ddd(inp):
     k1, k1t = inp.space("1"), inp.space("1t")
-    t_back = _map_matrix(lambda f: tau(k1t.theta_series, f), k1t, k1)
+    t_back = _tau(k1t, k1)
     return k1.D_tilde, t_back @ k1t.D @ t_back.conj().T
 
 
@@ -518,8 +529,7 @@ def _verify_remark412(inp):
     phi = inp.symbol
     k1 = inp.space("1")
     a = build_matto(k1, k1, phi).matrix
-    c1 = CTheta(k1.theta_series, inp.conj1)
-    l_c1 = _map_matrix(c1.apply, k1, k1)
+    l_c1 = _ctheta(k1, inp.conj1)
     lhs = l_c1 @ np.conj(a @ l_c1)
     return lhs, build_matto(k1, k1, phi.adjoint_star().truncate(inp.order)).matrix
 

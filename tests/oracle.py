@@ -4,9 +4,9 @@ The circle-quadrature helpers work on boundary values sampled at N roots of
 unity plus discrete Fourier projections. None of them touches the package's
 coefficient arithmetic (series are only unpacked into raw coefficient
 arrays), so when the two paths agree the agreement means something. The
-symbol-map and kernel-class references and the shift-invariance predicates
-at the end are the exceptions (see there), and so are the per-element JSON
-encoders, which read the package's objects.
+window builds, the symbol-map and kernel-class references and the
+shift-invariance predicates at the end are the exceptions (see there), and
+so are the per-element JSON encoders, which read the package's objects.
 """
 
 import numpy as np
@@ -141,6 +141,28 @@ def product_basis(theta, order):
         moved = factor_series(head, order).mul(Laurent(padded, order))
         return np.concatenate([own, _analytic_window(moved, order)], axis=2)
     return theta.left_unitary @ basis(theta.factors)
+
+
+# -- window builds ------------------------------------------------------------------
+# The builds and registry maps as they were before the exact symbol map: a
+# series times the window basis, paired against the codomain's window basis
+# (``ModelSpace.coords``). The window truncates them; on windows whose basis
+# tails are below rounding the package must reproduce them.
+
+def window_matto(space1, space2, symbol):
+    """Matrix of f -> P_{Theta2}(Phi f): Phi times the whole window basis at once."""
+    return space2.coords(symbol.mul(space1.basis))
+
+
+def window_matho(space1, space2, symbol):
+    """Matrix of f -> P_{Theta2} J (I - P_+)(Phi f) on the window basis."""
+    return space2.coords(symbol.mul(space1.basis).riesz_split()[1].flip())
+
+
+def window_map(fn, src, dst):
+    """dst-coordinates of fn(window basis of src): the matrix of a linear map,
+    or the L of an antilinear map's action c -> L conj(c)."""
+    return dst.coords(fn(src.basis))
 
 
 # -- symbol-map and kernel-class references -----------------------------------
@@ -311,7 +333,6 @@ def describe(space):
         "D": matrix_to_json(space.D),
         "D_tilde": matrix_to_json(space.D_tilde),
         "realization": {k: matrix_to_json(m) for k, m in zip("ABCD", space.realization)},
-        "loewdin": matrix_to_json(space.loewdin),
         "tails": [float(t) for t in space.tails],
     }
 

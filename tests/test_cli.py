@@ -227,7 +227,7 @@ def test_space_report_does_not_grow_with_the_window(tmp_path, capsys):
         return out
 
     small, large = (json.loads(text)["details"] for text in (report(16), first))
-    assert shapes(small) == shapes(large) and len(shapes(large)) == 18
+    assert shapes(small) == shapes(large) and len(shapes(large)) == 16
     assert small["theta1"]["realization"] == large["theta1"]["realization"]
 
 

@@ -104,8 +104,8 @@ def test_verify_all_gates_j_symmetry_without_sampling_theta(monkeypatch):
 
 
 def test_hankel_recovery_is_one_solve(monkeypatch):
-    # one min-norm solve on the window bases: no tilde space, no conjugation
-    # maps, no circle samples; the only product is the rebuild's
+    # one min-norm solve on the exact symbol map: no tilde space, no
+    # conjugation maps, no circle samples and no series product
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     import tracing
     from matholab import ModelSpace, build_matho, operators
@@ -129,7 +129,7 @@ def test_hankel_recovery_is_one_solve(monkeypatch):
     assert calls["conjugations.maps"] == 0
     assert calls["laurent.evaluate_many"] == 0
     assert calls["operators.build"] == 1
-    assert calls["laurent.mul"] == 1
+    assert calls["laurent.mul"] == 0
 
 
 def test_benchmark_scenario_cycle_is_sound(monkeypatch):
