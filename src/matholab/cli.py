@@ -67,8 +67,6 @@ class Scenario:
         self.seed = seed
         self.space1 = space1
         self.space2 = space2
-        self.theta1 = space1.theta if space1 is not None else None
-        self.theta2 = space2.theta if space2 is not None else None
         self.conj1 = conj1
         self.conj2 = conj2
         self.crofoot1 = crofoot1

@@ -255,7 +255,9 @@ def recover_symbol(op, family, threshold=1e-8):
     w^(s-1) in (I - w A2*)^{-1} Q (I - w A1)^{-1} = N(w) / p(w), with
     deg N <= n1 + n2 - 2 and p(0) = 1, deg p <= n1 + n2; p's recurrence puts
     every H_s with s >= n1 + n2 in the span of the ones before. The symbol is
-    a finite Laurent polynomial, unique only modulo the kernel class.
+    a finite Laurent polynomial, unique only modulo the kernel class, and
+    its support is not cut at the window: a hankel symbol can reach lag
+    -(n1 + n2 - 1) past -trunc_order.
     """
     if family not in ("toeplitz", "hankel"):
         raise ValueError(f"unknown recovery family {family!r}")
@@ -279,9 +281,12 @@ def kernel_test(symbol, space1, space2, family, conj1=None, conj2=None, threshol
     """Is Phi in the kernel class (symbols building the zero operator)?
 
     The class is ker M for the linear map M: Phi -> built matrix
-    (``_symbol_map``) over every lag the windows hold, so the symbol's
-    distance to it is |M^+ M Phi| = |M^+ a|: the norm of the minimum-norm
-    symbol with the same build a. For toeplitz that class is Sarason's
+    (``_symbol_map``) over the lags -M..M (toeplitz, M the larger window
+    order) or -(M1 + M2 + 1)..-1 (hankel), so the symbol's distance to it
+    is |M^+ M Phi| = |M^+ a|: the norm of the minimum-norm symbol with the
+    same build a. Those reaches are where the window builds stopped; the
+    exact map has no last lag, and a symbol whose support leaves the window
+    [-M, M] is refused, a recovered one included (``recover_symbol``). For toeplitz that class is Sarason's
     Theta2 H^2 + (Theta1 H^2)^*, cut to the window. One SVD of M per space
     pair and family, cut at _RANK_TOL * s_0 and kept on space2 for as
     long as both spaces live, leaves each query one build and one small

@@ -13,7 +13,8 @@ import numpy as np
 
 from matholab.conjugations import sandwich_pointwise
 from matholab.laurent import Laurent
-from matholab.operators import _complement_basis, build_matho, build_matto
+from matholab.modelspace import ModelSpace
+from matholab.operators import _complement_basis
 
 N_GRID = 512
 
@@ -166,14 +167,21 @@ def window_map(fn, src, dst):
 
 
 # -- symbol-map and kernel-class references -----------------------------------
-# The symbol map from the package's builds of every unit symbol, and the
-# kernel class as its nullspace through one dense least-squares solve: the
-# reference that operators.kernel_test must reproduce. The explicit generator
-# list of the J-symmetric class is a second, independent reference on exact
-# windows; it builds its generators with the package's series products.
+# The symbol map as the window builds of every unit symbol E_ab z^k
+# (window_matto and window_matho), written out as one pairing of the two
+# window bases per lag; it reads the basis coefficients and nothing else of
+# the package. On windows that hold the basis functions it is the exact map,
+# and exact_symbol_map rebuilds both spaces from their realizations on such
+# a window, which makes it a reference on every window. The kernel class is
+# the map's nullspace through one dense least-squares solve. The explicit
+# generator list of the J-symmetric class is a second, independent reference
+# on exact windows; it builds its generators with the package's series
+# products.
 
 # the package's rank cut, relative to the top singular value
 RANK_CUT = 1e-8
+# dropped L^2 mass per basis function below which a window is exact
+EXACT_TAIL = 1e-16
 
 
 def _matrix_units(dim):
@@ -181,18 +189,53 @@ def _matrix_units(dim):
     return [np.outer(eye[:, i], eye[:, j]) for i in range(dim) for j in range(dim)]
 
 
+def _pair(x2, x1):
+    """[a, b, i, j] = sum_m conj(x2[m, a, i]) x1[m, b, j]: the coordinates
+    <E_ab f_j, g_i> of slot-aligned coefficient stacks."""
+    return np.tensordot(x2.conj(), x1, axes=([0], [0])).transpose(0, 2, 1, 3)
+
+
 def symbol_map(space1, space2, family, reach):
-    """Reference for operators._symbol_map: (lags, M) with column (k, a, b) the
-    flattened build_matto/build_matho matrix of the unit symbol E_ab z^k."""
-    build = build_matto if family == "toeplitz" else build_matho
-    lags = list(range(-reach, reach + 1) if family == "toeplitz" else range(-reach, 0))
-    cols = [build(space1, space2, Laurent.monomial(k, e)).matrix.ravel()
-            for k in lags for e in _matrix_units(space1.dim)]
-    return lags, np.stack(cols, axis=1)
+    """(lags, M) with column (k, a, b) the flattened window build of the unit
+    symbol E_ab z^k: toeplitz lags -reach..reach pair E c1_(m-k) with c2_m
+    over the slots both windows hold, hankel lag -s pairs E c1_q with c2_p
+    over p + q = s - 1 (c1, c2 the two window bases)."""
+    c1 = space1.basis.coeffs[space1.order:]
+    c2 = space2.basis.coeffs[space2.order:]
+    blocks = []
+    if family == "toeplitz":
+        lags = list(range(-reach, reach + 1))
+        for k in lags:
+            lo = max(0, k)
+            hi = max(lo, min(len(c2), len(c1) + k))
+            blocks.append(_pair(c2[lo:hi], c1[lo - k:hi - k]))
+    else:
+        lags = list(range(-reach, 0))
+        for k in lags:
+            p = np.arange(max(0, -k - len(c1)), min(-k, len(c2)))
+            blocks.append(_pair(c2[p], c1[-k - 1 - p]))
+    return lags, np.stack(blocks).reshape(len(lags) * space1.dim ** 2, -1).T
+
+
+def exact_window(space):
+    """The space rebuilt from its realization on the first doubled window
+    whose basis tails are below EXACT_TAIL (the space itself if its own is)."""
+    order = space.order
+    while space.tails.max(initial=0.0) >= EXACT_TAIL:
+        order *= 2
+        assert order <= 4096, "no exact window up to 4096"
+        space = ModelSpace.from_realization(space.realization, order)
+    return space
+
+
+def exact_symbol_map(space1, space2, family, reach):
+    """The exact symbol map: ``symbol_map`` on exact windows of both spaces."""
+    return symbol_map(exact_window(space1), exact_window(space2), family, reach)
 
 
 def full_reach(space1, space2, family):
-    """The largest lag at which a unit symbol still builds a nonzero matrix."""
+    """The lags operators.kernel_test factors the symbol map over: -reach..reach
+    for toeplitz, -reach..-1 for hankel."""
     m1, m2 = space1.order, space2.order
     return max(m1, m2) if family == "toeplitz" else m1 + m2 + 1
 

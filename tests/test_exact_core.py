@@ -8,7 +8,7 @@ from hypothesis import example, given, strategies as st
 
 from matholab import (Conjugation, CrofootData, CTheta, ModelOperator, ModelSpace, build_matho,
                       build_matto, cli, crofoot_realization, diagonal_monomial,
-                      displacement_check, jstar, random_modifier, recover_symbol,
+                      displacement_check, jstar, kernel_test, random_modifier, recover_symbol,
                       scalar_blaschke, shift_invariance_check, tau)
 from matholab.modelspace import stein
 from matholab.operators import _ctheta, _jstar, _symbol_map, _tau
@@ -177,6 +177,27 @@ def test_solution_space_members_recover_at_window_8(seed):
         assert gap <= 1e-8 * (1.0 + np.linalg.norm(op.matrix)), (family, gap)
         reach = max(s1.dim_K, s2.dim_K) - 1 if family == "toeplitz" else s1.dim_K + s2.dim_K - 1
         assert phi.order <= reach
+
+
+def test_recovered_symbols_meet_the_kernel_window():
+    # a recovered symbol is not cut at the window: the hankel one reaches lag
+    # -(n1 + n2 - 1) past -8, and kernel_test refuses it; the toeplitz one
+    # fits, and differs from the built symbol by a kernel member
+    rng = np.random.default_rng(93)
+    s1 = ModelSpace.from_product(random_inner(rng, 3, 3, 0.5), 8)
+    s2 = ModelSpace.from_product(random_inner(rng, 3, 3, 0.5), 8)
+    phi = random_symbol(rng, 3)
+    assert s1.dim_K + s2.dim_K - 1 > 8
+    toeplitz, _ = recover_symbol(build_matto(s1, s2, phi), "toeplitz")
+    assert -8 <= toeplitz.support()[0] and toeplitz.support()[1] <= 8
+    res = kernel_test(toeplitz, s1, s2, "toeplitz")
+    assert res["verdict"] == "not-in-kernel" and res["agreement"] == "confirmed"
+    res = kernel_test(toeplitz - phi.with_order(toeplitz.order), s1, s2, "toeplitz")
+    assert res["verdict"] == "in-kernel" and res["agreement"] == "confirmed"
+    hankel, _ = recover_symbol(build_matho(s1, s2, phi), "hankel")
+    assert hankel.support()[0] == -(s1.dim_K + s2.dim_K - 1)
+    with pytest.raises(ValueError, match="exceeds the window"):
+        kernel_test(hankel, s1, s2, "hankel")
 
 
 @given(dim=st.integers(1, 3), n_factors=st.integers(1, 3), max_abs=st.floats(0.01, 0.85),

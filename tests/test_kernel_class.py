@@ -16,8 +16,8 @@ from matholab.cli import parse_scenario
 from matholab.laurent import Laurent
 from matholab.operators import kernel_test
 from matholab.sampling import random_inner, random_unitary
-from oracle import (_effective_reach, dense_kernel_distance, full_reach, kernel_generators,
-                    map_kernel_distance, map_nullspace, symbol_map)
+from oracle import (_effective_reach, dense_kernel_distance, exact_symbol_map, full_reach,
+                    kernel_generators, map_kernel_distance, map_nullspace)
 
 ROOT = Path(__file__).resolve().parent.parent
 THRESHOLD = 1e-8
@@ -57,8 +57,9 @@ def _bumped(rng, member, family):
 
 
 def _reference_map(s1, s2, family):
-    """(lags, M): the unit-symbol-build reference map at full reach."""
-    return symbol_map(s1, s2, family, full_reach(s1, s2, family))
+    """(lags, M): the window builds of the unit symbols on exact windows of
+    both spaces, over the lags kernel_test factors."""
+    return exact_symbol_map(s1, s2, family, full_reach(s1, s2, family))
 
 
 def _null_member(rng, s1, s2, family, ref_map):
@@ -176,9 +177,9 @@ def test_benchmark_symbols_match_dense_oracle(monkeypatch):
         if command != "kernel":
             continue
         sc = parse_scenario(doc, command)
-        spaces = [ModelSpace.from_product(t, sc.trunc_order) for t in (sc.theta1, sc.theta2)]
-        conj = Conjugation.identity(sc.theta1.dim)
-        res = _assert_matches_oracle(sc.symbol, *spaces, sc.params["family"], None, conj, conj)
+        conj = Conjugation.identity(sc.space1.dim)
+        res = _assert_matches_oracle(sc.symbol, sc.space1, sc.space2, sc.params["family"], None,
+                                     conj, conj)
         assert res["verdict"] == req.expected["class"]
         kernel_cells += 1
     assert kernel_cells == 4
