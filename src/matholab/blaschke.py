@@ -280,10 +280,13 @@ def state_window(realization, order):
 
 
 def matrix_powers(mat, count):
-    """mat^0 .. mat^(count - 1), stacked; the stack doubles each step."""
-    out, step = np.eye(len(mat), dtype=complex)[None], mat
+    """mat^0 .. mat^(count - 1), stacked; the stack doubles each step, by one
+    flat product of the stacked rows with the current step."""
+    n = len(mat)
+    out, step = np.eye(n, dtype=complex)[None], mat
     while len(out) < count:
-        out, step = np.concatenate([out, out @ step]), step @ step
+        more = (out.reshape(-1, n) @ step).reshape(out.shape)
+        out, step = np.concatenate([out, more]), step @ step
     return out[:count]
 
 

@@ -44,10 +44,25 @@ def vector_to_json(v):
     return array_to_json(np.ravel(v))
 
 
+def _plain_pairs(pairs):
+    """The complex values of a list of [re, im] lists of ints and floats, by one
+    type pass and one conversion; None if any entry is anything else, which
+    the caller then decodes entry by entry (``pair_to_complex``) for its message."""
+    if set(map(type, pairs)) - {list} or set(map(len, pairs)) - {2}:
+        return None
+    flat = [t for p in pairs for t in p]
+    if set(map(type, flat)) - {int, float}:
+        return None
+    return np.array(flat, dtype=float).view(complex)
+
+
 def vector_from_json(obj, field, length=None):
     if not isinstance(obj, list):
         raise ScenarioError(f"{field}: expected a list of [re, im] pairs")
-    out = np.array([pair_to_complex(p, f"{field}[{i}]") for i, p in enumerate(obj)], dtype=complex)
+    out = _plain_pairs(obj)
+    if out is None:
+        out = np.array([pair_to_complex(p, f"{field}[{i}]") for i, p in enumerate(obj)],
+                       dtype=complex)
     if length is not None and out.size != length:
         raise ScenarioError(f"{field}: expected length {length}, got {out.size}")
     return out
@@ -61,12 +76,17 @@ def matrix_from_json(obj, field, shape=None):
     if not isinstance(obj, list) or not obj or not all(isinstance(r, list) for r in obj):
         raise ScenarioError(f"{field}: expected a list of rows of [re, im] pairs")
     width = len(obj[0])
-    rows = []
-    for i, row in enumerate(obj):
-        if len(row) != width:
-            raise ScenarioError(f"{field}[{i}]: ragged row (expected {width} entries)")
-        rows.append([pair_to_complex(p, f"{field}[{i}][{j}]") for j, p in enumerate(row)])
-    out = np.array(rows, dtype=complex)
+    out = None
+    if set(map(len, obj)) == {width}:
+        out = _plain_pairs([p for row in obj for p in row])
+    if out is None:
+        rows = []
+        for i, row in enumerate(obj):
+            if len(row) != width:
+                raise ScenarioError(f"{field}[{i}]: ragged row (expected {width} entries)")
+            rows.append([pair_to_complex(p, f"{field}[{i}][{j}]") for j, p in enumerate(row)])
+        out = np.array(rows, dtype=complex)
+    out = out.reshape(len(obj), width)
     if shape is not None and out.shape != shape:
         raise ScenarioError(f"{field}: expected shape {shape}, got {out.shape}")
     return out

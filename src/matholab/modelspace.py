@@ -14,6 +14,7 @@ The coordinates of a function c (I - z a)^{-1} solve one Stein equation.
 from __future__ import annotations
 
 import weakref
+from functools import cached_property
 
 import numpy as np
 
@@ -51,6 +52,9 @@ class ModelSpace:
     basis read on the space's window is one series B(z) = [b_1 ... b_n] with
     values in the d x n matrices (``basis``), with one certified tail per
     basis function (``tails``); ``theta_series`` is Theta on the same window.
+    The window and the defect projections (``P_D``, ``P_Dt``, ``defect_dim``,
+    ``defect_dim_tilde``) are computed when first read: builds, displacement
+    checks and the registry's maps need only the realization.
     """
 
     def __init__(self, checked, order=64, theta=None):
@@ -64,20 +68,38 @@ class ModelSpace:
         self.realization = a_mat, b_mat, c_mat, _ = checked.realization
         self.unitary_defect = checked.max_unitary_defect
         self.theta = theta
-        coeffs, self.tails, self.theta_series = state_window(self.realization, order)
-        self.basis = Laurent(coeffs, order, float(np.linalg.norm(self.tails)))
         self.dim, self.dim_K = c_mat.shape
         self.order = order
         self.S, self.S_star = a_mat.conj().T, a_mat
         self.D = c_mat.conj().T @ c_mat
         self.D_tilde = b_mat @ b_mat.conj().T
         self.k0_cols, self.kt0_cols = c_mat.conj().T, b_mat
-        self.P_D, self.defect_dim = _span_projection(self.k0_cols)
-        self.P_Dt, self.defect_dim_tilde = _span_projection(self.kt0_cols)
         # operators.kernel_test's kernel classes (one SVD of the symbol map
         # each) with this space as codomain, keyed by the domain space, then
         # by family; they die with either space
         self.kernel_classes = weakref.WeakKeyDictionary()
+
+    # -- the window and the defect projections, on first read ----------------
+
+    @cached_property
+    def _window(self):
+        return state_window(self.realization, self.order)
+
+    @cached_property
+    def basis(self):
+        return Laurent(self._window[0], self.order, float(np.linalg.norm(self.tails)))
+
+    tails = cached_property(lambda self: self._window[1])
+    theta_series = cached_property(lambda self: self._window[2])
+
+    @cached_property
+    def _defects(self):
+        return _span_projection(self.k0_cols) + _span_projection(self.kt0_cols)
+
+    P_D = cached_property(lambda self: self._defects[0])
+    defect_dim = cached_property(lambda self: self._defects[1])
+    P_Dt = cached_property(lambda self: self._defects[2])
+    defect_dim_tilde = cached_property(lambda self: self._defects[3])
 
     # -- construction ------------------------------------------------------
 

@@ -3,12 +3,12 @@
 A symbol Phi acts by A_Phi f = P_{Theta2}(Phi f) (Toeplitz) or
 B_Phi f = P_{Theta2} J (I - P_+)(Phi f) (Hankel, with the flip
 (J f)(z) = conj(z) f(conj(z))). Everything downstream is matrix algebra
-in the state bases of the two spaces: the builds (the exact linear map
-from symbol coefficients to the matrix, one Stein solve per pair of
-spaces), membership in the operator classes via displacement equations,
-the equivalent shift-invariance predicates, symbol recovery (one
-minimum-norm solve on that map, for both families), symbol-kernel tests,
-and a registry of conjugation/transform identities checked as exact
+in the state bases of the two spaces: the builds (one Stein solve per
+toeplitz symbol, one Horner pass per hankel symbol), membership in the
+operator classes via displacement equations, the equivalent
+shift-invariance predicates, symbol recovery (one minimum-norm solve on
+the exact linear map from symbol coefficients to the matrix, for both
+families), symbol-kernel tests, and a registry of conjugation/transform identities checked as exact
 matrix equalities up to tolerance.
 
 Every check comes back as one ``Check`` record (name, residual,
@@ -106,14 +106,37 @@ def _check_symbol(symbol, space1, space2):
 
 
 def _build(space1, space2, symbol, family):
-    """The symbol map (``_symbol_map``) over the symbol's support, applied to its coefficients."""
+    """The matrix of the symbol's operator in the two state bases, equal to
+    ``_symbol_map`` applied to the symbol's coefficients, with no map formed.
+
+    With G_k = C2* Phi_k C1 and Y(G) the Stein solution of Y = A2* Y A1 + G,
+    toeplitz lag k is (A2*)^k Y(G_k) at k >= 0 and Y(G_k) A1^|k| at k < 0;
+    both factors pass into Y, so the whole build is one Stein solve Y(Q),
+    Q = sum_{k >= 0} (A2*)^k G_k + sum_{k < 0} G_k A1^|k|. Hankel lag -s is
+    sum_{q+p=s-1} (A2*)^q G_{-s} A1^p, summed by one Horner pass from the
+    farthest lag in: v <- G_{-j} + v A1, w <- A2* w + v for j = R .. 1.
+    """
     _check_symbol(symbol, space1, space2)
+    a1, _, c1, _ = space1.realization
+    a2, _, c2, _ = space2.realization
+    a2h = a2.conj().T
     lo, hi = symbol.support()
-    reach = max(-lo, hi) if family == "toeplitz" else max(-lo, 0)
-    lags, mat = _symbol_map(space1, space2, family, reach)
-    window = symbol.with_order(reach).coeffs[:len(lags)]
-    return ModelOperator(space1, space2,
-                         (mat @ window.ravel()).reshape(space2.dim_K, space1.dim_K))
+    if family == "toeplitz":
+        reach = max(-lo, hi)
+        g = c2.conj().T @ symbol.coeffs[symbol.order - reach:symbol.order + reach + 1] @ c1
+        p1, p2 = matrix_powers(a1, reach + 1), matrix_powers(a2h, reach + 1)
+        n2, n1 = g.shape[1:]
+        # [P_0 P_1 ...] @ [G_0; G_1; ...] and [G_-1 G_-2 ...] @ [A1; A1^2; ...]
+        q = (p2.transpose(1, 0, 2).reshape(n2, -1) @ g[reach:].reshape(-1, n1)
+             + g[:reach][::-1].transpose(1, 0, 2).reshape(n2, -1) @ p1[1:].reshape(-1, n1))
+        matrix = stein(a2h, q, a1)
+    else:
+        g = c2.conj().T @ symbol.coeffs[symbol.order + min(lo, 0):symbol.order] @ c1
+        matrix = v = np.zeros((space2.dim_K, space1.dim_K), dtype=complex)
+        for g_j in g:
+            v = g_j + v @ a1
+            matrix = a2h @ matrix + v
+    return ModelOperator(space1, space2, matrix)
 
 
 def build_matto(space1, space2, symbol):
@@ -281,12 +304,12 @@ def kernel_test(symbol, space1, space2, family, conj1=None, conj2=None, threshol
     """Is Phi in the kernel class (symbols building the zero operator)?
 
     The class is ker M for the linear map M: Phi -> built matrix
-    (``_symbol_map``) over the lags -M..M (toeplitz, M the larger window
-    order) or -(M1 + M2 + 1)..-1 (hankel), so the symbol's distance to it
-    is |M^+ M Phi| = |M^+ a|: the norm of the minimum-norm symbol with the
-    same build a. Those reaches are where the window builds stopped; the
-    exact map has no last lag, and a symbol whose support leaves the window
-    [-M, M] is refused, a recovered one included (``recover_symbol``). For toeplitz that class is Sarason's
+    (``_symbol_map``) over the lags -M..M (toeplitz) or -M..-1 (hankel), M
+    the larger window order, so the symbol's distance to it is
+    |M^+ M Phi| = |M^+ a|: the norm of the minimum-norm symbol with the
+    same build a. The exact map has no last lag, and a symbol whose support
+    leaves the window [-M, M] is refused, a recovered one included
+    (``recover_symbol``), so no admitted symbol reaches past those lags. For toeplitz that class is Sarason's
     Theta2 H^2 + (Theta1 H^2)^*, cut to the window. One SVD of M per space
     pair and family, cut at _RANK_TOL * s_0 and kept on space2 for as
     long as both spaces live, leaves each query one build and one small
@@ -305,8 +328,7 @@ def kernel_test(symbol, space1, space2, family, conj1=None, conj2=None, threshol
         raise ValueError(f"symbol support [{lo}, {hi}] exceeds the window [{-order}, {order}]")
     classes = space2.kernel_classes.setdefault(space1, {})
     if family not in classes:
-        reach = order if family == "toeplitz" else space1.order + space2.order + 1
-        u, s, _ = np.linalg.svd(_symbol_map(space1, space2, family, reach)[1],
+        u, s, _ = np.linalg.svd(_symbol_map(space1, space2, family, order)[1],
                                 full_matrices=False)
         keep = s > _RANK_TOL * s.max(initial=0.0)
         classes[family] = (u[:, keep] / s[keep]).conj().T
@@ -399,14 +421,24 @@ class TransformInputs:
         return inputs
 
     def space(self, key):
+        """K_Theta for "1" or "2"; with a suffix, the space of a derived theta,
+        read off the source space's realization (A, B, C, D): "t" is
+        Theta~(z) = Theta(conj(z))^* with (A*, C*, B*, D*), and "j" is
+        J Theta(conj(z)) J with (conj A, conj(B) conj(U), U conj(C),
+        U conj(D) conj(U)). Both colligations are unitary with the source's."""
         if key not in self._cache:
-            theta = {"1": self.theta1, "2": self.theta2}[key[0]]
-            if key.endswith("t"):
-                theta = theta.tilde()
-            elif key.endswith("j"):
-                conj = self.conj1 if key[0] == "1" else self.conj2
-                theta = theta.conjugated(conj)
-            self._cache[key] = ModelSpace.from_product(theta, self.order)
+            if len(key) == 1:
+                theta = self.theta1 if key == "1" else self.theta2
+                self._cache[key] = ModelSpace.from_product(theta, self.order)
+            else:
+                a_mat, b_mat, c_mat, d_mat = self.space(key[0]).realization
+                if key[1] == "t":
+                    realization = tuple(m.conj().T for m in (a_mat, c_mat, b_mat, d_mat))
+                else:
+                    u = (self.conj1 if key[0] == "1" else self.conj2).U
+                    realization = (a_mat.conj(), b_mat.conj() @ u.conj(), u @ c_mat.conj(),
+                                   u @ d_mat.conj() @ u.conj())
+                self._cache[key] = ModelSpace.from_realization(realization, self.order)
         return self._cache[key]
 
     def crofoot_image(self, which):

@@ -235,9 +235,8 @@ def exact_symbol_map(space1, space2, family, reach):
 
 def full_reach(space1, space2, family):
     """The lags operators.kernel_test factors the symbol map over: -reach..reach
-    for toeplitz, -reach..-1 for hankel."""
-    m1, m2 = space1.order, space2.order
-    return max(m1, m2) if family == "toeplitz" else m1 + m2 + 1
+    for toeplitz, -reach..-1 for hankel, at the larger window order."""
+    return max(space1.order, space2.order)
 
 
 def map_kernel_distance(symbol, lags, mat):

@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from matholab import (Conjugation, CrofootData, CTheta, ModelOperator, ModelSpace, build_matho,
-                      build_matto, cli, crofoot_realization, diagonal_monomial,
-                      displacement_check, jstar, kernel_test, random_modifier, recover_symbol,
-                      scalar_blaschke, shift_invariance_check, tau)
+from matholab import (Conjugation, CrofootData, CTheta, ModelOperator, ModelSpace,
+                      TransformInputs, build_matho, build_matto, cli, crofoot_realization,
+                      diagonal_monomial, displacement_check, jstar, kernel_test, random_modifier,
+                      recover_symbol, scalar_blaschke, shift_invariance_check, tau)
+from matholab import modelspace
 from matholab.modelspace import stein
 from matholab.operators import _ctheta, _jstar, _symbol_map, _tau
-from matholab.sampling import random_inner, random_symbol, random_symmetric_inner
+from matholab.sampling import random_inner, random_symbol, random_symmetric_inner, random_unitary
 
 import oracle
 
@@ -106,6 +107,91 @@ def test_ctheta_is_compressed_for_thetas_that_are_not_symmetric():
     window = oracle.window_map(CTheta(space.theta_series, conj).apply, space, space)
     assert np.max(np.abs(_ctheta(space, conj) - window)) <= 1e-12
 
+
+
+# -- direct builds, windows on first read, derived spaces from the realization ------
+
+def _map_build(space1, space2, symbol, family):
+    """``_symbol_map`` over the symbol's support applied to its coefficients."""
+    lo, hi = symbol.support()
+    reach = max(-lo, hi) if family == "toeplitz" else max(-lo, 0)
+    lags, mat = _symbol_map(space1, space2, family, reach)
+    coeffs = np.stack([symbol.coeff(k) for k in lags])
+    return (mat @ coeffs.ravel()).reshape(space2.dim_K, space1.dim_K)
+
+
+@example(dim=3, n_factors=3, max_abs=0.8999999, order=64, seed=0, psi=True)
+@example(dim=1, n_factors=1, max_abs=0.0, order=8, seed=0, psi=False)
+@given(dim=st.integers(1, 3), n_factors=st.integers(1, 3), max_abs=st.floats(0.0, 0.8999999),
+       order=st.sampled_from([8, 16, 32, 64]), seed=st.integers(0, 2 ** 16), psi=st.booleans())
+def test_direct_builds_equal_the_symbol_map(dim, n_factors, max_abs, order, seed, psi):
+    rng = np.random.default_rng(seed)
+    s1 = ModelSpace.from_product(random_inner(rng, dim, n_factors, max_abs), order)
+    s2 = ModelSpace.from_product(random_inner(rng, dim, n_factors, max_abs), order)
+    phi = random_symbol(rng, dim)
+    if psi:
+        # prop61a's Psi = Theta2^* Phi Theta1: every lag of the window, unless
+        # the poles sit at 0 and Theta is a polynomial
+        phi = s2.theta_series.adjoint_star().mul(phi).mul(s1.theta_series).truncate(order)
+    for family, (build, _, _) in FAMILIES.items():
+        built = build(s1, s2, phi).matrix
+        gap = np.max(np.abs(built - _map_build(s1, s2, phi, family)))
+        assert gap <= 1e-13 * (1.0 + np.linalg.norm(built)), (family, gap)
+
+
+def _random_conjugation(rng, dim):
+    """J x = U conj(x) with U = V V^T, symmetric and unitary for a unitary V."""
+    v = random_unitary(rng, dim)
+    return Conjugation(v @ v.T)
+
+
+def _requests(rng):
+    """(command, scenario document) for every command that reads no window."""
+    base = {"trunc_order": 16, "theta1": random_inner(rng, 2, 2, 0.8).to_json(),
+            "theta2": random_inner(rng, 2, 2, 0.8).to_json(),
+            "symbol": random_symbol(rng, 2).to_json()}
+    conj = _random_conjugation(rng, 2).to_json()
+    extras = [("build", {"family": "toeplitz"}), ("build", {"family": "hankel"}),
+              ("check", {"kind": "T3"}), ("check", {"kind": "MH-b"}),
+              ("check", {"kind": "hankel-c"}), ("recover", {"family": "toeplitz"}),
+              ("recover", {"family": "hankel"}), ("kernel", {"family": "toeplitz"}),
+              ("kernel", {"family": "hankel"}), ("verify", {"name": "jstar", "j1": conj,
+                                                            "j2": conj})]
+    return [(command, {**base, **extra}) for command, extra in extras]
+
+
+def test_requests_that_read_no_window_compute_none(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return state_window(*args)
+
+    state_window = modelspace.state_window
+    monkeypatch.setattr(modelspace, "state_window", counted)
+    for command, doc in _requests(np.random.default_rng(94)):
+        report = cli.run_command(cli.parse_scenario(doc, command))
+        assert report["overall"] in ("accept", "reject")
+        assert not calls, (command, doc)
+    # a space report reads the tails: one window per space
+    cli.run_command(cli.parse_scenario(_requests(np.random.default_rng(94))[0][1], "space"))
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_derived_spaces_have_the_derived_theta(dim):
+    rng = np.random.default_rng([95, dim])
+    theta1, theta2 = random_inner(rng, dim, 2, 0.6), random_inner(rng, dim, 3, 0.6)
+    conj1, conj2 = _random_conjugation(rng, dim), _random_conjugation(rng, dim)
+    inputs = TransformInputs(theta1, theta2, 96, conj1=conj1, conj2=conj2)
+    for key, theta, conj in (("1", theta1, conj1), ("2", theta2, conj2)):
+        for suffix, derived in (("t", theta.tilde()), ("j", theta.conjugated(conj))):
+            space = inputs.space(key + suffix)
+            product = ModelSpace.from_product(derived, 96)
+            assert max(space.tails.max(), product.tails.max()) < 1e-13
+            gap = np.max(np.abs(space.theta_series.coeffs - product.theta_series.coeffs))
+            assert gap <= 1e-13, (key + suffix, gap)
+            assert space.theta_series.tail_bound < 1e-13
 
 # -- the documented input range ------------------------------------------------------
 

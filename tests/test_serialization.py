@@ -1,19 +1,22 @@
-"""Whole-array JSON encoders against the per-element reference in oracle.py.
+"""Whole-array JSON encoders against the per-element reference in oracle.py,
+and the decoders' refusals.
 
 Equal objects are not enough: 1 == 1.0 and -0.0 == 0.0 in Python, so every
 comparison also asserts identical JSON text, which spells each float by its
 repr.
 """
 
+import copy
 import json
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from matholab import Laurent, ModelSpace, diagonal_monomial, scalar_blaschke
-from matholab.jsonio import matrix_to_json, vector_to_json
-from matholab.sampling import random_inner
+from matholab import Conjugation, Laurent, ModelSpace, cli, diagonal_monomial, scalar_blaschke
+from matholab.jsonio import ScenarioError, matrix_from_json, matrix_to_json, vector_to_json
+from matholab.sampling import random_crofoot, random_inner, random_symbol
 
 import oracle
 
@@ -81,3 +84,58 @@ def test_all_zero_window_encodes_like_reference(shape):
 def test_describe_matches_reference(theta):
     space = ModelSpace.from_product(theta, 12)
     _same(space.describe(), oracle.describe(space))
+
+
+# -- decoding: every refusal names the offending entry ----------------------------
+
+def _verify_doc():
+    """A valid verify scenario whose theta1, j1, w1 and symbol carry 2 x 2 matrices."""
+    rng = np.random.default_rng(8)
+    v = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))[0]
+    return {"theta1": random_inner(rng, 2, 1, 0.5).to_json(),
+            "theta2": random_inner(rng, 2, 1, 0.5).to_json(),
+            "j1": Conjugation(v @ v.T).to_json(), "w1": random_crofoot(rng, 2).to_json(),
+            "symbol": random_symbol(rng, 2, reach=0, n_terms=1).to_json(), "name": "crofoot"}
+
+
+# field name in the refusal -> the matrix payload in _verify_doc
+MATRIX_FIELDS = {
+    "theta1.factors[0].frame": lambda doc: doc["theta1"]["factors"][0]["frame"],
+    "theta1.factors[0].post_unitary": lambda doc: doc["theta1"]["factors"][0]["post_unitary"],
+    "j1.unitary": lambda doc: doc["j1"]["unitary"],
+    "w1.w": lambda doc: doc["w1"]["w"],
+    "symbol.coeffs[0]": lambda doc: doc["symbol"]["coeffs"]["0"],
+}
+BAD_ENTRIES = {"boolean": [True, 0.0], "string": ["0.5", 0.0], "none": None,
+               "bare-boolean": False, "three-element": [0.5, 0.0, 0.0]}
+
+
+def test_verify_doc_decodes():
+    assert cli.parse_scenario(_verify_doc(), "verify").symbol.dim == 2
+
+
+@pytest.mark.parametrize("bad", BAD_ENTRIES.values(), ids=BAD_ENTRIES.keys())
+@pytest.mark.parametrize("field", MATRIX_FIELDS)
+def test_bad_entries_are_refused_by_name(field, bad):
+    doc = copy.deepcopy(_verify_doc())
+    MATRIX_FIELDS[field](doc)[1][0] = bad
+    want = f"{field}[1][0]: expected an [re, im] pair, got {bad!r}"
+    with pytest.raises(ScenarioError, match=re.escape(want)):
+        cli.parse_scenario(doc, "verify")
+
+
+@pytest.mark.parametrize("field", MATRIX_FIELDS)
+def test_ragged_rows_are_refused_by_name(field):
+    doc = copy.deepcopy(_verify_doc())
+    MATRIX_FIELDS[field](doc)[1].pop()
+    want = f"{field}[1]: ragged row (expected 2 entries)"
+    with pytest.raises(ScenarioError, match=re.escape(want)):
+        cli.parse_scenario(doc, "verify")
+
+
+def test_matrix_decoder_takes_ints_tuples_and_numpy_floats():
+    want = np.array([[1 + 2j, -0.5], [0.0, 3j]])
+    assert np.array_equal(matrix_from_json([[[1, 2], [-0.5, 0]], [[0, 0], [0, 3]]], "m"), want)
+    assert np.array_equal(matrix_from_json([[(1.0, 2.0), [np.float64(-0.5), 0.0]],
+                                            [[0.0, 0.0], [0.0, 3.0]]], "m"), want)
+    assert matrix_from_json([[], []], "m").shape == (2, 0)
