@@ -81,25 +81,18 @@ class ModelSpace:
 
     # -- the window and the defect projections, on first read ----------------
 
-    @cached_property
-    def _window(self):
-        return state_window(self.realization, self.order)
-
-    @cached_property
-    def basis(self):
-        return Laurent(self._window[0], self.order, float(np.linalg.norm(self.tails)))
-
+    _window = cached_property(lambda self: state_window(self.realization, self.order))
+    basis = cached_property(lambda self: Laurent(self._window[0], self.order,
+                                                 float(np.linalg.norm(self.tails))))
     tails = cached_property(lambda self: self._window[1])
     theta_series = cached_property(lambda self: self._window[2])
 
-    @cached_property
-    def _defects(self):
-        return _span_projection(self.k0_cols) + _span_projection(self.kt0_cols)
-
-    P_D = cached_property(lambda self: self._defects[0])
-    defect_dim = cached_property(lambda self: self._defects[1])
-    P_Dt = cached_property(lambda self: self._defects[2])
-    defect_dim_tilde = cached_property(lambda self: self._defects[3])
+    _defect = cached_property(lambda self: _span_projection(self.k0_cols))
+    _defect_tilde = cached_property(lambda self: _span_projection(self.kt0_cols))
+    P_D = cached_property(lambda self: self._defect[0])
+    defect_dim = cached_property(lambda self: self._defect[1])
+    P_Dt = cached_property(lambda self: self._defect_tilde[0])
+    defect_dim_tilde = cached_property(lambda self: self._defect_tilde[1])
 
     # -- construction ------------------------------------------------------
 

@@ -8,8 +8,8 @@ toeplitz symbol, one Horner pass per hankel symbol), membership in the
 operator classes via displacement equations, the equivalent
 shift-invariance predicates, symbol recovery (one minimum-norm solve on
 the exact linear map from symbol coefficients to the matrix, for both
-families), symbol-kernel tests, and a registry of conjugation/transform identities checked as exact
-matrix equalities up to tolerance.
+families), symbol-kernel tests, and a registry of conjugation/transform
+identities checked as exact matrix equalities up to tolerance.
 
 Every check comes back as one ``Check`` record (name, residual,
 threshold, scale, verdict, optional reason), and every accept/reject
@@ -309,8 +309,9 @@ def kernel_test(symbol, space1, space2, family, conj1=None, conj2=None, threshol
     |M^+ M Phi| = |M^+ a|: the norm of the minimum-norm symbol with the
     same build a. The exact map has no last lag, and a symbol whose support
     leaves the window [-M, M] is refused, a recovered one included
-    (``recover_symbol``), so no admitted symbol reaches past those lags. For toeplitz that class is Sarason's
-    Theta2 H^2 + (Theta1 H^2)^*, cut to the window. One SVD of M per space
+    (``recover_symbol``), so no admitted symbol reaches past those lags.
+    For toeplitz that class is Sarason's Theta2 H^2 + (Theta1 H^2)^*, cut
+    to the window. One SVD of M per space
     pair and family, cut at _RANK_TOL * s_0 and kept on space2 for as
     long as both spaces live, leaves each query one build and one small
     product |W^* vec(a)| with W = U_r / s_r. No J-symmetry enters: conj1

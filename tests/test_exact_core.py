@@ -161,14 +161,9 @@ def _requests(rng):
 
 
 def test_requests_that_read_no_window_compute_none(monkeypatch):
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return state_window(*args)
-
-    state_window = modelspace.state_window
-    monkeypatch.setattr(modelspace, "state_window", counted)
+    calls, state_window = [], modelspace.state_window
+    monkeypatch.setattr(modelspace, "state_window",
+                        lambda *args: calls.append(args) or state_window(*args))
     for command, doc in _requests(np.random.default_rng(94)):
         report = cli.run_command(cli.parse_scenario(doc, command))
         assert report["overall"] in ("accept", "reject")
