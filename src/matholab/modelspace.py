@@ -99,7 +99,8 @@ class ModelSpace:
     @classmethod
     def from_realization(cls, realization, order=64, theta=None):
         """K_Theta for the Theta of a colligation (A, B, C, D), checked to be
-        unitary and pure, with the basis read off it on the window (``state_window``)."""
+        unitary and pure; the basis on the window is read off it when first
+        asked for (``state_window``)."""
         return cls(check_colligation(realization), order, theta)
 
     @classmethod

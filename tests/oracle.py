@@ -233,9 +233,9 @@ def exact_symbol_map(space1, space2, family, reach):
     return symbol_map(exact_window(space1), exact_window(space2), family, reach)
 
 
-def full_reach(space1, space2, family):
+def full_reach(space1, space2):
     """The lags operators.kernel_test factors the symbol map over: -reach..reach
-    for toeplitz, -reach..-1 for hankel, at the larger window order."""
+    for toeplitz, -reach..-1 for hankel, both at the larger window order."""
     return max(space1.order, space2.order)
 
 

@@ -59,7 +59,7 @@ def _bumped(rng, member, family):
 def _reference_map(s1, s2, family):
     """(lags, M): the window builds of the unit symbols on exact windows of
     both spaces, over the lags kernel_test factors."""
-    return exact_symbol_map(s1, s2, family, full_reach(s1, s2, family))
+    return exact_symbol_map(s1, s2, family, full_reach(s1, s2))
 
 
 def _null_member(rng, s1, s2, family, ref_map):
