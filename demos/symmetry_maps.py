@@ -14,7 +14,7 @@ from matholab import (
     crofoot_map,
     crofoot_theta,
     jstar,
-    jsymmetry_defect,
+    realization_jsymmetry_defect,
     tau,
 )
 from matholab.sampling import random_crofoot, random_inner, random_symmetric_inner
@@ -33,13 +33,13 @@ print("tau:")
 print("  norm drift        ", abs(g.norm() - f.norm()))
 print("  lands in K_tilde  ", resid)
 
-# C_Theta needs a J-symmetric Theta; jsymmetry_defect measures how far a
-# given Theta is from J Theta(z) J = Theta-tilde(z).
+# C_Theta needs a J-symmetric Theta; realization_jsymmetry_defect sums the
+# coefficient gaps of J Theta(z) J - Theta(z)^*, which vanish exactly when it is.
 sym_theta, conj = random_symmetric_inner(rng, 2, max_abs=0.5)
 print("\nJ-symmetry defects:")
-print("  generic theta     ", jsymmetry_defect(space.theta_series, conj))
+print("  generic theta     ", realization_jsymmetry_defect(space.realization, 64, conj))
 sym_space = ModelSpace.from_product(sym_theta, 64)
-print("  symmetric theta   ", jsymmetry_defect(sym_space.theta_series, conj))
+print("  symmetric theta   ", realization_jsymmetry_defect(sym_space.realization, 64, conj))
 
 c = CTheta(sym_space.theta_series, conj)
 h = sym_space.from_coords(rng.standard_normal(sym_space.dim_K))

@@ -11,15 +11,17 @@ to commute with Theta pointwise, and a generic symbol does not.
 
 import numpy as np
 
-from matholab import MatrixLaurent, TransformInputs, diagonal_monomial, verify_transform
+from matholab import (MatrixLaurent, ModelSpace, TransformInputs, diagonal_monomial,
+                      verify_transform)
 from matholab.sampling import random_crofoot, random_symbol, random_symmetric_inner
 
 rng = np.random.default_rng(61)
 
 theta1, conj1 = random_symmetric_inner(rng, 2, max_abs=0.5)
 theta2, conj2 = random_symmetric_inner(rng, 2, max_abs=0.5)
+space1, space2 = ModelSpace.from_product(theta1, 48), ModelSpace.from_product(theta2, 48)
 inputs = TransformInputs(
-    theta1, theta2, order=48,
+    space1, space2,
     symbol=random_symbol(rng, 2),
     conj1=conj1, conj2=conj2,
     crofoot1=random_crofoot(rng, 2), crofoot2=random_crofoot(rng, 2),
@@ -34,8 +36,9 @@ for rep in verify_transform("all", inputs):
 
 # remark412 with a symbol that commutes with Theta: scalar case, so any
 # symbol commutes and the identity holds on the nose.
+z3 = ModelSpace.from_product(diagonal_monomial([3]), 16)
 scalar = TransformInputs(
-    diagonal_monomial([3]), diagonal_monomial([3]), order=16,
+    z3, z3,
     symbol=MatrixLaurent.from_coeff_map({-1: [[1.0]], 2: [[0.5]]}, 1),
 )
 rep = verify_transform("remark412", scalar)
@@ -45,7 +48,7 @@ print(f"  {rep.verdict}  residual {rep.residual:.3e}")
 # The same identity with a non-commuting matrix symbol: the registry
 # refuses to grade it, but still reports how badly it fails.
 stubborn = TransformInputs(
-    theta1, theta1, order=48,
+    space1, space1,
     symbol=random_symbol(rng, 2),
     conj1=conj1, conj2=conj1,
 )

@@ -7,7 +7,8 @@ from .blaschke import (MAX_POLE_ABS, PURITY_MARGIN, BlaschkePotapovProduct, Pota
                        ValidationReport, crofoot_realization, crofoot_theta, diagonal_monomial,
                        scalar_blaschke, validate)
 from .conjugations import (Conjugation, CrofootData, CTheta, crofoot_map, jstar,
-                           jsymmetry_defect, sandwich_pointwise, sandwich_reflected, tau)
+                           realization_jsymmetry_defect, sandwich_pointwise, sandwich_reflected,
+                           tau)
 from .modelspace import ModelSpace, random_modifier
 from .operators import (REGISTRY_NAMES, Check, ModelOperator, TransformInputs,
                         build_matho, build_matto, displacement_check, kernel_test,
@@ -24,7 +25,7 @@ __all__ = [
     "ValidationReport", "validate", "crofoot_realization", "crofoot_theta",
     "diagonal_monomial", "scalar_blaschke",
     "Conjugation", "CrofootData", "CTheta", "jstar", "tau", "crofoot_map",
-    "jsymmetry_defect", "sandwich_pointwise", "sandwich_reflected",
+    "realization_jsymmetry_defect", "sandwich_pointwise", "sandwich_reflected",
     "ModelSpace", "random_modifier",
     "Check", "ModelOperator", "build_matto", "build_matho",
     "displacement_check", "shift_invariance_check", "recover_symbol", "kernel_test",

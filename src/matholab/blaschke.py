@@ -39,6 +39,8 @@ __all__ = [
 MAX_POLE_ABS = 0.9
 PURITY_MARGIN = 1e-10
 _UNITARY_TOL = 1e-12
+# largest |G* G - I|_F of a colligation G judged inner
+_COLLIGATION_TOL = 1e-8
 
 
 def _check_unitary(u, name):
@@ -233,7 +235,7 @@ class ValidationReport:
     realization: tuple  # the judged colligation (A, B, C, D)
 
 
-def check_colligation(realization, tol=1e-8):
+def check_colligation(realization):
     """Inner when the colligation G = [[A, B], [C, D]] of the realization is
     unitary (``max_unitary_defect`` = |G* G - I|_F), pure when norm(D) < 1.
     The report keeps the realization, which ``ModelSpace`` is built from."""
@@ -241,14 +243,15 @@ def check_colligation(realization, tol=1e-8):
     g = np.block([[a_mat, b_mat], [c_mat, d_mat]])
     defect = np.linalg.norm(g.conj().T @ g - np.eye(g.shape[0]))
     theta0 = np.linalg.svd(d_mat, compute_uv=False)[0]
-    return ValidationReport(inner=bool(defect <= tol), pure=bool(theta0 < 1.0 - PURITY_MARGIN),
+    return ValidationReport(inner=bool(defect <= _COLLIGATION_TOL),
+                            pure=bool(theta0 < 1.0 - PURITY_MARGIN),
                             max_unitary_defect=float(defect), theta0_norm=float(theta0),
                             realization=realization)
 
 
-def validate(theta, tol=1e-8):
+def validate(theta):
     """``check_colligation`` of the product's realization."""
-    return check_colligation(theta.realization(), tol)
+    return check_colligation(theta.realization())
 
 
 def state_window(realization, order):
@@ -290,26 +293,27 @@ def matrix_powers(mat, count):
     return out[:count]
 
 
-def crofoot_realization(theta, crofoot):
-    """Realization of Theta^W = -W + D_{W*} (I - Theta W*)^{-1} Theta D_W.
+def crofoot_realization(realization, crofoot):
+    """Realization of Theta^W = -W + D_{W*} (I - Theta W*)^{-1} Theta D_W for
+    the Theta of the realization (A, B, C, D).
 
     With G = (I - D W*)^{-1}: A_W = A + B W* G C, B_W = B (I + W* G D) D_W,
     C_W = D_{W*} G C and D_W' = -W + D_{W*} G D D_W. The colligation stays
     unitary, and J_W C (I - z A)^{-1} x = C_W (I - z A_W)^{-1} x: the Crofoot
     map is the identity in state coordinates (Ball, Gohberg and Rodman 1990).
     """
-    a_mat, b_mat, c_mat, d_mat = theta.realization()
-    wstar, n = crofoot.W.conj().T, a_mat.shape[0]
-    g_cd = np.linalg.solve(np.eye(theta.dim) - d_mat @ wstar, np.hstack([c_mat, d_mat]))
+    a_mat, b_mat, c_mat, d_mat = realization
+    wstar, n, eye = crofoot.W.conj().T, a_mat.shape[0], np.eye(d_mat.shape[0])
+    g_cd = np.linalg.solve(eye - d_mat @ wstar, np.hstack([c_mat, d_mat]))
     g_c, g_d = g_cd[:, :n], g_cd[:, n:]
-    return (a_mat + b_mat @ wstar @ g_c, b_mat @ (np.eye(theta.dim) + wstar @ g_d) @ crofoot.D_W,
+    return (a_mat + b_mat @ wstar @ g_c, b_mat @ (eye + wstar @ g_d) @ crofoot.D_W,
             crofoot.D_Wstar @ g_c, crofoot.D_Wstar @ g_d @ crofoot.D_W - crofoot.W)
 
 
 def crofoot_theta(theta, crofoot, order):
     """Series of Theta^W, read off ``crofoot_realization`` with a certified
     tail_bound. The result is inner again and pure whenever Theta is."""
-    return state_window(crofoot_realization(theta, crofoot), order)[2]
+    return state_window(crofoot_realization(theta.realization(), crofoot), order)[2]
 
 
 def diagonal_monomial(powers):

@@ -316,10 +316,10 @@ def _cmd_kernel(sc):
 
 def _cmd_verify(sc):
     name = sc.params.get("name", "all")
-    inputs = TransformInputs.from_spaces(sc.space1, sc.space2, symbol=sc.symbol,
-                                         conj1=sc.conj1, conj2=sc.conj2,
-                                         crofoot1=sc.crofoot1, crofoot2=sc.crofoot2,
-                                         threshold=sc.tolerance)
+    inputs = TransformInputs(sc.space1, sc.space2, symbol=sc.symbol,
+                             conj1=sc.conj1, conj2=sc.conj2,
+                             crofoot1=sc.crofoot1, crofoot2=sc.crofoot2,
+                             threshold=sc.tolerance)
     out = verify_transform(name, inputs)
     return (out if name == "all" else [out]), None
 

@@ -5,8 +5,7 @@ From it we build the coefficientwise lift Jstar, the unitary transform
 tau_Theta f = conj(z) Thetatilde(z) f(conj(z)), and the pointwise
 conjugation C_Theta f = Theta(z) conj(z) J(f(z)), which agrees with
 Jstar tau_Theta exactly when Theta is J-symmetric (``realization_jsymmetry_defect``
-sums a realization's coefficient gaps, which vanish exactly when it is;
-``jsymmetry_defect`` samples any series on the circle).
+sums a realization's coefficient gaps, which vanish exactly when it is).
 
 The Crofoot map between K_Theta and K_{Theta^W} is the identity in state
 coordinates (``blaschke.crofoot_realization``), which is how model-space
@@ -19,14 +18,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .blaschke import MAX_POLE_ABS, _check_unitary
+from .blaschke import MAX_POLE_ABS, _check_unitary, matrix_powers
 from .jsonio import ScenarioError, matrix_from_json, matrix_to_json
 from .laurent import Laurent, evaluate_many, refit_on_circle
 
 __all__ = [
     "Conjugation", "CrofootData", "jstar", "tau", "CTheta",
     "crofoot_map", "sandwich_pointwise", "sandwich_reflected",
-    "jsymmetry_defect", "realization_jsymmetry_defect",
+    "realization_jsymmetry_defect",
 ]
 
 _SYM_TOL = 1e-12
@@ -87,7 +86,7 @@ class CTheta:
     """C_Theta f = Theta(z) conj(z) J(f(z)), evaluated on the series window.
 
     It is a conjugation on K_Theta (and coincides with Jstar tau_Theta)
-    only when Theta is J-symmetric; ``jsymmetry_defect`` measures that.
+    only when Theta is J-symmetric; ``realization_jsymmetry_defect`` measures that.
     """
 
     def __init__(self, theta_series, conj_j):
@@ -113,29 +112,28 @@ def sandwich_reflected(conj2, f_series, conj1):
     return Laurent(coeffs, f_series.order, f_series.tail_bound)
 
 
-def jsymmetry_defect(theta_series, conj_j, n_samples=64):
-    """max over sample nodes of norm(J Theta(z) J - Theta(z)^*)."""
-    nodes = np.exp(2j * np.pi * np.arange(n_samples) / n_samples)
-    vals = evaluate_many(theta_series, nodes)
-    uj = conj_j.U
-    sym = uj[None] @ np.conj(vals) @ np.conj(uj)[None]
-    gap = sym - np.conj(np.transpose(vals, (0, 2, 1)))
-    return float(np.linalg.norm(gap, axis=(1, 2)).max())
-
-
-def realization_jsymmetry_defect(realization, window, conj_j):
-    """sum over k <= max(M, 2n) of norm(U conj(t_k) conj(U) - t_k^*): t_0 .. t_M
-    from the order-M ``window`` of the n-state realization (A, B, C, D), then
-    t_k = C A^(k-1) B. The sum bounds the window's gap everywhere on the circle,
-    so it is at least ``jsymmetry_defect`` at any nodes; and the gap has a 2n-state
-    realization, so by Cayley-Hamilton the sum is 0 only if Theta is J-symmetric."""
-    a_mat, b_mat, c_mat, _ = realization
-    t = list(window.coeffs[window.order:])
-    while len(t) <= 2 * len(a_mat):
-        t.append(c_mat @ np.linalg.matrix_power(a_mat, len(t) - 1) @ b_mat)
-    t = np.stack(t)
-    gap = conj_j.U @ np.conj(t) @ np.conj(conj_j.U) - np.conj(np.transpose(t, (0, 2, 1)))
+def _coefficient_gap(coeffs, conj_j):
+    """sum_k norm(U conj(t_k) conj(U) - t_k^*) over stacked coefficients t_k. For a
+    series F = sum t_k z^k these are the coefficients of J F(z) J - F(z)^*, so the
+    sum bounds that gap at every point of the circle."""
+    gap = conj_j.U @ np.conj(coeffs) @ np.conj(conj_j.U) - np.conj(np.swapaxes(coeffs, 1, 2))
     return float(np.linalg.norm(gap, axis=(1, 2)).sum())
+
+
+def realization_jsymmetry_defect(realization, order, conj_j):
+    """J-symmetry defect of the Theta of an n-state realization (A, B, C, D): the
+    ``_coefficient_gap`` of t_0 = D and t_k = C A^(k-1) B for k <= max(order, 2n).
+    It bounds the gap of Theta's order-``order`` window everywhere on the circle;
+    and the gap has a 2n-state realization, so by Cayley-Hamilton the sum is 0
+    only if Theta is J-symmetric."""
+    top = max(order, 2 * len(realization[0]))
+    return _coefficient_gap(_realization_coeffs(realization, top), conj_j)
+
+
+def _realization_coeffs(realization, top):
+    """t_0 = D and t_k = C A^(k-1) B for k = 1 .. top, stacked."""
+    a_mat, b_mat, c_mat, d_mat = realization
+    return np.concatenate([d_mat[None], c_mat @ matrix_powers(a_mat, top) @ b_mat])
 
 
 class CrofootData:
@@ -178,7 +176,7 @@ def _psd_sqrt(mat):
     return (vecs * np.sqrt(w)) @ vecs.conj().T
 
 
-def crofoot_map(theta_series, crofoot, f, direction="forward", n_grid=None):
+def crofoot_map(theta_series, crofoot, f, direction="forward"):
     """Unitary Crofoot map between K_Theta and K_{Theta^W}.
 
     direction "forward": J_W f = D_{W*} (I - Theta W*)^{-1} f, with
@@ -206,4 +204,4 @@ def crofoot_map(theta_series, crofoot, f, direction="forward", n_grid=None):
         return (crofoot.D_Wstar @ core).reshape(fv.shape)
 
     order = max(theta_series.order, f.order)
-    return refit_on_circle(fn, order, n_grid=n_grid)
+    return refit_on_circle(fn, order)

@@ -35,6 +35,9 @@ __all__ = [
     "refit_on_circle",
 ]
 
+# refit_on_circle folds coefficients below this share of the largest into tail_bound
+_REFIT_DROP_TOL = 1e-13
+
 
 class Laurent:
     """A coefficient window with vector or matrix values. Instances are immutable."""
@@ -424,18 +427,17 @@ def fit_circle_samples(values, order, drop_tol=0.0):
     return Laurent(out, order, tail).trim()
 
 
-def refit_on_circle(fn, order, n_grid=None, drop_tol=1e-13):
+def refit_on_circle(fn, order):
     """Fit fn (a vectorized map from circle points to values) to a Laurent window.
 
-    Samples at the roots of unity, projects onto [-order, order], then
-    estimates the residual at half-offset points and folds it into
-    tail_bound. This is the honest route for functions only available
-    pointwise (the Crofoot map of an arbitrary series).
+    Samples at max(512, 4 (order + 1)) roots of unity, projects onto
+    [-order, order], then estimates the residual at half-offset points and
+    folds it into tail_bound. This is the honest route for functions only
+    available pointwise (the Crofoot map of an arbitrary series).
     """
-    if n_grid is None:
-        n_grid = max(512, 4 * (order + 1))
+    n_grid = max(512, 4 * (order + 1))
     nodes = np.exp(2j * np.pi * np.arange(n_grid) / n_grid)
-    fitted = fit_circle_samples(fn(nodes), order, drop_tol=drop_tol)
+    fitted = fit_circle_samples(fn(nodes), order, drop_tol=_REFIT_DROP_TOL)
     half = np.exp(1j * np.pi / n_grid)
     twist = half ** np.arange(-fitted.order, fitted.order + 1)
     shape = twist.shape + (1,) * (fitted.coeffs.ndim - 1)

@@ -7,7 +7,8 @@ F(z) e_j, F(z) = C (I - z A)^{-1}, orthonormal because A* A + C* C = I.
 In that basis every operator datum is a small exact matrix read off the
 realization: the compressed shift S[i, j] = <z b_j, b_i> is A*, the
 defect operators D = I - S S* and Dtilde = I - S* S are C* C and B B*, and
-the kernels k_0 e_l and ktilde_0 e_l have the coordinates C* e_l and B e_l.
+the kernels k_lam x and ktilde_lam x have the coordinates
+(I - conj(lam) A*)^{-1} C* x and (I - lam A)^{-1} B x (C* x and B x at 0).
 The coordinates of a function c (I - z a)^{-1} solve one Stein equation.
 """
 
@@ -27,6 +28,9 @@ __all__ = ["ModelSpace", "random_modifier", "stein"]
 _RANK_TOL = 1e-8
 # squarings in ``stein``: 2^40 terms, far past any stable contraction's need
 _STEIN_SQUARINGS = 40
+_EPS_SQ = np.finfo(float).eps ** 2
+# largest leak of a modifier's range out of the defect space, relative to 1 + |X|
+_MODIFIER_TOL = 1e-8
 
 
 def stein(p, q, r):
@@ -37,7 +41,8 @@ def stein(p, q, r):
     0.997. A P or R that is not stable raises ValueError."""
     y = np.array(q, dtype=complex)
     for _ in range(_STEIN_SQUARINGS):
-        if np.linalg.norm(p) * np.linalg.norm(r) <= np.finfo(float).eps:
+        # |P|_F |R|_F <= eps, by squared norms
+        if np.vdot(p, p).real * np.vdot(r, r).real <= _EPS_SQ:
             return y
         y = y + p @ y @ r
         p, r = p @ p, r @ r
@@ -54,7 +59,8 @@ class ModelSpace:
     basis function (``tails``); ``theta_series`` is Theta on the same window.
     The window and the defect projections (``P_D``, ``P_Dt``, ``defect_dim``,
     ``defect_dim_tilde``) are computed when first read: builds, displacement
-    checks and the registry's maps need only the realization.
+    checks, the registry's maps and its J-symmetry gate need only the
+    realization.
     """
 
     def __init__(self, checked, order=64, theta=None):
@@ -138,23 +144,23 @@ class ModelSpace:
 
     def membership_gap(self, f):
         """L^2 distance from f to the span of the basis (0 for members)."""
-        rec = self.from_coords(self.coords(f))
+        rec = self.project(f)
         return (f - rec.with_order(max(f.order, rec.order))).norm()
 
     # -- projections and kernels -------------------------------------------
 
     def project(self, f):
-        """P_Theta f = f_+ - Theta P_+(Theta^* f_+)."""
-        f_plus = f.riesz_split()[0]
-        g_plus = self.theta_series.adjoint_star().mul(f_plus).riesz_split()[0]
-        return f_plus - self.theta_series.mul(g_plus).with_order(
-            max(f_plus.order, self.theta_series.order + g_plus.order))
+        """P_Theta f on the window: the member with the coordinates of f."""
+        return self.from_coords(self.coords(f))
 
     def kernel(self, lam, x, variant="k"):
-        """Reproducing kernel members of K_Theta at lam in the open disk.
+        """Reproducing kernel members of K_Theta at lam in the open disk, in the
+        state coordinates of the realization (A, B, C, D):
 
         variant "k":      (1 - conj(lam) z)^{-1} (I - Theta(z) Theta(lam)^*) x
+                          has coordinates (I - conj(lam) A*)^{-1} C* x;
         variant "ktilde": (z - lam)^{-1} (Theta(z) - Theta(lam)) x
+                          has coordinates (I - lam A)^{-1} B x.
 
         A d x k direction matrix x gives the k kernels side by side.
         """
@@ -165,36 +171,16 @@ class ModelSpace:
         if x.ndim not in (1, 2) or x.shape[0] != self.dim:
             raise ValueError("kernel direction has the wrong dimension")
         if variant == "k":
-            theta_lam = self._theta_at(lam)
-            v = Laurent.constant(x) - self.theta_series.mul(
-                Laurent.constant(theta_lam.conj().T @ x))
-            # the Szego profile 1 / (1 - conj(lam) z) and its certified L^2 tail
-            powers = np.conj(lam) ** np.arange(self.order + 1)
-            szego = np.zeros((2 * self.order + 1, self.dim, self.dim), dtype=complex)
-            szego[self.order:] = powers[:, None, None] * np.eye(self.dim)
-            tail = abs(lam) ** (self.order + 1) / np.sqrt(1.0 - abs(lam) ** 2)
-            profile = Laurent(szego, self.order, np.sqrt(self.dim) * tail)
-            return profile.mul(v).truncate(self.order)
-        if variant == "ktilde":
-            tcoeffs = self.theta_series.coeffs
-            off = self.theta_series.order
-            out = np.zeros((2 * self.order + 1,) + x.shape, dtype=complex)
-            acc = np.zeros(x.shape, dtype=complex)
-            for j in range(self.theta_series.order, -1, -1):
-                acc = lam * acc + (tcoeffs[off + j + 1] @ x if j + 1 <= off else 0.0)
-                if j <= self.order:
-                    out[self.order + j] = acc
-            return Laurent(out, self.order, self.theta_series.tail_bound).trim()
-        raise ValueError(f"unknown kernel variant {variant!r}")
-
-    def _theta_at(self, lam):
-        if self.theta is not None:
-            return self.theta.evaluate(complex(lam))
-        return self.theta_series.evaluate(lam)
+            lhs, rhs = np.conj(lam) * self.S, self.k0_cols @ x
+        elif variant == "ktilde":
+            lhs, rhs = lam * self.S_star, self.kt0_cols @ x
+        else:
+            raise ValueError(f"unknown kernel variant {variant!r}")
+        return self.from_coords(np.linalg.solve(np.eye(self.dim_K) - lhs, rhs))
 
     # -- shift modifications -------------------------------------------------
 
-    def modified_shift(self, x_map, tol=1e-8):
+    def modified_shift(self, x_map):
         """S_{Theta,X} = S + P_D (X - S) P_Dtilde for X mapping Dtilde into D.
 
         x_map is a dim_K x dim_K matrix in basis coordinates; only its
@@ -206,7 +192,7 @@ class ModelSpace:
             raise ValueError("modifier matrix has the wrong shape")
         restricted = x_map @ self.P_Dt
         leak = np.linalg.norm((np.eye(self.dim_K) - self.P_D) @ restricted)
-        if leak > tol * (1.0 + np.linalg.norm(x_map)):
+        if leak > _MODIFIER_TOL * (1.0 + np.linalg.norm(x_map)):
             raise ValueError(f"modifier range leaves the defect space (leak {leak:.2e})")
         return self.S + self.P_D @ (restricted - self.S) @ self.P_Dt
 

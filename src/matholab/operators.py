@@ -26,16 +26,16 @@ which is how every registry left-hand side below becomes plain matmul.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .blaschke import crofoot_realization, matrix_powers
-from .conjugations import (Conjugation, CrofootData, jsymmetry_defect,
+from .conjugations import (Conjugation, CrofootData, _coefficient_gap, _realization_coeffs,
                            realization_jsymmetry_defect, sandwich_pointwise, sandwich_reflected)
 from .jsonio import matrix_to_json
-from .laurent import Laurent, evaluate_many
+from .laurent import Laurent
 from .modelspace import _RANK_TOL, ModelSpace, stein
 
 __all__ = [
@@ -398,28 +398,20 @@ def _ctheta(space, conj):
 
 
 class TransformInputs:
-    """Input bundle for the registry, with lazily cached derived spaces."""
+    """Input bundle for the registry over two built spaces of one window, kept as
+    spaces "1" and "2", with lazily cached derived spaces."""
 
-    def __init__(self, theta1, theta2, order=64, symbol=None, conj1=None, conj2=None,
+    def __init__(self, space1, space2, symbol=None, conj1=None, conj2=None,
                  crofoot1=None, crofoot2=None, threshold=1e-8):
-        self.theta1 = theta1
-        self.theta2 = theta2
-        self.order = order
+        self.order = space1.order
         self.symbol = symbol
-        self.conj1 = conj1 if conj1 is not None else Conjugation.identity(theta1.dim)
-        self.conj2 = conj2 if conj2 is not None else Conjugation.identity(theta2.dim)
-        zero = np.zeros((theta1.dim, theta1.dim))
+        self.conj1 = conj1 if conj1 is not None else Conjugation.identity(space1.dim)
+        self.conj2 = conj2 if conj2 is not None else Conjugation.identity(space2.dim)
+        zero = np.zeros((space1.dim, space1.dim))
         self.crofoot1 = crofoot1 if crofoot1 is not None else CrofootData(zero)
         self.crofoot2 = crofoot2 if crofoot2 is not None else CrofootData(zero)
         self.threshold = threshold
-        self._cache = {}
-
-    @classmethod
-    def from_spaces(cls, space1, space2, **kwargs):
-        """Inputs over two built spaces of one window, reused as spaces "1" and "2"."""
-        inputs = cls(space1.theta, space2.theta, space1.order, **kwargs)
-        inputs._cache.update({"1": space1, "2": space2})
-        return inputs
+        self._cache = {"1": space1, "2": space2}
 
     def space(self, key):
         """K_Theta for "1" or "2"; with a suffix, the space of a derived theta,
@@ -428,34 +420,31 @@ class TransformInputs:
         J Theta(conj(z)) J with (conj A, conj(B) conj(U), U conj(C),
         U conj(D) conj(U)). Both colligations are unitary with the source's."""
         if key not in self._cache:
-            if len(key) == 1:
-                theta = self.theta1 if key == "1" else self.theta2
-                self._cache[key] = ModelSpace.from_product(theta, self.order)
+            a_mat, b_mat, c_mat, d_mat = self.space(key[0]).realization
+            if key[1] == "t":
+                realization = tuple(m.conj().T for m in (a_mat, c_mat, b_mat, d_mat))
             else:
-                a_mat, b_mat, c_mat, d_mat = self.space(key[0]).realization
-                if key[1] == "t":
-                    realization = tuple(m.conj().T for m in (a_mat, c_mat, b_mat, d_mat))
-                else:
-                    u = (self.conj1 if key[0] == "1" else self.conj2).U
-                    realization = (a_mat.conj(), b_mat.conj() @ u.conj(), u @ c_mat.conj(),
-                                   u @ d_mat.conj() @ u.conj())
-                self._cache[key] = ModelSpace.from_realization(realization, self.order)
+                u = (self.conj1 if key[0] == "1" else self.conj2).U
+                realization = (a_mat.conj(), b_mat.conj() @ u.conj(), u @ c_mat.conj(),
+                               u @ d_mat.conj() @ u.conj())
+            self._cache[key] = ModelSpace.from_realization(realization, self.order)
         return self._cache[key]
 
     def crofoot_image(self, which):
-        """K_{Theta^W} for theta1 or theta2. The forward Crofoot map is the
-        identity between the source's and the image's state bases."""
+        """K_{Theta^W} for theta1 or theta2, read off space "1" or "2". The forward
+        Crofoot map is the identity between the source's and the image's state bases."""
         key = f"{which}w"
         if key not in self._cache:
-            theta = self.theta1 if which == 1 else self.theta2
             cro = self.crofoot1 if which == 1 else self.crofoot2
-            self._cache[key] = ModelSpace.from_realization(crofoot_realization(theta, cro),
-                                                           self.order)
+            realization = crofoot_realization(self.space(str(which)).realization, cro)
+            self._cache[key] = ModelSpace.from_realization(realization, self.order)
         return self._cache[key]
 
+    @cached_property
     def jsym_gaps(self):
-        """J-symmetry defects of theta1 and theta2 (``realization_jsymmetry_defect``)."""
-        return tuple(realization_jsymmetry_defect(s.realization, s.theta_series, c)
+        """J-symmetry defects of theta1 and theta2 (``realization_jsymmetry_defect``
+        at each space's window order)."""
+        return tuple(realization_jsymmetry_defect(s.realization, s.order, c)
                      for s, c in ((self.space("1"), self.conj1), (self.space("2"), self.conj2)))
 
 
@@ -578,20 +567,35 @@ def _remark412_unmet(inp):
     If Phi fails to be J-symmetric or to commute with Theta pointwise, the
     identity is expected to fail; the report is then a skip that still
     carries the measured residual, so the failure can be demonstrated
-    without counting as a broken identity.
+    without counting as a broken identity. The symbol defect is the
+    coefficient sum of J Phi J - Phi^*, which bounds it on the circle, and
+    the commutator is decided exactly (``_commutator_defect``).
     """
     phi = inp.symbol
-    g1 = inp.jsym_gaps()[0]
-    phi_sym = jsymmetry_defect(phi, inp.conj1)
-    nodes = np.exp(2j * np.pi * np.arange(64) / 64)
-    tv = evaluate_many(inp.space("1").theta_series, nodes)
-    pv = evaluate_many(phi, nodes)
-    commute = float(np.linalg.norm(tv @ pv - pv @ tv, axis=(1, 2)).max())
+    g1 = inp.jsym_gaps[0]
+    phi_sym = _coefficient_gap(phi.coeffs, inp.conj1)
+    commute = _commutator_defect(inp.space("1").realization, phi)
     if (g1 > _JSYM_TOL or not _passes(phi_sym, _JSYM_TOL, phi.norm())
             or not _passes(commute, _JSYM_TOL, phi.norm())):
         return (f"hypotheses not met (theta defect {g1:.2e}, symbol defect "
                 f"{phi_sym:.2e}, commutator {commute:.2e})")
     return None
+
+
+def _commutator_defect(realization, phi):
+    """sum of norm((Theta Phi - Phi Theta)_m) over the lags m = lo .. hi + 2n, for
+    Phi supported on lo .. hi and Theta of the n-state realization (A, B, C, D).
+    Past hi the coefficients are sum_j (C A^(m-j-1) B Phi_j - Phi_j C A^(m-j-1) B),
+    the outputs of a 2n-state system with state matrix diag(A, A), so by
+    Cayley-Hamilton they all vanish once the first 2n of them do: the sum is 0
+    exactly when Theta and Phi commute."""
+    lo, hi = phi.support()
+    theta = _realization_coeffs(realization, hi - lo + 2 * len(realization[0]))
+    out = np.zeros_like(theta)
+    for i, p in enumerate(phi.coeffs[phi.order + lo:phi.order + hi + 1]):
+        if p.any():
+            out[i:] += theta[:len(theta) - i] @ p - p @ theta[:len(theta) - i]
+    return float(np.linalg.norm(out, axis=(1, 2)).sum())
 
 
 class _Identity(NamedTuple):
@@ -624,7 +628,7 @@ SYMBOL_FREE_IDENTITIES = tuple(name for name, ident in _REGISTRY.items() if not 
 def _check_identity(name, inp):
     ident = _REGISTRY[name]
     if ident.jsym:
-        g1, g2 = inp.jsym_gaps()
+        g1, g2 = inp.jsym_gaps
         if g1 > _JSYM_TOL or g2 > _JSYM_TOL:
             return Check(name, None, float(inp.threshold), None, "skipped",
                          f"needs J-symmetric thetas (defects {g1:.2e}, {g2:.2e})")

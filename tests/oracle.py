@@ -7,6 +7,7 @@ arrays), so when the two paths agree the agreement means something. The
 window builds, the symbol-map and kernel-class references and the
 shift-invariance predicates at the end are the exceptions (see there), and
 so are the per-element JSON encoders, which read the package's objects.
+The kernel and projection series work on raw coefficient arrays too.
 """
 
 import numpy as np
@@ -142,6 +143,50 @@ def product_basis(theta, order):
         moved = factor_series(head, order).mul(Laurent(padded, order))
         return np.concatenate([own, _analytic_window(moved, order)], axis=2)
     return theta.left_unitary @ basis(theta.factors)
+
+
+# -- kernel and projection series ----------------------------------------------------
+# The reproducing kernels and the projection as they were before the state
+# coordinates: products with Theta's series on [0, order], multiplied out
+# factor by factor (``product_series``), and Theta(lam) in closed form. Each
+# returns the coefficients 0 .. order; they are exact there up to Theta's
+# tail past the window, so on exact windows the package must reproduce them.
+
+def series_kernel(theta, order, lam, x, variant):
+    """Coefficients 0 .. order of (1 - conj(lam) z)^{-1} (I - Theta(z) Theta(lam)^*) x
+    ("k") or of (z - lam)^{-1} (Theta(z) - Theta(lam)) x ("ktilde")."""
+    t = product_series(theta, order)
+    x = np.asarray(x, dtype=complex)
+    out = np.zeros((order + 1,) + x.shape, dtype=complex)
+    if variant == "k":
+        theta_lam = theta_values(theta, np.array([lam]))[0]
+        v = -t @ (theta_lam.conj().T @ x)
+        v[0] += x
+        acc = np.zeros(x.shape, dtype=complex)
+        for n in range(order + 1):
+            acc = np.conj(lam) * acc + v[n]
+            out[n] = acc
+    else:
+        # coefficient n is sum_{j > n} lam^(j - n - 1) t_j x, by Horner from the top
+        acc = np.zeros(x.shape, dtype=complex)
+        for n in range(order - 1, -1, -1):
+            acc = lam * acc + t[n + 1] @ x
+            out[n] = acc
+    return out
+
+
+def series_project(theta, order, f):
+    """Coefficients 0 .. order of P_Theta f = f_+ - Theta P_+(Theta^* f_+), for a
+    window f of order at most ``order``."""
+    t = product_series(theta, order)
+    plus = f.coeffs[f.order:]
+    out = np.zeros((order + 1,) + plus.shape[1:], dtype=complex)
+    out[:len(plus)] = plus
+    # P_+(Theta^* f_+) at n is sum_m t_m^* f_{n+m}; subtract Theta times it
+    for n in range(len(plus)):
+        lifted = sum(t[m].conj().T @ plus[n + m] for m in range(len(plus) - n))
+        out[n:] -= t[:order + 1 - n] @ lifted
+    return out
 
 
 # -- window builds ------------------------------------------------------------------
@@ -379,11 +424,19 @@ def describe(space):
     }
 
 
-# -- sampled J-symmetry defect ----------------------------------------------------
+# -- sampled J-symmetry defect and commutator ----------------------------------------
 
 def jsymmetry_defect(series, conj_j, n=64):
-    """max over n roots of unity of norm(J Theta(z) J - Theta(z)^*), from a
-    direct power sum: the reference for the exact coefficient check."""
+    """max over n roots of unity of norm(J F(z) J - F(z)^*), from a direct
+    power sum: the reference for the exact coefficient checks."""
     vals = sample_series(series, n)
     sym = conj_j.U[None] @ np.conj(vals) @ np.conj(conj_j.U)[None]
     return float(np.linalg.norm(sym - np.conj(np.transpose(vals, (0, 2, 1))), axis=(1, 2)).max())
+
+
+def commutator_defect(theta, phi, n=64):
+    """max over n roots of unity of norm(Theta(z) Phi(z) - Phi(z) Theta(z)), with
+    Theta in closed form: the reference for remark412's commutator check."""
+    zs = nodes(n)
+    tv, pv = theta_values(theta, zs), sample_series(phi, n)
+    return float(np.linalg.norm(tv @ pv - pv @ tv, axis=(1, 2)).max())

@@ -178,7 +178,8 @@ def test_criterion_5_transform_registry(announce):
         theta1, conj1 = random_symmetric_inner(rng, d, max_abs=0.5)
         theta2, conj2 = random_symmetric_inner(rng, d, max_abs=0.5)
         inputs = TransformInputs(
-            theta1, theta2, order=48, symbol=random_symbol(rng, d),
+            ModelSpace.from_product(theta1, 48), ModelSpace.from_product(theta2, 48),
+            symbol=random_symbol(rng, d),
             conj1=conj1, conj2=conj2,
             crofoot1=random_crofoot(rng, d), crofoot2=random_crofoot(rng, d))
         reports = {r.name: r for r in verify_transform("all", inputs)}
@@ -189,8 +190,8 @@ def test_criterion_5_transform_registry(announce):
             else:
                 worst = max(worst, rep.residual)
     # hand-checked scalar instances
-    hand = TransformInputs(diagonal_monomial([2]), diagonal_monomial([2]),
-                           order=16, symbol=_scalar_symbol({-1: 1.0}))
+    z2 = ModelSpace.from_product(diagonal_monomial([2]), 16)
+    hand = TransformInputs(z2, z2, symbol=_scalar_symbol({-1: 1.0}))
     tau_resid = verify_transform("tau", hand).residual
     f_resid = verify_transform("prop61f", hand).residual
     ok = not failed and tau_resid <= 1e-12 and f_resid <= 1e-12
@@ -297,7 +298,8 @@ def test_criterion_7_unitarity(announce):
     for _ in range(5):
         t1 = random_inner(rng, 2, max_abs=0.5)
         t2 = random_inner(rng, 2, max_abs=0.5)
-        inputs = TransformInputs(t1, t2, order=48)
+        inputs = TransformInputs(ModelSpace.from_product(t1, 48),
+                                 ModelSpace.from_product(t2, 48))
         eq_worst = max(eq_worst, verify_transform("eq_sz", inputs).residual)
         eq_worst = max(eq_worst, verify_transform("eq_ddd", inputs).residual)
 

@@ -42,7 +42,7 @@ def test_stein_on_a_nilpotent_state_matrix():
 def test_stein_on_a_crofoot_image_near_the_unit_circle():
     # three poles and W at the 0.9 cap: A_W is dense with spectral radius ~0.998
     theta = scalar_blaschke([0.8999999] * 3)
-    realization = crofoot_realization(theta, CrofootData(np.array([[0.8999999]])))
+    realization = crofoot_realization(theta.realization(), CrofootData(np.array([[0.8999999]])))
     assert max(abs(np.linalg.eigvals(realization[0]))) > 0.997
     assert _gramian_gap(realization) <= 1e-12
 
@@ -178,7 +178,8 @@ def test_derived_spaces_have_the_derived_theta(dim):
     rng = np.random.default_rng([95, dim])
     theta1, theta2 = random_inner(rng, dim, 2, 0.6), random_inner(rng, dim, 3, 0.6)
     conj1, conj2 = _random_conjugation(rng, dim), _random_conjugation(rng, dim)
-    inputs = TransformInputs(theta1, theta2, 96, conj1=conj1, conj2=conj2)
+    inputs = TransformInputs(ModelSpace.from_product(theta1, 96),
+                             ModelSpace.from_product(theta2, 96), conj1=conj1, conj2=conj2)
     for key, theta, conj in (("1", theta1, conj1), ("2", theta2, conj2)):
         for suffix, derived in (("t", theta.tilde()), ("j", theta.conjugated(conj))):
             space = inputs.space(key + suffix)

@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from matholab import (
     Conjugation,
@@ -134,6 +134,30 @@ def test_ktilde_kernel_membership():
         space.kernel(0.1, [1.0])
 
 
+@settings(max_examples=30, deadline=None)
+@example(dim=3, n_factors=3, max_abs=0.9, lam_abs=0.9, lam_arg=0.0, k=2, seed=0)
+@given(dim=st.integers(1, 3), n_factors=st.integers(1, 3), max_abs=st.floats(0.0, 0.9),
+       lam_abs=st.floats(0.0, 0.9), lam_arg=st.floats(-np.pi, np.pi), k=st.integers(1, 3),
+       seed=st.integers(0, 2 ** 16))
+def test_kernels_and_projection_match_the_series_formulas(dim, n_factors, max_abs, lam_abs,
+                                                          lam_arg, k, seed):
+    # the state-coordinate kernels and projection against the products with
+    # Theta's series they replaced, on a window whose basis tails are below rounding
+    rng = np.random.default_rng(seed)
+    theta = random_inner(rng, dim, n_factors=n_factors, max_abs=max_abs)
+    space = oracle.exact_window(ModelSpace.from_product(theta, 32))
+    order, lam = space.order, lam_abs * np.exp(1j * lam_arg)
+    x = rng.standard_normal((dim, k)) + 1j * rng.standard_normal((dim, k))
+    f = Laurent(rng.standard_normal((21, dim, k)) + 1j * rng.standard_normal((21, dim, k)), 10)
+    for got, want in ((space.kernel(lam, x, "k"), oracle.series_kernel(theta, order, lam, x, "k")),
+                      (space.kernel(lam, x, "ktilde"),
+                       oracle.series_kernel(theta, order, lam, x, "ktilde")),
+                      (space.project(f), oracle.series_project(theta, order, f))):
+        got = got.with_order(order).coeffs
+        assert not got[:order].any()
+        assert np.max(np.abs(got[order:] - want)) <= 1e-12 * (1.0 + np.max(np.abs(want)))
+
+
 def test_compressed_shift_matches_quadrature():
     space, theta = _space(8)
     zs = oracle.nodes(oracle.N_GRID)
@@ -189,7 +213,7 @@ def test_realization_constructor_matches_from_product():
     # the Crofoot realization at W = 0 is Theta's own
     space, theta = _space(12)
     clone = ModelSpace.from_realization(
-        crofoot_realization(theta, CrofootData(np.zeros((2, 2)))), space.order)
+        crofoot_realization(theta.realization(), CrofootData(np.zeros((2, 2)))), space.order)
     assert clone.dim_K == space.dim_K
     assert np.linalg.norm(clone.S - space.S) < 1e-14
     assert np.linalg.norm(clone.D - space.D) < 1e-14

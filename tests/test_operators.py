@@ -279,8 +279,8 @@ def test_tau_matrix_is_swap_on_z2():
 
 def test_registry_hand_checks_scalar():
     theta = diagonal_monomial([2])
-    inputs = TransformInputs(theta, theta, order=16,
-                             symbol=_scalar_symbol({-1: 1.0}))
+    space = ModelSpace.from_product(theta, 16)
+    inputs = TransformInputs(space, space, symbol=_scalar_symbol({-1: 1.0}))
     tau_rep = verify_transform("tau", inputs)
     assert tau_rep.verdict == "accept" and tau_rep.residual <= 1e-12
     f_rep = verify_transform("prop61f", inputs)
@@ -296,7 +296,8 @@ def test_registry_full_sweep_blaschke():
     from matholab.sampling import random_crofoot
 
     inputs = TransformInputs(
-        theta1, theta2, order=48, symbol=random_symbol(rng, 2),
+        ModelSpace.from_product(theta1, 48), ModelSpace.from_product(theta2, 48),
+        symbol=random_symbol(rng, 2),
         conj1=conj1, conj2=conj2,
         crofoot1=random_crofoot(rng, 2),
         crofoot2=random_crofoot(rng, 2))
@@ -313,8 +314,8 @@ def test_registry_skips_without_j_symmetry():
     rng = np.random.default_rng(80)
     theta1 = random_inner(rng, 2, max_abs=0.5)
     theta2 = random_inner(rng, 2, max_abs=0.5)
-    inputs = TransformInputs(theta1, theta2, order=48,
-                             symbol=random_symbol(rng, 2))
+    space1, space2 = ModelSpace.from_product(theta1, 48), ModelSpace.from_product(theta2, 48)
+    inputs = TransformInputs(space1, space2, symbol=random_symbol(rng, 2))
     rep = verify_transform("ctheta", inputs)
     assert rep.verdict == "skipped"
     assert rep.reason is not None
@@ -323,13 +324,14 @@ def test_registry_skips_without_j_symmetry():
     assert verify_transform("eq_sz", inputs).verdict == "accept"
     assert verify_transform("eq_ddd", inputs).verdict == "accept"
     # the J-symmetry skip comes before the missing-symbol error
-    bare = TransformInputs(theta1, theta2, order=48)
+    bare = TransformInputs(space1, space2)
     assert verify_transform("ctheta", bare).verdict == "skipped"
 
 
 def test_registry_errors():
     theta = diagonal_monomial([2])
-    inputs = TransformInputs(theta, theta, order=16)
+    space = ModelSpace.from_product(theta, 16)
+    inputs = TransformInputs(space, space)
     with pytest.raises(ValueError):
         verify_transform("nonsense", inputs)
     with pytest.raises(ValueError):

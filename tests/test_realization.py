@@ -140,7 +140,7 @@ def _closed_form(theta, cro, zs):
 @crofoot_corners
 @given(theta=products, norm=crofoot_norms, seed=crofoot_seeds, order=orders)
 def test_crofoot_colligation_is_unitary(theta, norm, seed, order):
-    a, b, c, d = crofoot_realization(theta, _crofoot_for(theta, norm, seed))
+    a, b, c, d = crofoot_realization(theta.realization(), _crofoot_for(theta, norm, seed))
     g = np.block([[a, b], [c, d]])
     assert np.max(np.abs(g.conj().T @ g - np.eye(g.shape[0]))) <= 1e-13
 
@@ -163,7 +163,7 @@ def test_crofoot_map_is_the_identity_in_state_coordinates(theta, norm, seed, ord
     # column j of the image's window basis C_W A_W^n is the Crofoot image of
     # the source's state basis function C (I - zA)^{-1} e_j, up to its tail
     cro = _crofoot_for(theta, norm, seed)
-    image = crofoot_realization(theta, cro)
+    image = crofoot_realization(theta.realization(), cro)
     basis, tails, _ = state_window(image, order)
     # Theta^W can have zeros near the circle (spectral radius of A_W up to
     # about 0.998 at the caps), so the grid grows until the quadrature of

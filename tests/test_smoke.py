@@ -51,16 +51,22 @@ def test_benchmark_tracer_binds_the_library(monkeypatch):
 
 
 def test_crofoot_identity_samples_no_circle(monkeypatch):
-    # the Crofoot image comes from the realization: no refit, map or sampling
+    # the Crofoot image comes from the realization space "1"/"2" holds: no
+    # refit, map or sampling, and no product realization built again
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     import tracing
-    from matholab import TransformInputs, operators
+    from matholab import BlaschkePotapovProduct, ModelSpace, TransformInputs, operators
     from matholab.sampling import random_crofoot, random_inner, random_symbol
 
     rng = np.random.default_rng(5)
-    inputs = TransformInputs(random_inner(rng, 3, max_abs=0.9), random_inner(rng, 3, max_abs=0.9),
-                             order=32, symbol=random_symbol(rng, 3),
+    space1, space2 = (ModelSpace.from_product(random_inner(rng, 3, max_abs=0.9), 32)
+                      for _ in range(2))
+    inputs = TransformInputs(space1, space2, symbol=random_symbol(rng, 3),
                              crofoot1=random_crofoot(rng, 3), crofoot2=random_crofoot(rng, 3))
+    realizations = []
+    original = BlaschkePotapovProduct.realization
+    monkeypatch.setattr(BlaschkePotapovProduct, "realization",
+                        lambda self: realizations.append(self) or original(self))
     tracer = tracing.Tracer()
     try:
         tracer.install()
@@ -74,20 +80,22 @@ def test_crofoot_identity_samples_no_circle(monkeypatch):
     assert calls["laurent.refit_on_circle"] == 0
     assert calls["conjugations.crofoot_map"] == 0
     assert calls["laurent.evaluate_many"] == 0
+    assert not realizations
 
 
 def test_verify_all_gates_j_symmetry_without_sampling_theta(monkeypatch):
-    # the J-symmetry gate reads the spaces' coefficients; only remark412's
-    # symbol defect and commutator sample the circle
+    # the J-symmetry gate and remark412's symbol defect and commutator read
+    # coefficients: nothing in the registry samples the circle
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     import tracing
-    from matholab import TransformInputs, operators
+    from matholab import ModelSpace, TransformInputs, operators
     from matholab.sampling import random_crofoot, random_symbol, random_symmetric_inner
 
     rng = np.random.default_rng(5)
     (theta1, conj1), (theta2, conj2) = (random_symmetric_inner(rng, 3, max_abs=0.9)
                                         for _ in range(2))
-    inputs = TransformInputs(theta1, theta2, order=32, symbol=random_symbol(rng, 3),
+    inputs = TransformInputs(ModelSpace.from_product(theta1, 32),
+                             ModelSpace.from_product(theta2, 32), symbol=random_symbol(rng, 3),
                              conj1=conj1, conj2=conj2,
                              crofoot1=random_crofoot(rng, 3), crofoot2=random_crofoot(rng, 3))
     tracer = tracing.Tracer()
@@ -100,7 +108,7 @@ def test_verify_all_gates_j_symmetry_without_sampling_theta(monkeypatch):
     assert [c.name for c in checks] == list(operators.REGISTRY_NAMES)
     assert not any(c.reason and c.reason.startswith("needs J-symmetric") for c in checks)
     calls = Counter(tracer.names[i] for i in tracer.span_name)
-    assert calls["laurent.evaluate_many"] == 3
+    assert calls["laurent.evaluate_many"] == 0
 
 
 def test_hankel_recovery_is_one_solve(monkeypatch):

@@ -5,24 +5,27 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from matholab import (
+    BlaschkePotapovProduct,
     Conjugation,
     CrofootData,
     CTheta,
     ModelSpace,
+    PotapovFactor,
     crofoot_map,
     crofoot_realization,
     crofoot_theta,
     jstar,
-    jsymmetry_defect,
+    realization_jsymmetry_defect,
     sandwich_pointwise,
     sandwich_reflected,
     tau,
+    verify_transform,
 )
 from matholab.blaschke import state_window
-from matholab.conjugations import realization_jsymmetry_defect
+from matholab.conjugations import _coefficient_gap
 from matholab.laurent import Laurent
-from matholab.operators import _JSYM_TOL, TransformInputs
-from matholab.sampling import random_inner, random_symmetric_inner, random_unitary
+from matholab.operators import _JSYM_TOL, TransformInputs, _commutator_defect
+from matholab.sampling import random_inner, random_symbol, random_symmetric_inner, random_unitary
 
 import oracle
 
@@ -119,9 +122,11 @@ def test_ctheta_is_involution_for_symmetric_theta():
 def test_jsymmetry_defect_detects_asymmetry():
     rng = np.random.default_rng(68)
     theta, conj = random_symmetric_inner(rng, 2)
-    assert jsymmetry_defect(theta.laurent(64), conj) < 1e-9
+    assert oracle.jsymmetry_defect(theta.laurent(64), conj) < 1e-9
+    assert realization_jsymmetry_defect(theta.realization(), 64, conj) < 1e-13
     plain = random_inner(rng, 2)
-    assert jsymmetry_defect(plain.laurent(64), Conjugation.identity(2)) > 1e-3
+    assert oracle.jsymmetry_defect(plain.laurent(64), Conjugation.identity(2)) > 1e-3
+    assert realization_jsymmetry_defect(plain.realization(), 64, Conjugation.identity(2)) > 1e-3
 
 
 @settings(max_examples=60)
@@ -137,7 +142,7 @@ def test_coefficient_jsymmetry_gate_matches_sampled_reference(symmetric, dim, n_
     if not symmetric:
         theta = random_inner(rng, dim, n_factors=n_factors, max_abs=max_abs)
     window = theta.laurent(order)
-    exact = realization_jsymmetry_defect(theta.realization(), window, conj)
+    exact = realization_jsymmetry_defect(theta.realization(), order, conj)
     reference = oracle.jsymmetry_defect(window, conj)
     if symmetric:
         assert exact <= 1e-13
@@ -163,10 +168,87 @@ def test_coefficient_jsymmetry_gate_bounds_sampled_defect_near_tolerance(
     a_mat, b_mat, c_mat, d_mat = theta.realization()
     window = theta.laurent(order)
     window = Laurent(window.coeffs @ v, window.order, window.tail_bound)
-    exact = realization_jsymmetry_defect((a_mat, b_mat @ v, c_mat, d_mat @ v), window, conj)
+    exact = realization_jsymmetry_defect((a_mat, b_mat @ v, c_mat, d_mat @ v), order, conj)
     reference = oracle.jsymmetry_defect(window, conj)
     assert exact >= reference - 1e-14
     assert exact > _JSYM_TOL or reference <= _JSYM_TOL
+
+
+# -- remark412's symbol hypotheses ---------------------------------------------------
+
+def _j_symmetric_part(phi, conj):
+    """(Phi + J Phi^* J) / 2 coefficientwise: Phi_n -> (Phi_n + U Phi_n^T U^*) / 2,
+    a linear involution for symmetric U, whose fixed points are the J-symmetric symbols."""
+    sym = conj.U @ np.swapaxes(phi.coeffs, 1, 2) @ conj.U.conj().T
+    return Laurent((phi.coeffs + sym) / 2, phi.order)
+
+
+@settings(max_examples=60)
+@example(dim=3, log_eps=-8.0, seed=0)
+@given(dim=st.integers(1, 3), log_eps=st.just(-np.inf) | st.floats(-10.0, -6.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_remark412_symbol_defect_bounds_the_sampled_defect(dim, log_eps, seed):
+    # a J-symmetric symbol moved by eps off J-symmetry, eps spanning the
+    # tolerance: the coefficient sum is never below the 64-node sampled value
+    rng = np.random.default_rng(seed)
+    _, conj = random_symmetric_inner(rng, dim)
+    phi = _j_symmetric_part(random_symbol(rng, dim), conj)
+    reference = oracle.jsymmetry_defect(phi, conj)
+    assert reference <= 1e-13 and _coefficient_gap(phi.coeffs, conj) <= 1e-13
+    phi = phi + random_symbol(rng, dim).with_order(phi.order).scale(10 ** log_eps)
+    exact = _coefficient_gap(phi.coeffs, conj)
+    assert exact >= oracle.jsymmetry_defect(phi, conj) - 1e-14
+
+
+def _commuting_pair(rng, dim, v, n_poles=2, max_abs=0.9):
+    """V diag(b_1 .. b_d) V* with scalar Blaschke products b_i, and a symbol
+    V diag(phi_1 .. phi_d) V*: the two commute pointwise."""
+    eye = np.eye(dim)
+    factors = [PotapovFactor(max_abs * rng.uniform() * np.exp(2j * np.pi * rng.uniform()),
+                             eye[:, [i]], eye)
+               for i in range(dim) for _ in range(n_poles)]
+    theta = BlaschkePotapovProduct(dim, None, factors).transported(v)
+    diag = rng.standard_normal((7, dim)) + 1j * rng.standard_normal((7, dim))
+    phi = Laurent(v @ (diag[:, :, None] * eye) @ v.conj().T, 3)
+    return theta, phi
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_remark412_hypotheses_hold_for_a_commuting_j_symmetric_case(dim):
+    # a real orthogonal V keeps both coefficient sequences symmetric, so both
+    # are J-symmetric for J = conj; the scalar case is dim 1
+    rng = np.random.default_rng([130, dim])
+    orth = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
+    theta, phi = _commuting_pair(rng, dim, orth)
+    conj, space = Conjugation.identity(dim), ModelSpace.from_product(theta, 32)
+    assert _coefficient_gap(phi.coeffs, conj) <= 1e-13
+    assert oracle.jsymmetry_defect(phi, conj) <= 1e-13
+    assert _commutator_defect(space.realization, phi) <= 1e-13
+    assert oracle.commutator_defect(theta, phi) <= 1e-13
+    rep = verify_transform("remark412", TransformInputs(space, space, symbol=phi))
+    assert rep.verdict == "accept" and rep.reason is None
+
+
+@settings(max_examples=60)
+@example(dim=3, n_factors=3, max_abs=0.9, order=8, commuting=False, seed=0)
+@given(dim=st.integers(2, 3), n_factors=st.integers(1, 3), max_abs=st.floats(0.0, 0.9),
+       order=st.integers(8, 64), commuting=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_remark412_commutator_check_agrees_with_sampling(dim, n_factors, max_abs, order,
+                                                        commuting, seed):
+    # a random matrix symbol, or one that commutes with Theta: the coefficients
+    # at lags lo .. hi + 2n decide as the circle does
+    rng = np.random.default_rng(seed)
+    if commuting:
+        theta, phi = _commuting_pair(rng, dim, random_unitary(rng, dim), n_factors, max_abs)
+    else:
+        theta = random_inner(rng, dim, n_factors=n_factors, max_abs=max_abs)
+        phi = random_symbol(rng, dim)
+    exact = _commutator_defect(ModelSpace.from_product(theta, order).realization, phi)
+    reference = oracle.commutator_defect(theta, phi)
+    if commuting:
+        assert exact <= 1e-12 and reference <= 1e-12
+    bound = _JSYM_TOL * (1.0 + phi.norm())
+    assert (exact <= bound) == (reference <= bound)
 
 
 def test_crofoot_map_is_unitary_with_inverse():
@@ -175,7 +257,7 @@ def test_crofoot_map_is_unitary_with_inverse():
     cro = CrofootData(0.35 * random_unitary(rng, 2))
     space = ModelSpace.from_product(theta, 64)
     image_series = crofoot_theta(theta, cro, 64)
-    image = ModelSpace.from_realization(crofoot_realization(theta, cro), 64)
+    image = ModelSpace.from_realization(crofoot_realization(theta.realization(), cro), 64)
     f = _random_member(space, rng)
     jf = crofoot_map(space.theta_series, cro, f, "forward")
     assert abs(jf.norm() - f.norm()) < 1e-8
@@ -235,7 +317,8 @@ def test_crofoot_image_matrix_matches_refit_map(d, order):
     rng = np.random.default_rng(120 + d)
     theta = random_inner(rng, d, max_abs=0.8)
     cro = CrofootData(0.5 * random_unitary(rng, d))
-    inputs = TransformInputs(theta, theta, order=order, crofoot1=cro, crofoot2=cro)
+    space = ModelSpace.from_product(theta, order)
+    inputs = TransformInputs(space, space, crofoot1=cro, crofoot2=cro)
     image = inputs.crofoot_image(1)
     gram = image.coords(image.basis)
     assert np.max(np.abs(gram - np.eye(image.dim_K))) > 1e-6
