@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jsonio import ScenarioError, matrix_from_json, matrix_to_json, pair_to_complex, complex_to_pair
+from .jsonio import (ScenarioError, _plain_pairs, complex_to_pair, matrix_from_json,
+                     matrix_to_json, pair_to_complex)
 from .laurent import Laurent
 
 __all__ = [
@@ -80,6 +81,14 @@ class PotapovFactor:
         self.post_unitary = post
         self.dim = frame.shape[0]
         self.rank = frame.shape[1]
+
+    @classmethod
+    def _checked(cls, a, frame, post_unitary):
+        """A factor from parts that already passed this class's checks."""
+        factor = cls.__new__(cls)
+        factor.a, factor.frame, factor.post_unitary = a, frame, post_unitary
+        factor.dim, factor.rank = frame.shape
+        return factor
 
     def to_json(self):
         return {"a": complex_to_pair(self.a),
@@ -219,11 +228,55 @@ class BlaschkePotapovProduct:
         raw = obj.get("factors", [])
         if not isinstance(raw, list):
             raise ScenarioError(f"{field}.factors: expected a list")
-        factors = [PotapovFactor.from_json(f, f"{field}.factors[{i}]") for i, f in enumerate(raw)]
+        factors = _factors_from_json(raw, dim)
+        if factors is None:
+            # the per-factor path names the first offending entry
+            factors = [PotapovFactor.from_json(f, f"{field}.factors[{i}]")
+                       for i, f in enumerate(raw)]
         try:
             return cls(dim, left, factors)
         except ValueError as exc:
             raise ScenarioError(f"{field}: {exc}") from None
+
+
+def _factors_from_json(raw, dim):
+    """The factors of a list of factor documents, decoded in one conversion
+    and checked in one batched Gram product; None when any entry is
+    irregular or fails a check. The batch passes only what clears
+    ``PotapovFactor``'s bounds with a factor 2 to spare, so a factor it
+    refuses or sends back is decided, with its message, one by one."""
+    if not raw:
+        return []
+    try:
+        poles = [f["a"] for f in raw]
+        mats = [f["frame"] for f in raw] + [f["post_unitary"] for f in raw]
+    except (KeyError, TypeError):
+        return None
+    if set(map(type, mats)) - {list} or set(map(len, mats)) - {dim}:
+        return None
+    rows = [r for m in mats for r in m]
+    if set(map(type, rows)) - {list}:
+        return None
+    count = len(raw)
+    ranks = [len(f[0]) for f in mats[:count]] + [dim] * count
+    if (list(map(len, rows)) != [r for r in ranks for _ in range(dim)]
+            or not 1 <= min(ranks[:count]) <= max(ranks) <= dim):
+        return None
+    values = _plain_pairs(poles + [p for r in rows for p in r])
+    if values is None or np.abs(values[:count]).max() > MAX_POLE_ABS:
+        return None
+    # frames padded with zero columns, then the post unitaries: each Gram
+    # matrix should be the identity on its first ``rank`` slots
+    stack, start = np.zeros((2 * count, dim, dim), dtype=complex), count
+    for i, rank in enumerate(ranks):
+        stack[i, :, :rank] = values[start:start + dim * rank].reshape(dim, rank)
+        start += dim * rank
+    ones = np.arange(dim) < np.array(ranks)[:, None]
+    gap = (np.conj(np.swapaxes(stack, 1, 2)) @ stack - ones[:, None] * np.eye(dim)).reshape(2 * count, -1)
+    if (gap.real ** 2 + gap.imag ** 2).sum(axis=1).max() > (0.5 * _UNITARY_TOL * dim) ** 2:
+        return None
+    return [PotapovFactor._checked(complex(values[i]), stack[i, :, :ranks[i]], stack[count + i])
+            for i in range(count)]
 
 
 @dataclass
@@ -240,8 +293,12 @@ def check_colligation(realization):
     unitary (``max_unitary_defect`` = |G* G - I|_F), pure when norm(D) < 1.
     The report keeps the realization, which ``ModelSpace`` is built from."""
     a_mat, b_mat, c_mat, d_mat = realization
-    g = np.block([[a_mat, b_mat], [c_mat, d_mat]])
-    defect = np.linalg.norm(g.conj().T @ g - np.eye(g.shape[0]))
+    n, size = len(a_mat), len(a_mat) + len(d_mat)
+    g = np.empty((size, size), dtype=complex)
+    g[:n, :n], g[:n, n:], g[n:, :n], g[n:, n:] = a_mat, b_mat, c_mat, d_mat
+    # |G* G - I|_F by numpy's own Frobenius sum, so the reported defect is the same to the bit
+    gap = (g.conj().T @ g - np.eye(size)).ravel()
+    defect = np.sqrt(gap.real @ gap.real + gap.imag @ gap.imag)
     theta0 = np.linalg.svd(d_mat, compute_uv=False)[0]
     return ValidationReport(inner=bool(defect <= _COLLIGATION_TOL),
                             pure=bool(theta0 < 1.0 - PURITY_MARGIN),

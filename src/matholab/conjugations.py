@@ -145,12 +145,14 @@ class CrofootData:
         w = np.asarray(w, dtype=complex)
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise ValueError("Crofoot parameter must be a square matrix")
-        if np.linalg.norm(w, 2) > MAX_POLE_ABS:
+        # W = U S V*, so D_W = V sqrt(1 - S^2) V* and D_W* = U sqrt(1 - S^2) U*
+        u, s, vh = np.linalg.svd(w)
+        if s.max(initial=0.0) > MAX_POLE_ABS:
             raise ValueError(f"Crofoot parameter norm exceeds the {MAX_POLE_ABS} cap")
-        eye = np.eye(w.shape[0])
+        root = np.sqrt(1.0 - s ** 2)
         object.__setattr__(self, "W", w)
-        object.__setattr__(self, "D_W", _psd_sqrt(eye - w.conj().T @ w))
-        object.__setattr__(self, "D_Wstar", _psd_sqrt(eye - w @ w.conj().T))
+        object.__setattr__(self, "D_W", (vh.conj().T * root) @ vh)
+        object.__setattr__(self, "D_Wstar", (u * root) @ u.conj().T)
         object.__setattr__(self, "dim", w.shape[0])
 
     def __setattr__(self, name, value):
@@ -168,12 +170,6 @@ class CrofootData:
             return cls(w)
         except ValueError as exc:
             raise ScenarioError(f"{field}: {exc}") from exc
-
-
-def _psd_sqrt(mat):
-    w, vecs = np.linalg.eigh(mat)
-    w = np.clip(w, 0.0, None)
-    return (vecs * np.sqrt(w)) @ vecs.conj().T
 
 
 def crofoot_map(theta_series, crofoot, f, direction="forward"):

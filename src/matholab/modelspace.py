@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .blaschke import check_colligation, state_window
+from .blaschke import _norms, check_colligation, state_window
 from .laurent import Laurent
 from .jsonio import matrix_to_json
 
@@ -56,11 +56,11 @@ class ModelSpace:
     ``D``, ``D_tilde``, ``k0_cols`` and ``kt0_cols`` are read off it. The
     basis read on the space's window is one series B(z) = [b_1 ... b_n] with
     values in the d x n matrices (``basis``), with one certified tail per
-    basis function (``tails``); ``theta_series`` is Theta on the same window.
-    The window and the defect projections (``P_D``, ``P_Dt``, ``defect_dim``,
-    ``defect_dim_tilde``) are computed when first read: builds, displacement
-    checks, the registry's maps and its J-symmetry gate need only the
-    realization.
+    basis function (``tails``, one matrix power, no window); ``theta_series``
+    is Theta on the same window. The window, the tails and the defect
+    projections (``P_D``, ``P_Dt``, ``defect_dim``, ``defect_dim_tilde``)
+    are computed when first read: builds, displacement checks and the whole
+    registry need only the realization.
     """
 
     def __init__(self, checked, order=64, theta=None):
@@ -90,7 +90,9 @@ class ModelSpace:
     _window = cached_property(lambda self: state_window(self.realization, self.order))
     basis = cached_property(lambda self: Laurent(self._window[0], self.order,
                                                  float(np.linalg.norm(self.tails))))
-    tails = cached_property(lambda self: self._window[1])
+    # |A^(order+1) e_j|, as ``state_window`` has them, from one matrix power
+    tails = cached_property(lambda self: _norms(
+        np.linalg.matrix_power(self.realization[0], self.order + 1).T))
     theta_series = cached_property(lambda self: self._window[2])
 
     _defect = cached_property(lambda self: _span_projection(self.k0_cols))

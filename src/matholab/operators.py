@@ -33,7 +33,7 @@ import numpy as np
 
 from .blaschke import crofoot_realization, matrix_powers
 from .conjugations import (Conjugation, CrofootData, _coefficient_gap, _realization_coeffs,
-                           realization_jsymmetry_defect, sandwich_pointwise, sandwich_reflected)
+                           realization_jsymmetry_defect, sandwich_reflected)
 from .jsonio import matrix_to_json
 from .laurent import Laurent
 from .modelspace import _RANK_TOL, ModelSpace, stein
@@ -266,7 +266,7 @@ def _symbol_map(space1, space2, family, reach):
     return list(lags), blocks.reshape(shape).T
 
 
-def recover_symbol(op, family, threshold=1e-8):
+def recover_symbol(op, family, threshold=1e-8, membership=None):
     """A representative symbol for an accepted operator, plus the rebuild gap.
 
     One minimum-norm least-squares solve on the map Phi -> built matrix
@@ -280,12 +280,15 @@ def recover_symbol(op, family, threshold=1e-8):
     every H_s with s >= n1 + n2 in the span of the ones before. The symbol is
     a finite Laurent polynomial, unique only modulo the kernel class, and
     its support is not cut at the window: a hankel symbol can reach lag
-    -(n1 + n2 - 1) past -trunc_order.
+    -(n1 + n2 - 1) past -trunc_order. ``membership`` is the T1 or H1 check
+    the caller already judged on op; without it the check runs here.
     """
     if family not in ("toeplitz", "hankel"):
         raise ValueError(f"unknown recovery family {family!r}")
     kind, build = ("T1", build_matto) if family == "toeplitz" else ("H1", build_matho)
-    rep = displacement_check(op, kind, threshold)
+    rep = membership if membership is not None else displacement_check(op, kind, threshold)
+    if rep.name != kind:
+        raise ValueError(f"{family} recovery needs the {kind} check, not {rep.name}")
     if not rep.accepted():
         raise ValueError(f"operator rejected by {kind} membership (residual {rep.residual:.2e})")
     n1, n2 = op.domain.dim_K, op.codomain.dim_K
@@ -422,7 +425,7 @@ class TransformInputs:
         if key not in self._cache:
             a_mat, b_mat, c_mat, d_mat = self.space(key[0]).realization
             if key[1] == "t":
-                realization = tuple(m.conj().T for m in (a_mat, c_mat, b_mat, d_mat))
+                realization = _tilde((a_mat, b_mat, c_mat, d_mat))
             else:
                 u = (self.conj1 if key[0] == "1" else self.conj2).U
                 realization = (a_mat.conj(), b_mat.conj() @ u.conj(), u @ c_mat.conj(),
@@ -447,6 +450,228 @@ class TransformInputs:
         return tuple(realization_jsymmetry_defect(s.realization, s.order, c)
                      for s, c in ((self.space("1"), self.conj1), (self.space("2"), self.conj2)))
 
+    @cached_property
+    def theta_product(self):
+        """``_split`` of Theta2~ Phi Theta1, which tau, ctheta and prop61b read."""
+        return _theta_product(self, self.symbol)
+
+
+# -- exact right sides ---------------------------------------------------------
+# Every derived symbol Psi of the registry is rational: products of Theta1,
+# Theta2~ or Theta2^*, a Crofoot multiplier and the Laurent polynomial Phi.
+# Phi = z^e Phi' with e = min(lo, 0) and Phi' a polynomial. The analytic
+# factors, Phi' among them, are kept as a chain: a list of realizations
+# (A, B, C, D) joined in series, the first one's state first, so the state
+# matrix is block upper triangular with A_i on the diagonal and
+# B_i D_(i+1) ... D_(j-1) C_j above it. z^e joins the coanalytic side: a
+# coanalytic F(z) = sum_k f_k z^-k is the chain of F(1/z). ``_split`` cuts
+# coanalytic times analytic into its lag-0 coefficient and two tails, each a
+# triple (C, chain, B) whose lag +k or -k coefficient is C A^(k-1) B (k >= 1),
+# and each build of a tail is a Stein solve or two: nothing is cut at a
+# window. Every Stein solve on a chain runs block by block; A = None marks a
+# polynomial's block shift register, whose Stein sums are finite Horner
+# passes, so the cost grows linearly with Phi's reach.
+
+def _fir(coeffs):
+    """The block shift register of the polynomial sum_j coeffs[j] z^j: the
+    shift A = None moves block k to k + 1, B is the first block's identity
+    and C = [coeffs[1] ... coeffs[-1]], so C A^(j-1) B = coeffs[j]."""
+    deg, dim = len(coeffs) - 1, coeffs.shape[1]
+    return None, np.eye(deg * dim, dim), coeffs[1:].transpose(1, 0, 2).reshape(dim, -1), coeffs[0]
+
+
+def _phi_factors(phi):
+    """(z^-e, Phi') for Phi = z^e Phi', e = min(lo, 0), both shift registers;
+    the first stands for the coanalytic z^e."""
+    lo, hi = phi.support()
+    e = min(lo, 0)
+    delay = np.zeros((1 - e, phi.dim, phi.dim), dtype=complex)
+    delay[-e] = np.eye(phi.dim)
+    return _fir(delay), _fir(phi.coeffs[phi.order + e:phi.order + hi + 1])
+
+
+def _tilde(realization):
+    """Theta~(z) = Theta(conj(z))^* realized by (A*, C*, B*, D*)."""
+    a_mat, b_mat, c_mat, d_mat = realization
+    return tuple(m.conj().T for m in (a_mat, c_mat, b_mat, d_mat))
+
+
+# a shift register of at most this many states is written out as a matrix
+# and joined with its dense neighbours: one Stein solve on the whole block
+# costs less than a pass per block until the state grows past it
+_DENSE_SHIFT = 32
+
+
+def _compact(chain):
+    """The chain with each short shift written out and neighbouring dense
+    realizations joined in series into one."""
+    out = []
+    for a, b, c, d in chain:
+        if a is None and len(b) <= _DENSE_SHIFT:
+            a = np.eye(len(b), k=-len(d))
+        if out and a is not None and out[-1][0] is not None:
+            a0, b0, c0, d0 = out.pop()
+            joined = np.zeros((len(a0) + len(a),) * 2, dtype=complex)
+            joined[:len(a0), :len(a0)], joined[len(a0):, len(a0):] = a0, a
+            joined[:len(a0), len(a0):] = b0 @ c
+            a, b, c, d = joined, np.vstack([b0 @ d, b]), np.hstack([c0, d0 @ c]), d0 @ d
+        out.append((a, b, c, d))
+    return out
+
+
+def _chain_bcd(chain):
+    """(B, C, D) of the chain's realization."""
+    _, b, c, d = chain[0]
+    for _, b2, c2, d2 in chain[1:]:
+        b, c, d = np.vstack([b @ d2, b2]), np.hstack([c, d @ c2]), d @ d2
+    return b, c, d
+
+
+def _times_block(y, a, dim):
+    """y a for a diagonal block; the shift gives (y A)_k = y_(k+1)."""
+    if a is not None:
+        return y @ a
+    out = np.zeros_like(y)
+    out[:, :-dim] = y[:, dim:]
+    return out
+
+
+def _block_times(a, y, dim):
+    """a y for a diagonal block; the shift gives (A y)_k = y_(k-1)."""
+    if a is not None:
+        return a @ y
+    out = np.zeros_like(y)
+    out[dim:] = y[:-dim]
+    return out
+
+
+def _stein_block(p, q, a, r, dim):
+    """Y = P Y A + Q for a diagonal block A (r None) or Y = A Y R + Q (p None).
+    On a shift the sum is finite: Y_k = Q_k + P Y_(k+1) from the last block,
+    or Y_k = Q_k + Y_(k-1) R from the first."""
+    if a is not None:
+        return stein(p, q, a) if r is None else stein(a, q, r)
+    y = np.array(q, dtype=complex)
+    if r is None:
+        for k in range(y.shape[1] - 2 * dim, -1, -dim):
+            y[:, k:k + dim] += p @ y[:, k + dim:k + 2 * dim]
+    else:
+        for k in range(dim, len(y), dim):
+            y[k:k + dim] += y[k - dim:k] @ r
+    return y
+
+
+def _chain_times(y, chain, p=None):
+    """y A for the chain's state matrix A; with p, the solution Y of
+    Y = P Y A + y instead. Column block j of y A is y_j A_j + S_j C_j, with
+    S_(j+1) = S_j D_j + y_j B_j; the Stein solution takes the blocks in the
+    same order, Y_j solving Y_j = P Y_j A_j + y_j + P S_j C_j."""
+    blocks, s, start = [], np.zeros((len(y), len(chain[0][3]))), 0
+    for a, b, c, d in chain:
+        block = y[:, start:start + len(b)]
+        if p is None:
+            out = _times_block(block, a, len(d)) + s @ c
+        else:
+            block = out = _stein_block(p, block + p @ s @ c, a, None, len(d))
+        blocks.append(out)
+        s, start = s @ d + block @ b, start + len(b)
+    return np.hstack(blocks)
+
+
+def _times_chain(chain, y, r=None):
+    """A y for the chain's state matrix A; with r, the solution Y of
+    Y = A Y R + y instead. Row block i of A y is A_i y_i + B_i T_i, with
+    T_(i-1) = C_i y_i + D_i T_i from the last block; the Stein solution
+    takes the blocks in the same order, Y_i = A_i Y_i R + y_i + B_i T_i R."""
+    blocks, t, end = [], np.zeros((len(chain[0][3]), y.shape[1])), len(y)
+    for a, b, c, d in reversed(chain):
+        block = y[end - len(b):end]
+        if r is None:
+            out = _block_times(a, block, len(d)) + b @ t
+        else:
+            block = out = _stein_block(None, block + b @ t @ r, a, r, len(d))
+        blocks.append(out)
+        t, end = c @ block + d @ t, end - len(b)
+    return np.vstack(blocks[::-1])
+
+
+def _chain_stein(co, q, an):
+    """Y = A_co Y A_an + Q for two chains: row blocks of co from the last,
+    Y_i = A_i Y_i A_an + Q_i + B_i T_i A_an, each a ``_chain_times`` solve, or
+    on a shift Y_(i,k) = G_(i,k) + Y_(i,k-1) A_an from its first block."""
+    blocks, t, end = [], np.zeros((len(co[0][3]), q.shape[1])), len(q)
+    for a, b, c, d in reversed(co):
+        n, dim = len(b), len(d)
+        y = q[end - n:end] + _chain_times(b @ t, an)
+        if a is None:
+            for k in range(dim, n, dim):
+                y[k:k + dim] += _chain_times(y[k - dim:k], an)
+        else:
+            y = _chain_times(y, an, a)
+        blocks.append(y)
+        t, end = c @ y + d @ t, end - n
+    return np.vstack(blocks[::-1])
+
+
+def _split(co, an):
+    """(lag-0 coefficient, analytic tail, coanalytic tail) of F G, for F
+    coanalytic with F(1/z) realized by the chain co (Ar, Br, Cr, Dr) and G
+    analytic realized by the chain an (Al, Bl, Cl, Dl). With
+    W = stein(Ar, Br Cl, Al), the sum over the lags of F's and G's
+    coefficients that meet: lag 0 is Dr Dl + Cr W Bl, lag k is
+    (Dr Cl + Cr W Al) Al^(k-1) Bl and lag -k is Cr Ar^(k-1) (Br Dl + Ar W Bl)."""
+    co, an = _compact(co), _compact(an)
+    br, cr, dr = _chain_bcd(co)
+    bl, cl, dl = _chain_bcd(an)
+    w = _chain_stein(co, br @ cl, an)
+    return (dr @ dl + cr @ w @ bl, (dr @ cl + _chain_times(cr @ w, an), an, bl),
+            (cr, co, br @ dl + _times_chain(co, w @ bl)))
+
+
+def _sandwich(conj2, parts, conj1):
+    """The parts of J2 F J1 (lag n: U2 conj(F_-n) conj(U1)) from those of F:
+    F's coanalytic tail becomes the analytic one and the other way round."""
+    u2, u1 = conj2.U, np.conj(conj1.U)
+    c0, analytic, coanalytic = parts
+
+    def flip(c, chain, b):
+        chain = [tuple(None if m is None else np.conj(m) for m in f) for f in chain]
+        return u2 @ np.conj(c), chain, np.conj(b) @ u1
+    return u2 @ np.conj(c0) @ u1, flip(*coanalytic), flip(*analytic)
+
+
+def _hankel_tail(space1, space2, coanalytic):
+    """Hankel build of a symbol whose lag -r is Cx Ax^(r-1) Bx (r >= 1): lag -r
+    contributes sum_{q+p=r-1} (A2*)^q C2* Cx Ax^(q+p) Bx C1 A1^p, so the build
+    is U V with U = stein(A2*, C2* Cx, Ax) and V = stein(Ax, Bx C1, A1)."""
+    a1, _, c1, _ = space1.realization
+    a2, _, c2, _ = space2.realization
+    cx, chain, bx = coanalytic
+    return (_chain_times(c2.conj().T @ cx, chain, a2.conj().T)
+            @ _times_chain(chain, bx @ c1, a1))
+
+
+def _toeplitz_tails(space1, space2, parts):
+    """Toeplitz build of c0 plus an analytic and a coanalytic tail: one Stein
+    solve Y(Q) as in ``_build``, with Q = C2* c0 C1 + A2* X Bf C1 + C2* Cg Z,
+    X = stein(A2*, C2* Cf, Af) and Z = stein(Ag, Bg C1 A1, A1)."""
+    a1, _, c1, _ = space1.realization
+    a2, _, c2, _ = space2.realization
+    a2h, c2h = a2.conj().T, c2.conj().T
+    c0, (cf, af, bf), (cg, ag, bg) = parts
+    q = ((c2h @ c0 + a2h @ _chain_times(c2h @ cf, af, a2h) @ bf) @ c1
+         + c2h @ cg @ _times_chain(ag, bg @ c1 @ a1, a1))
+    return stein(a2h, q, a1)
+
+
+def _theta_product(inp, phi, with_theta1=True):
+    """``_split`` of Theta2~ Phi Theta1 (of Theta2~ Phi without Theta1)."""
+    delay, fir = _phi_factors(phi)
+    chain = [_tilde(inp.space("2").realization), fir]
+    if with_theta1:
+        chain.append(inp.space("1").realization)
+    return _split([delay], chain)
+
 
 # Each _verify_* returns the two sides (lhs, rhs) of its identity as matrices;
 # verify_transform judges |lhs - rhs| against threshold * (1 + |lhs|).
@@ -459,26 +684,30 @@ def _verify_crofoot(inp):
     d1inv = np.linalg.inv(cro1.D_Wstar)
     d2inv = np.linalg.inv(cro2.D_Wstar)
     # The codomain multiplier rides through the flip J, so it enters the
-    # symbol as its inverse adjoint at the reflected argument; that is the
-    # polynomial D^{-1}(I - W2 Theta2(zbar)^*). The domain side simplifies
-    # by D(I + Theta1^W W1*)^{-1} = (I - Theta1 W1*) D^{-1}, so the whole
-    # symbol transform is exact series arithmetic.
-    left = (Laurent.constant(d2inv)
-            - k2.theta_series.tilde().left_const(d2inv @ cro2.W))
-    right = (Laurent.constant(np.eye(k1.dim))
-             - k1.theta_series.right_const(cro1.W.conj().T)).right_const(d1inv)
-    psi = left.mul(phi).mul(right).truncate(inp.order)
-    return lhs, build_matho(inp.crofoot_image(1), inp.crofoot_image(2), psi).matrix
+    # symbol as its inverse adjoint at the reflected argument; that is
+    # D^{-1}(I - W2 Theta2~). The domain side simplifies by
+    # D(I + Theta1^W W1*)^{-1} = (I - Theta1 W1*) D^{-1}. Both are analytic,
+    # so Psi has only the negative lags of Phi's own reach.
+    eye = np.eye(k1.dim)
+    at, bt, ct, dt = _tilde(k2.realization)
+    a1, b1, c1, d1 = k1.realization
+    w1s = cro1.W.conj().T
+    left = (at, bt, -d2inv @ cro2.W @ ct, d2inv @ (eye - cro2.W @ dt))
+    right = (a1, -b1 @ w1s @ d1inv, c1, (eye - d1 @ w1s) @ d1inv)
+    delay, fir = _phi_factors(phi)
+    coanalytic = _split([delay], [left, fir, right])[2]
+    return lhs, _hankel_tail(inp.crofoot_image(1), inp.crofoot_image(2), coanalytic)
 
 
 def _verify_tau(inp):
+    """tau_Theta2 B_Phi tau_Theta1^* = B_Psi with Psi the reflection of
+    Theta2~ Phi Theta1: Psi's lag -r is the product's lag r."""
     phi = inp.symbol
     k1, k2 = inp.space("1"), inp.space("2")
     k1t, k2t = inp.space("1t"), inp.space("2t")
     b = build_matho(k1, k2, phi).matrix
     lhs = _tau(k2, k2t) @ b @ _tau(k1, k1t).conj().T
-    psi = k2.theta_series.tilde().mul(phi).mul(k1.theta_series).reflect_z().truncate(inp.order)
-    return lhs, build_matho(k1t, k2t, psi).matrix
+    return lhs, _hankel_tail(k1t, k2t, inp.theta_product[1])
 
 
 def _verify_jstar(build, suffix, inp):
@@ -494,7 +723,8 @@ def _verify_jstar(build, suffix, inp):
 
 
 def _verify_ctheta(inp):
-    """C_Theta2 B_Phi C_Theta1 = B_Psi; reported as "ctheta" and as "prop61b"."""
+    """C_Theta2 B_Phi C_Theta1 = B_Psi, Psi = J2 (Theta2~ Phi Theta1) J1;
+    reported as "ctheta" and as "prop61b"."""
     phi = inp.symbol
     k1, k2 = inp.space("1"), inp.space("2")
     b = build_matho(k1, k2, phi).matrix
@@ -502,41 +732,43 @@ def _verify_ctheta(inp):
     # composing the tau identity with the coefficient conjugations puts the
     # reflected Theta2 on the left; writing Theta2(z) there instead loses the
     # anti-analytic mass of the symbol and breaks the operator equality
-    inner = k2.theta_series.tilde().mul(phi).mul(k1.theta_series).truncate(inp.order)
-    psi = sandwich_pointwise(inp.conj2, inner, inp.conj1)
-    return lhs, build_matho(k1, k2, psi).matrix
+    psi = _sandwich(inp.conj2, inp.theta_product, inp.conj1)
+    return lhs, _hankel_tail(k1, k2, psi[2])
 
 
 def _verify_prop61a(inp):
+    """C_Theta2 A_Phi C_Theta1 = A_Psi, Psi = J2 (Theta2^* Phi Theta1) J1: the
+    coanalytic side is Theta2^* z^e, the analytic side Phi' Theta1."""
     phi = inp.symbol
     k1, k2 = inp.space("1"), inp.space("2")
     a = build_matto(k1, k2, phi).matrix
     lhs = _ctheta(k2, inp.conj2) @ np.conj(a @ _ctheta(k1, inp.conj1))
-    inner = k2.theta_series.adjoint_star().mul(phi).mul(k1.theta_series).truncate(inp.order)
-    psi = sandwich_pointwise(inp.conj2, inner, inp.conj1)
-    return lhs, build_matto(k1, k2, psi).matrix
+    delay, fir = _phi_factors(phi)
+    inner = _split([_tilde(k2.realization), delay], [fir, k1.realization])
+    return lhs, _toeplitz_tails(k1, k2, _sandwich(inp.conj2, inner, inp.conj1))
 
 
 def _verify_prop61e(inp):
+    """C_Theta2 A_Phi Jstar = B_Psi, Psi = J2 (Theta2~ Phi(1/z)) J1."""
     phi = inp.symbol
     k1, k2 = inp.space("1"), inp.space("2")
     k1t = inp.space("1t")
     a = build_matto(k1, k2, phi).matrix
     lhs = _ctheta(k2, inp.conj2) @ np.conj(a @ _jstar(inp.conj1, k1t, k1))
-    inner = k2.theta_series.tilde().mul(phi.reflect_z()).truncate(inp.order)
-    psi = sandwich_pointwise(inp.conj2, inner, inp.conj1)
-    return lhs, build_matho(k1t, k2, psi).matrix
+    inner = _theta_product(inp, phi.reflect_z(), with_theta1=False)
+    return lhs, _hankel_tail(k1t, k2, _sandwich(inp.conj2, inner, inp.conj1)[2])
 
 
 def _verify_prop61f(inp):
+    """Jstar B_Phi C_Theta1 = A_Psi, Psi = J2 (Phi Theta1) J1."""
     phi = inp.symbol
     k1, k2 = inp.space("1"), inp.space("2")
     k2t = inp.space("2t")
     b = build_matho(k1, k2, phi).matrix
     lhs = _jstar(inp.conj2, k2, k2t) @ np.conj(b @ _ctheta(k1, inp.conj1))
-    inner = phi.mul(k1.theta_series).truncate(inp.order)
-    psi = sandwich_pointwise(inp.conj2, inner, inp.conj1)
-    return lhs, build_matto(k1, k2t, psi).matrix
+    delay, fir = _phi_factors(phi)
+    inner = _split([delay], [fir, k1.realization])
+    return lhs, _toeplitz_tails(k1, k2t, _sandwich(inp.conj2, inner, inp.conj1))
 
 
 def _verify_eq_sz(inp):
@@ -558,7 +790,7 @@ def _verify_remark412(inp):
     a = build_matto(k1, k1, phi).matrix
     l_c1 = _ctheta(k1, inp.conj1)
     lhs = l_c1 @ np.conj(a @ l_c1)
-    return lhs, build_matto(k1, k1, phi.adjoint_star().truncate(inp.order)).matrix
+    return lhs, build_matto(k1, k1, phi.adjoint_star()).matrix
 
 
 def _remark412_unmet(inp):

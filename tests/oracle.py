@@ -15,7 +15,7 @@ import numpy as np
 from matholab.conjugations import sandwich_pointwise
 from matholab.laurent import Laurent
 from matholab.modelspace import ModelSpace
-from matholab.operators import _complement_basis
+from matholab.operators import _complement_basis, build_matho, build_matto
 
 N_GRID = 512
 
@@ -209,6 +209,70 @@ def window_map(fn, src, dst):
     """dst-coordinates of fn(window basis of src): the matrix of a linear map,
     or the L of an antilinear map's action c -> L conj(c)."""
     return dst.coords(fn(src.basis))
+
+
+# -- window right sides of the registry ---------------------------------------
+# Each derived symbol Psi as it was built before the exact right sides: the
+# product of the theta windows with Phi (the package's series products), cut
+# to the inputs' window. On exact windows the cut drops nothing above
+# rounding, so there the registry's exact right sides must reproduce them.
+
+def _window_crofoot(inp):
+    phi, k1, k2 = inp.symbol, inp.space("1"), inp.space("2")
+    cro1, cro2 = inp.crofoot1, inp.crofoot2
+    d1inv, d2inv = np.linalg.inv(cro1.D_Wstar), np.linalg.inv(cro2.D_Wstar)
+    left = Laurent.constant(d2inv) - k2.theta_series.tilde().left_const(d2inv @ cro2.W)
+    right = (Laurent.constant(np.eye(k1.dim))
+             - k1.theta_series.right_const(cro1.W.conj().T)).right_const(d1inv)
+    psi = left.mul(phi).mul(right).truncate(inp.order)
+    return build_matho(inp.crofoot_image(1), inp.crofoot_image(2), psi)
+
+
+def _window_tau(inp):
+    phi, k1, k2 = inp.symbol, inp.space("1"), inp.space("2")
+    psi = k2.theta_series.tilde().mul(phi).mul(k1.theta_series).reflect_z().truncate(inp.order)
+    return build_matho(inp.space("1t"), inp.space("2t"), psi)
+
+
+def _window_ctheta(inp):
+    phi, k1, k2 = inp.symbol, inp.space("1"), inp.space("2")
+    inner = k2.theta_series.tilde().mul(phi).mul(k1.theta_series).truncate(inp.order)
+    return build_matho(k1, k2, sandwich_pointwise(inp.conj2, inner, inp.conj1))
+
+
+def _window_prop61a(inp):
+    phi, k1, k2 = inp.symbol, inp.space("1"), inp.space("2")
+    inner = k2.theta_series.adjoint_star().mul(phi).mul(k1.theta_series).truncate(inp.order)
+    return build_matto(k1, k2, sandwich_pointwise(inp.conj2, inner, inp.conj1))
+
+
+def _window_prop61e(inp):
+    phi, k2 = inp.symbol, inp.space("2")
+    inner = k2.theta_series.tilde().mul(phi.reflect_z()).truncate(inp.order)
+    return build_matho(inp.space("1t"), k2, sandwich_pointwise(inp.conj2, inner, inp.conj1))
+
+
+def _window_prop61f(inp):
+    phi, k1 = inp.symbol, inp.space("1")
+    inner = phi.mul(k1.theta_series).truncate(inp.order)
+    return build_matto(k1, inp.space("2t"), sandwich_pointwise(inp.conj2, inner, inp.conj1))
+
+
+def _window_remark412(inp):
+    k1 = inp.space("1")
+    return build_matto(k1, k1, inp.symbol.adjoint_star().truncate(inp.order))
+
+
+# identity name -> its right side built on the window
+WINDOW_RIGHT_SIDES = {"crofoot": _window_crofoot, "tau": _window_tau,
+                      "ctheta": _window_ctheta, "prop61b": _window_ctheta,
+                      "prop61a": _window_prop61a, "prop61e": _window_prop61e,
+                      "prop61f": _window_prop61f, "remark412": _window_remark412}
+
+
+def window_right_side(name, inp):
+    """The matrix of the identity's right side, Psi cut at the inputs' window."""
+    return WINDOW_RIGHT_SIDES[name](inp).matrix
 
 
 # -- symbol-map and kernel-class references -----------------------------------

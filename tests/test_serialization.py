@@ -139,3 +139,56 @@ def test_matrix_decoder_takes_ints_tuples_and_numpy_floats():
     assert np.array_equal(matrix_from_json([[(1.0, 2.0), [np.float64(-0.5), 0.0]],
                                             [[0.0, 0.0], [0.0, 3.0]]], "m"), want)
     assert matrix_from_json([[], []], "m").shape == (2, 0)
+
+
+# -- the batched theta decoder falls back to the per-factor messages -------------------
+
+def _theta_doc():
+    """A verify scenario whose theta1 has three factors of mixed rank."""
+    doc = _verify_doc()
+    doc["theta1"] = random_inner(np.random.default_rng(9), 2, 3, 0.5).to_json()
+    return doc
+
+
+def _spoil(where, value):
+    def spoil(doc):
+        factor = doc["theta1"]["factors"][2]
+        if where == "a":
+            factor["a"] = value
+        else:
+            factor[where][1][0] = value
+    return spoil
+
+
+def _pop_entry(doc):
+    doc["theta1"]["factors"][2]["frame"][1].pop()
+
+
+FACTOR_REFUSALS = {
+    "bad-frame": (_spoil("frame", [0.5, 0.0]), "theta1.factors[2]: frame columns are not orthonormal"),
+    "non-unitary-post": (_spoil("post_unitary", [0.5, 0.0]),
+                         "theta1.factors[2]: post_unitary is not unitary"),
+    "pole-over-cap": (_spoil("a", [0.95, 0.0]),
+                      "theta1.factors[2]: pole parameter |a| = 0.950 exceeds the 0.9 cap"),
+    "ragged-row": (_pop_entry, "theta1.factors[2].frame[1]: ragged row (expected 2 entries)"),
+    "bool-entry": (_spoil("post_unitary", [True, 0.0]),
+                   "theta1.factors[2].post_unitary[1][0]: expected an [re, im] pair, "
+                   "got [True, 0.0]"),
+}
+
+
+def test_theta_doc_decodes_in_one_batch():
+    doc = _theta_doc()
+    ranks = [len(f["frame"][0]) for f in doc["theta1"]["factors"]]
+    assert len(set(ranks)) == 2
+    space = cli.parse_scenario(doc, "verify").space1
+    want = random_inner(np.random.default_rng(9), 2, 3, 0.5).realization()
+    assert all(np.array_equal(got, m) for got, m in zip(space.realization, want))
+
+
+@pytest.mark.parametrize("spoil, want", FACTOR_REFUSALS.values(), ids=FACTOR_REFUSALS.keys())
+def test_bad_factors_are_refused_by_name(spoil, want):
+    doc = copy.deepcopy(_theta_doc())
+    spoil(doc)
+    with pytest.raises(ScenarioError, match=re.escape(want)):
+        cli.parse_scenario(doc, "verify")
