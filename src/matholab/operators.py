@@ -510,11 +510,11 @@ def _compact(chain):
         if a is None and len(b) <= _DENSE_SHIFT:
             a = np.eye(len(b), k=-len(d))
         if out and a is not None and out[-1][0] is not None:
-            a0, b0, c0, d0 = out.pop()
-            joined = np.zeros((len(a0) + len(a),) * 2, dtype=complex)
-            joined[:len(a0), :len(a0)], joined[len(a0):, len(a0):] = a0, a
-            joined[:len(a0), len(a0):] = b0 @ c
-            a, b, c, d = joined, np.vstack([b0 @ d, b]), np.hstack([c0, d0 @ c]), d0 @ d
+            prev = out.pop()
+            m = len(prev[0])
+            joined = np.zeros((m + len(a),) * 2, dtype=complex)
+            joined[:m, :m], joined[:m, m:], joined[m:, m:] = prev[0], prev[1] @ c, a
+            a, (b, c, d) = joined, _chain_bcd([prev, (a, b, c, d)])
         out.append((a, b, c, d))
     return out
 
