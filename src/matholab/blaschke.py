@@ -271,8 +271,8 @@ def _factors_from_json(raw, dim):
     for i, rank in enumerate(ranks):
         stack[i, :, :rank] = values[start:start + dim * rank].reshape(dim, rank)
         start += dim * rank
-    ones = np.arange(dim) < np.array(ranks)[:, None]
-    gap = (np.conj(np.swapaxes(stack, 1, 2)) @ stack - ones[:, None] * np.eye(dim)).reshape(2 * count, -1)
+    target = (np.arange(dim) < np.array(ranks)[:, None])[:, None] * np.eye(dim)
+    gap = (np.conj(np.swapaxes(stack, 1, 2)) @ stack - target).reshape(2 * count, -1)
     if (gap.real ** 2 + gap.imag ** 2).sum(axis=1).max() > (0.5 * _UNITARY_TOL * dim) ** 2:
         return None
     return [PotapovFactor._checked(complex(values[i]), stack[i, :, :ranks[i]], stack[count + i])

@@ -453,7 +453,9 @@ class TransformInputs:
     @cached_property
     def theta_product(self):
         """``_split`` of Theta2~ Phi Theta1, which tau, ctheta and prop61b read."""
-        return _theta_product(self, self.symbol)
+        delay, fir = _phi_factors(self.symbol)
+        return _split([delay], [_tilde(self.space("2").realization), fir,
+                                self.space("1").realization])
 
 
 # -- exact right sides ---------------------------------------------------------
@@ -664,15 +666,6 @@ def _toeplitz_tails(space1, space2, parts):
     return stein(a2h, q, a1)
 
 
-def _theta_product(inp, phi, with_theta1=True):
-    """``_split`` of Theta2~ Phi Theta1 (of Theta2~ Phi without Theta1)."""
-    delay, fir = _phi_factors(phi)
-    chain = [_tilde(inp.space("2").realization), fir]
-    if with_theta1:
-        chain.append(inp.space("1").realization)
-    return _split([delay], chain)
-
-
 # Each _verify_* returns the two sides (lhs, rhs) of its identity as matrices;
 # verify_transform judges |lhs - rhs| against threshold * (1 + |lhs|).
 
@@ -755,7 +748,8 @@ def _verify_prop61e(inp):
     k1t = inp.space("1t")
     a = build_matto(k1, k2, phi).matrix
     lhs = _ctheta(k2, inp.conj2) @ np.conj(a @ _jstar(inp.conj1, k1t, k1))
-    inner = _theta_product(inp, phi.reflect_z(), with_theta1=False)
+    delay, fir = _phi_factors(phi.reflect_z())
+    inner = _split([delay], [_tilde(k2.realization), fir])
     return lhs, _hankel_tail(k1t, k2, _sandwich(inp.conj2, inner, inp.conj1)[2])
 
 

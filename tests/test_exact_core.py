@@ -198,6 +198,7 @@ def test_derived_spaces_have_the_derived_theta(dim):
             assert gap <= 1e-13, (key + suffix, gap)
             assert space.theta_series.tail_bound < 1e-13
 
+
 # -- the registry's exact right sides --------------------------------------------------
 
 WINDOW_SIDES = tuple(oracle.WINDOW_RIGHT_SIDES)
@@ -258,8 +259,8 @@ def test_right_sides_agree_with_and_without_dense_shift_registers(dim, shift, re
 @pytest.mark.parametrize("window", [8, 16, 64])
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_every_identity_accepts_symmetric_inputs_at_small_windows(dim, window):
-    # the window right sides rejected these: at window 8 the cut Psi was off
-    # by up to 0.6 of the operator; the exact sides sit at rounding level
+    # the window right sides, Psi cut at the window, fail these at every
+    # window here; the exact sides sit at rounding level
     rng = np.random.default_rng([96, dim, window])
     for _ in range(3):
         inp = _registry_inputs(rng, dim, 2, 0.8999999, window, symmetric=True)

@@ -165,7 +165,8 @@ def _pop_entry(doc):
 
 
 FACTOR_REFUSALS = {
-    "bad-frame": (_spoil("frame", [0.5, 0.0]), "theta1.factors[2]: frame columns are not orthonormal"),
+    "bad-frame": (_spoil("frame", [0.5, 0.0]),
+                  "theta1.factors[2]: frame columns are not orthonormal"),
     "non-unitary-post": (_spoil("post_unitary", [0.5, 0.0]),
                          "theta1.factors[2]: post_unitary is not unitary"),
     "pole-over-cap": (_spoil("a", [0.95, 0.0]),
