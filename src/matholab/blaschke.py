@@ -82,14 +82,6 @@ class PotapovFactor:
         self.dim = frame.shape[0]
         self.rank = frame.shape[1]
 
-    @classmethod
-    def _checked(cls, a, frame, post_unitary):
-        """A factor from parts that already passed this class's checks."""
-        factor = cls.__new__(cls)
-        factor.a, factor.frame, factor.post_unitary = a, frame, post_unitary
-        factor.dim, factor.rank = frame.shape
-        return factor
-
     def to_json(self):
         return {"a": complex_to_pair(self.a),
                 "frame": matrix_to_json(self.frame),
@@ -240,13 +232,10 @@ class BlaschkePotapovProduct:
 
 
 def _factors_from_json(raw, dim):
-    """The factors of a list of factor documents, decoded in one conversion
-    and checked in one batched Gram product; None when any entry is
-    irregular or fails a check. The batch passes only what clears
-    ``PotapovFactor``'s bounds with a factor 2 to spare, so a factor it
-    refuses or sends back is decided, with its message, one by one."""
-    if not raw:
-        return []
+    """The factors of a list of factor documents, all their numbers decoded
+    in one conversion; each factor is then checked by ``PotapovFactor``.
+    None when any entry is irregular or fails a check: the per-factor path
+    then names the offending entry in its message."""
     try:
         poles = [f["a"] for f in raw]
         mats = [f["frame"] for f in raw] + [f["post_unitary"] for f in raw]
@@ -257,26 +246,21 @@ def _factors_from_json(raw, dim):
     rows = [r for m in mats for r in m]
     if set(map(type, rows)) - {list}:
         return None
-    count = len(raw)
-    ranks = [len(f[0]) for f in mats[:count]] + [dim] * count
-    if (list(map(len, rows)) != [r for r in ranks for _ in range(dim)]
-            or not 1 <= min(ranks[:count]) <= max(ranks) <= dim):
+    widths = [len(m[0]) for m in mats]
+    if list(map(len, rows)) != [w for w in widths for _ in range(dim)]:
         return None
     values = _plain_pairs(poles + [p for r in rows for p in r])
-    if values is None or np.abs(values[:count]).max() > MAX_POLE_ABS:
+    if values is None:
         return None
-    # frames padded with zero columns, then the post unitaries: each Gram
-    # matrix should be the identity on its first ``rank`` slots
-    stack, start = np.zeros((2 * count, dim, dim), dtype=complex), count
-    for i, rank in enumerate(ranks):
-        stack[i, :, :rank] = values[start:start + dim * rank].reshape(dim, rank)
-        start += dim * rank
-    target = (np.arange(dim) < np.array(ranks)[:, None])[:, None] * np.eye(dim)
-    gap = (np.conj(np.swapaxes(stack, 1, 2)) @ stack - target).reshape(2 * count, -1)
-    if (gap.real ** 2 + gap.imag ** 2).sum(axis=1).max() > (0.5 * _UNITARY_TOL * dim) ** 2:
+    parts, start = [], len(raw)
+    for width in widths:
+        parts.append(values[start:start + dim * width].reshape(dim, width))
+        start += dim * width
+    try:
+        return [PotapovFactor(a, frame, post)
+                for a, frame, post in zip(values, parts, parts[len(raw):])]
+    except ValueError:
         return None
-    return [PotapovFactor._checked(complex(values[i]), stack[i, :, :ranks[i]], stack[count + i])
-            for i in range(count)]
 
 
 @dataclass
@@ -296,9 +280,7 @@ def check_colligation(realization):
     n, size = len(a_mat), len(a_mat) + len(d_mat)
     g = np.empty((size, size), dtype=complex)
     g[:n, :n], g[:n, n:], g[n:, :n], g[n:, n:] = a_mat, b_mat, c_mat, d_mat
-    # |G* G - I|_F by numpy's own Frobenius sum, so the reported defect is the same to the bit
-    gap = (g.conj().T @ g - np.eye(size)).ravel()
-    defect = np.sqrt(gap.real @ gap.real + gap.imag @ gap.imag)
+    defect = np.linalg.norm(g.conj().T @ g - np.eye(size))
     theta0 = np.linalg.svd(d_mat, compute_uv=False)[0]
     return ValidationReport(inner=bool(defect <= _COLLIGATION_TOL),
                             pure=bool(theta0 < 1.0 - PURITY_MARGIN),

@@ -300,7 +300,7 @@ def _cmd_recover(sc):
     checks = [rep]
     details = None
     if rep.accepted():
-        phi, resid = recover_symbol(op, family, threshold=sc.tolerance, membership=rep)
+        phi, resid = recover_symbol(op, family, threshold=sc.tolerance)
         checks.append(Check.judge(f"rebuild-{family}", resid, sc.tolerance,
                                   np.linalg.norm(op.matrix)))
         details = {"symbol": phi.to_json()}

@@ -266,7 +266,7 @@ def _symbol_map(space1, space2, family, reach):
     return list(lags), blocks.reshape(shape).T
 
 
-def recover_symbol(op, family, threshold=1e-8, membership=None):
+def recover_symbol(op, family, threshold=1e-8):
     """A representative symbol for an accepted operator, plus the rebuild gap.
 
     One minimum-norm least-squares solve on the map Phi -> built matrix
@@ -280,15 +280,12 @@ def recover_symbol(op, family, threshold=1e-8, membership=None):
     every H_s with s >= n1 + n2 in the span of the ones before. The symbol is
     a finite Laurent polynomial, unique only modulo the kernel class, and
     its support is not cut at the window: a hankel symbol can reach lag
-    -(n1 + n2 - 1) past -trunc_order. ``membership`` is the T1 or H1 check
-    the caller already judged on op; without it the check runs here.
+    -(n1 + n2 - 1) past -trunc_order.
     """
     if family not in ("toeplitz", "hankel"):
         raise ValueError(f"unknown recovery family {family!r}")
     kind, build = ("T1", build_matto) if family == "toeplitz" else ("H1", build_matho)
-    rep = membership if membership is not None else displacement_check(op, kind, threshold)
-    if rep.name != kind:
-        raise ValueError(f"{family} recovery needs the {kind} check, not {rep.name}")
+    rep = displacement_check(op, kind, threshold)
     if not rep.accepted():
         raise ValueError(f"operator rejected by {kind} membership (residual {rep.residual:.2e})")
     n1, n2 = op.domain.dim_K, op.codomain.dim_K
@@ -498,29 +495,6 @@ def _tilde(realization):
     return tuple(m.conj().T for m in (a_mat, c_mat, b_mat, d_mat))
 
 
-# a shift register of at most this many states is written out as a matrix
-# and joined with its dense neighbours: one Stein solve on the whole block
-# costs less than a pass per block until the state grows past it
-_DENSE_SHIFT = 32
-
-
-def _compact(chain):
-    """The chain with each short shift written out and neighbouring dense
-    realizations joined in series into one."""
-    out = []
-    for a, b, c, d in chain:
-        if a is None and len(b) <= _DENSE_SHIFT:
-            a = np.eye(len(b), k=-len(d))
-        if out and a is not None and out[-1][0] is not None:
-            prev = out.pop()
-            m = len(prev[0])
-            joined = np.zeros((m + len(a),) * 2, dtype=complex)
-            joined[:m, :m], joined[:m, m:], joined[m:, m:] = prev[0], prev[1] @ c, a
-            a, (b, c, d) = joined, _chain_bcd([prev, (a, b, c, d)])
-        out.append((a, b, c, d))
-    return out
-
-
 def _chain_bcd(chain):
     """(B, C, D) of the chain's realization."""
     _, b, c, d = chain[0]
@@ -622,7 +596,6 @@ def _split(co, an):
     W = stein(Ar, Br Cl, Al), the sum over the lags of F's and G's
     coefficients that meet: lag 0 is Dr Dl + Cr W Bl, lag k is
     (Dr Cl + Cr W Al) Al^(k-1) Bl and lag -k is Cr Ar^(k-1) (Br Dl + Ar W Bl)."""
-    co, an = _compact(co), _compact(an)
     br, cr, dr = _chain_bcd(co)
     bl, cl, dl = _chain_bcd(an)
     w = _chain_stein(co, br @ cl, an)

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from matholab import Laurent, ModelSpace, cli, operators
+from matholab import Laurent, ModelSpace, cli
 from matholab.sampling import random_inner, random_symbol
 
 import oracle
@@ -190,33 +190,6 @@ def test_recovered_symbol_builds_the_same_operator(tmp_path, capsys, family):
 
     original = built(doc)
     assert np.max(np.abs(built(dict(doc, symbol=symbol)) - original)) <= 1e-12
-
-
-@pytest.mark.parametrize("family", ["toeplitz", "hankel"])
-def test_recover_judges_membership_once(family, monkeypatch):
-    # the runner's T1/H1 record is the one recover_symbol's guard reads
-    calls, check = [], operators.displacement_check
-    counted = lambda *args, **kwargs: calls.append(args[1]) or check(*args, **kwargs)
-    monkeypatch.setattr(operators, "displacement_check", counted)
-    monkeypatch.setattr(cli, "displacement_check", counted)
-    doc = json.loads((SCENARIOS / "recover_toeplitz.json").read_text())
-    report = cli.run_command(cli.parse_scenario({**doc, "family": family}, "recover"))
-    assert report["overall"] == "accept" and "symbol" in report["details"]
-    assert calls == ["T1" if family == "toeplitz" else "H1"]
-
-
-def test_recover_symbol_keeps_its_guard():
-    space = ModelSpace.from_product(random_inner(np.random.default_rng(4), 2, 2, 0.5), 16)
-    noise = np.random.default_rng(5).standard_normal((space.dim_K, space.dim_K))
-    op = operators.ModelOperator(space, space, noise)
-    with pytest.raises(ValueError, match=r"operator rejected by T1 membership \(residual"):
-        operators.recover_symbol(op, "toeplitz")
-    with pytest.raises(ValueError, match="operator rejected by T1 membership"):
-        operators.recover_symbol(op, "toeplitz", membership=operators.displacement_check(op, "T1"))
-    built = operators.build_matho(space, space, random_symbol(np.random.default_rng(6), 2))
-    with pytest.raises(ValueError, match="needs the T1 check, not H1"):
-        operators.recover_symbol(built, "toeplitz",
-                                 membership=operators.displacement_check(built, "H1"))
 
 
 def test_space_describes_basis(tmp_path, capsys):

@@ -242,20 +242,6 @@ def test_exact_right_sides_match_the_window_right_sides(dim, n_factors, max_abs,
         assert gap <= 1e-12 * (1.0 + np.linalg.norm(window)), (name, gap)
 
 
-@given(dim=st.integers(1, 3), shift=st.sampled_from([-6, 0, 6]), reach=st.sampled_from([3, 12]),
-       seed=st.integers(0, 2 ** 16))
-def test_right_sides_agree_with_and_without_dense_shift_registers(dim, shift, reach, seed):
-    inp = _registry_inputs(np.random.default_rng(seed), dim, 2, 0.8999999, 16, False, shift, reach)
-    sides = {}
-    for limit in (0, 10 ** 6):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(operators, "_DENSE_SHIFT", limit)
-            sides[limit] = [operators._REGISTRY[name].sides(inp)[1] for name in WINDOW_SIDES]
-    for name, chain, dense in zip(WINDOW_SIDES, sides[0], sides[10 ** 6]):
-        gap = np.max(np.abs(chain - dense))
-        assert gap <= 1e-12 * (1.0 + np.linalg.norm(dense)), (name, gap)
-
-
 @pytest.mark.parametrize("window", [8, 16, 64])
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_every_identity_accepts_symmetric_inputs_at_small_windows(dim, window):

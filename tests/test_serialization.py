@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from matholab import Conjugation, Laurent, ModelSpace, cli, diagonal_monomial, scalar_blaschke
+from matholab import (Conjugation, Laurent, ModelSpace, blaschke, cli, diagonal_monomial,
+                      scalar_blaschke)
 from matholab.jsonio import ScenarioError, matrix_from_json, matrix_to_json, vector_to_json
 from matholab.sampling import random_crofoot, random_inner, random_symbol
 
@@ -182,6 +183,7 @@ def test_theta_doc_decodes_in_one_batch():
     doc = _theta_doc()
     ranks = [len(f["frame"][0]) for f in doc["theta1"]["factors"]]
     assert len(set(ranks)) == 2
+    assert blaschke._factors_from_json(doc["theta1"]["factors"], 2) is not None
     space = cli.parse_scenario(doc, "verify").space1
     want = random_inner(np.random.default_rng(9), 2, 3, 0.5).realization()
     assert all(np.array_equal(got, m) for got, m in zip(space.realization, want))
