@@ -275,6 +275,27 @@ def window_right_side(name, inp):
     return WINDOW_RIGHT_SIDES[name](inp).matrix
 
 
+# -- a chain of realizations written out ------------------------------------------
+
+def series_realization(chain):
+    """One dense realization (A, B, C, D) of a chain: the factors joined in
+    series, the first one's state first, with a block shift register
+    (A = None) written out as the matrix moving block k to block k + 1."""
+    a_mat = None
+    for a2, b2, c2, d2 in chain:
+        if a2 is None:
+            a2 = np.eye(len(b2), k=-len(d2))
+        if a_mat is None:
+            a_mat, b_mat, c_mat, d_mat = a2, b2, c2, d2
+            continue
+        m, n = len(a_mat), len(a2)
+        joined = np.zeros((m + n, m + n), dtype=complex)
+        joined[:m, :m], joined[:m, m:], joined[m:, m:] = a_mat, b_mat @ c2, a2
+        a_mat, b_mat, c_mat, d_mat = (joined, np.vstack([b_mat @ d2, b2]),
+                                      np.hstack([c_mat, d_mat @ c2]), d_mat @ d2)
+    return a_mat, b_mat, c_mat, d_mat
+
+
 # -- symbol-map and kernel-class references -----------------------------------
 # The symbol map as the window builds of every unit symbol E_ab z^k
 # (window_matto and window_matho), written out as one pairing of the two

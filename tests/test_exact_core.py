@@ -229,7 +229,7 @@ def _registry_inputs(rng, dim, n_factors, max_abs, order, symmetric, shift=0, re
 def test_exact_right_sides_match_the_window_right_sides(dim, n_factors, max_abs, shift, reach,
                                                         symmetric, seed):
     # shifts of +-6 move a symbol on [-3, 3] to lo > 0 and to hi < 0; a reach
-    # of 12 at d >= 2 keeps Phi's shift register as a chain block
+    # of 12 gives Phi a long shift register
     inp = _registry_inputs(np.random.default_rng(seed), dim, n_factors, max_abs, 600,
                            symmetric, shift, reach)
     for key in "12":
@@ -240,6 +240,46 @@ def test_exact_right_sides_match_the_window_right_sides(dim, n_factors, max_abs,
         window = oracle.window_right_side(name, inp)
         gap = np.max(np.abs(exact - window))
         assert gap <= 1e-12 * (1.0 + np.linalg.norm(window)), (name, gap)
+
+
+def _random_chain(rng, dim, kinds):
+    """A chain of stable dense realizations ("a", spectral norm 0.5) and
+    block shift registers of polynomials ("s", degree 0-3)."""
+    chain = []
+    for kind in kinds:
+        if kind == "s":
+            coeffs = rng.standard_normal((rng.integers(1, 5), dim, dim)) + 0j
+            chain.append(operators._fir(coeffs))
+        else:
+            n = int(rng.integers(1, 4))
+            a_mat = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            chain.append((0.5 * a_mat / np.linalg.norm(a_mat, 2), rng.standard_normal((n, dim)),
+                          rng.standard_normal((dim, n)), rng.standard_normal((dim, dim))))
+    return chain
+
+
+@given(dim=st.integers(1, 3), co=st.text("as", min_size=1, max_size=4),
+       an=st.text("as", min_size=1, max_size=4), seed=st.integers(0, 2 ** 16))
+def test_chain_solves_match_the_written_out_realization(dim, co, an, seed):
+    # the registry's chains have at most three blocks; longer ones reach the
+    # carries between blocks that those leave at zero
+    rng = np.random.default_rng(seed)
+    co_chain, an_chain = _random_chain(rng, dim, co), _random_chain(rng, dim, an)
+    a_co, b_co, c_co, d_co = oracle.series_realization(co_chain)
+    a_an = oracle.series_realization(an_chain)[0]
+    p_mat, r_mat = (0.5 * random_unitary(rng, dim) for _ in range(2))
+    y_an = rng.standard_normal((dim, len(a_an))) + 0j
+    y_co = rng.standard_normal((len(a_co), dim)) + 0j
+    q = rng.standard_normal((len(a_co), len(a_an))) + 0j
+    pairs = [
+        (operators._chain_times(y_an, an_chain), y_an @ a_an),
+        (operators._times_chain(co_chain, y_co), a_co @ y_co),
+        (operators._chain_times(y_an, an_chain, p_mat), stein(p_mat, y_an, a_an)),
+        (operators._times_chain(co_chain, y_co, r_mat), stein(a_co, y_co, r_mat)),
+        (operators._chain_stein(co_chain, q, an_chain), stein(a_co, q, a_an)),
+    ] + list(zip(operators._chain_bcd(co_chain), (b_co, c_co, d_co)))
+    for got, want in pairs:
+        assert np.max(np.abs(got - want), initial=0.0) <= 1e-12 * (1.0 + np.linalg.norm(want))
 
 
 @pytest.mark.parametrize("window", [8, 16, 64])
