@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jsonio import (ScenarioError, _plain_pairs, complex_to_pair, matrix_from_json,
+from .jsonio import (ScenarioError, complex_to_pair, matrix_from_json,
                      matrix_to_json, pair_to_complex)
 from .laurent import Laurent
 
@@ -220,47 +220,12 @@ class BlaschkePotapovProduct:
         raw = obj.get("factors", [])
         if not isinstance(raw, list):
             raise ScenarioError(f"{field}.factors: expected a list")
-        factors = _factors_from_json(raw, dim)
-        if factors is None:
-            # the per-factor path names the first offending entry
-            factors = [PotapovFactor.from_json(f, f"{field}.factors[{i}]")
-                       for i, f in enumerate(raw)]
+        factors = [PotapovFactor.from_json(f, f"{field}.factors[{i}]")
+                   for i, f in enumerate(raw)]
         try:
             return cls(dim, left, factors)
         except ValueError as exc:
             raise ScenarioError(f"{field}: {exc}") from None
-
-
-def _factors_from_json(raw, dim):
-    """The factors of a list of factor documents, all their numbers decoded
-    in one conversion; each factor is then checked by ``PotapovFactor``.
-    None when any entry is irregular or fails a check: the per-factor path
-    then names the offending entry in its message."""
-    try:
-        poles = [f["a"] for f in raw]
-        mats = [f["frame"] for f in raw] + [f["post_unitary"] for f in raw]
-    except (KeyError, TypeError):
-        return None
-    if set(map(type, mats)) - {list} or set(map(len, mats)) - {dim}:
-        return None
-    rows = [r for m in mats for r in m]
-    if set(map(type, rows)) - {list}:
-        return None
-    widths = [len(m[0]) for m in mats]
-    if list(map(len, rows)) != [w for w in widths for _ in range(dim)]:
-        return None
-    values = _plain_pairs(poles + [p for r in rows for p in r])
-    if values is None:
-        return None
-    parts, start = [], len(raw)
-    for width in widths:
-        parts.append(values[start:start + dim * width].reshape(dim, width))
-        start += dim * width
-    try:
-        return [PotapovFactor(a, frame, post)
-                for a, frame, post in zip(values, parts, parts[len(raw):])]
-    except ValueError:
-        return None
 
 
 @dataclass

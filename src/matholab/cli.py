@@ -50,6 +50,9 @@ from .operators import (
 
 SCHEMA_VERSION = 1
 COMMANDS = ("space", "build", "check", "recover", "kernel", "verify")
+# a gated verify asks for max(trunc_order, 2n) matrix powers, so an unbounded
+# window exhausts memory instead of being refused
+MAX_TRUNC_ORDER = 4096
 
 _KNOWN_FIELDS = {"schema_version", "command", "trunc_order", "tolerance", "seed",
                  "theta1", "theta2", "j1", "j2", "w1", "w2", "symbol", "operator",
@@ -144,8 +147,8 @@ def parse_scenario(obj, command, tol=None, trunc_order=None, seed=None):
                             f"but {command!r} was requested")
 
     order = trunc_order if trunc_order is not None else obj.get("trunc_order", 64)
-    if not isinstance(order, int) or isinstance(order, bool) or order < 8:
-        raise ScenarioError("trunc_order: expected an integer >= 8")
+    if not isinstance(order, int) or isinstance(order, bool) or not 8 <= order <= MAX_TRUNC_ORDER:
+        raise ScenarioError(f"trunc_order: expected an integer in [8, {MAX_TRUNC_ORDER}]")
     tolerance = tol if tol is not None else obj.get("tolerance", 1e-8)
     if (not isinstance(tolerance, (int, float)) or isinstance(tolerance, bool)
             or not 1e-14 <= tolerance <= 1e-2):

@@ -81,8 +81,9 @@ class ModelSpace:
         self.D_tilde = b_mat @ b_mat.conj().T
         self.k0_cols, self.kt0_cols = c_mat.conj().T, b_mat
         # operators.kernel_test's kernel classes (one SVD of the symbol map
-        # each) with this space as codomain, keyed by the domain space, then
-        # by family; they die with either space
+        # at its Cayley-Hamilton reach each, which no window order enters)
+        # with this space as codomain, keyed by the domain space, then by
+        # family; they die with either space
         self.kernel_classes = weakref.WeakKeyDictionary()
 
     # -- the window and the defect projections, on first read ----------------

@@ -266,19 +266,27 @@ def _symbol_map(space1, space2, family, reach):
     return list(lags), blocks.reshape(shape).T
 
 
+def _reach(space1, space2, family):
+    """The Cayley-Hamilton reach K of the symbol map: over the lags -K..K
+    (toeplitz) or -K..-1 (hankel) it has the range of the map on all lags.
+
+    K = max(n1, n2) - 1 or n1 + n2 - 1 (n1, n2 the state dimensions).
+    Toeplitz: lag k of E is (A2*)^k Y(E), and (A2*)^k for k >= n2 is a
+    combination of lower powers; likewise Y(E) A1^|k|. Hankel: H_s(E) is the
+    coefficient of w^(s-1) in (I - w A2*)^{-1} Q (I - w A1)^{-1} = N(w) / p(w),
+    with deg N <= n1 + n2 - 2 and p(0) = 1, deg p <= n1 + n2; p's recurrence
+    puts every H_s with s >= n1 + n2 in the span of the ones before.
+    """
+    n1, n2 = space1.dim_K, space2.dim_K
+    return max(n1, n2) - 1 if family == "toeplitz" else n1 + n2 - 1
+
+
 def recover_symbol(op, family, threshold=1e-8):
     """A representative symbol for an accepted operator, plus the rebuild gap.
 
     One minimum-norm least-squares solve on the map Phi -> built matrix
-    (``_symbol_map``) over the lags -K..K (toeplitz) or -K..-1 (hankel), at
-    the Cayley-Hamilton reach K = max(n1, n2) - 1 or n1 + n2 - 1 (n1, n2 the
-    state dimensions): no further lag adds to the map's range. Toeplitz: lag
-    k of E is (A2*)^k Y(E), and (A2*)^k for k >= n2 is a combination of
-    lower powers; likewise Y(E) A1^|k|. Hankel: H_s(E) is the coefficient of
-    w^(s-1) in (I - w A2*)^{-1} Q (I - w A1)^{-1} = N(w) / p(w), with
-    deg N <= n1 + n2 - 2 and p(0) = 1, deg p <= n1 + n2; p's recurrence puts
-    every H_s with s >= n1 + n2 in the span of the ones before. The symbol is
-    a finite Laurent polynomial, unique only modulo the kernel class, and
+    (``_symbol_map``) at its Cayley-Hamilton reach (``_reach``). The symbol
+    is a finite Laurent polynomial, unique only modulo the kernel class, and
     its support is not cut at the window: a hankel symbol can reach lag
     -(n1 + n2 - 1) past -trunc_order.
     """
@@ -288,9 +296,8 @@ def recover_symbol(op, family, threshold=1e-8):
     rep = displacement_check(op, kind, threshold)
     if not rep.accepted():
         raise ValueError(f"operator rejected by {kind} membership (residual {rep.residual:.2e})")
-    n1, n2 = op.domain.dim_K, op.codomain.dim_K
-    reach = max(n1, n2) - 1 if family == "toeplitz" else n1 + n2 - 1
-    lags, mat = _symbol_map(op.domain, op.codomain, family, reach)
+    lags, mat = _symbol_map(op.domain, op.codomain, family,
+                            _reach(op.domain, op.codomain, family))
     x = np.linalg.lstsq(mat, op.matrix.ravel(), rcond=None)[0]
     d = op.domain.dim
     phi = Laurent.from_coeff_map(dict(zip(lags, x.reshape(-1, d, d))), d)
@@ -304,33 +311,27 @@ def kernel_test(symbol, space1, space2, family, conj1=None, conj2=None, threshol
     """Is Phi in the kernel class (symbols building the zero operator)?
 
     The class is ker M for the linear map M: Phi -> built matrix
-    (``_symbol_map``) over the lags -M..M (toeplitz) or -M..-1 (hankel), M
-    the larger window order, so the symbol's distance to it is
-    |M^+ M Phi| = |M^+ a|: the norm of the minimum-norm symbol with the
-    same build a. The exact map has no last lag, and a symbol whose support
-    leaves the window [-M, M] is refused, a recovered one included
-    (``recover_symbol``), so no admitted symbol reaches past those lags.
-    For toeplitz that class is Sarason's Theta2 H^2 + (Theta1 H^2)^*, cut
-    to the window. One SVD of M per space
-    pair and family, cut at _RANK_TOL * s_0 and kept on space2 for as
-    long as both spaces live, leaves each query one build and one small
-    product |W^* vec(a)| with W = U_r / s_r. No J-symmetry enters: conj1
-    and conj2 are accepted and ignored. The class distance decides the
-    verdict, and the verdict is always cross-checked against the norm of
-    the built operator; a zero operator at a class distance above the
-    threshold is reported as "class-gap" rather than an error.
+    (``_symbol_map``). The symbol's distance to it is |M^+ a|, a its exact
+    build: the norm of the minimum-norm symbol with the same build. M is
+    factored at its Cayley-Hamilton reach (``_reach``), where it already has
+    its whole range, so the distance is zero exactly when the build is, and
+    neither the symbol's support nor the window order bounds what is
+    admitted. For toeplitz the class is Sarason's Theta2 H^2 + (Theta1 H^2)^*.
+    One SVD of M per space pair and family, cut at _RANK_TOL * s_0 and kept
+    on space2 for as long as both spaces live, leaves each query one build
+    and one small product |W^* vec(a)| with W = U_r / s_r. No J-symmetry
+    enters: conj1 and conj2 are accepted and ignored. The class distance
+    decides the verdict, and the verdict is always cross-checked against the
+    norm of the built operator; a zero operator at a class distance above
+    the threshold is reported as "class-gap" rather than an error.
     """
     _check_symbol(symbol, space1, space2)
     if family not in ("toeplitz", "hankel"):
         raise ValueError(f"unknown kernel family {family!r}")
-    order = max(space1.order, space2.order)
-    lo, hi = symbol.support()
-    if lo < -order or hi > order:
-        raise ValueError(f"symbol support [{lo}, {hi}] exceeds the window [{-order}, {order}]")
     classes = space2.kernel_classes.setdefault(space1, {})
     if family not in classes:
-        u, s, _ = np.linalg.svd(_symbol_map(space1, space2, family, order)[1],
-                                full_matrices=False)
+        mat = _symbol_map(space1, space2, family, _reach(space1, space2, family))[1]
+        u, s, _ = np.linalg.svd(mat, full_matrices=False)
         keep = s > _RANK_TOL * s.max(initial=0.0)
         classes[family] = (u[:, keep] / s[keep]).conj().T
     build = build_matto if family == "toeplitz" else build_matho

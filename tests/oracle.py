@@ -363,17 +363,25 @@ def exact_symbol_map(space1, space2, family, reach):
     return symbol_map(exact_window(space1), exact_window(space2), family, reach)
 
 
-def full_reach(space1, space2):
-    """The lags operators.kernel_test factors the symbol map over: -reach..reach
-    for toeplitz, -reach..-1 for hankel, both at the larger window order."""
-    return max(space1.order, space2.order)
+def full_reach(space1, space2, family):
+    """The Cayley-Hamilton reach, past which no lag adds to the symbol map's
+    range: its lags are -reach..reach for toeplitz, -reach..-1 for hankel,
+    with reach max(n1, n2) - 1 or n1 + n2 - 1 (n1, n2 the state dimensions)."""
+    n1, n2 = space1.dim_K, space2.dim_K
+    return max(n1, n2) - 1 if family == "toeplitz" else n1 + n2 - 1
 
 
-def map_kernel_distance(symbol, lags, mat):
-    """Distance of the symbol's coefficients on lags to ker M: the norm of the
-    minimum-norm solution of M x = M phi, with M's rank cut at RANK_CUT."""
+def map_kernel_distance(symbol, lags, mat, reach):
+    """Distance of the symbol to ker M, M the map on the lags within reach:
+    the norm of the minimum-norm solution of M x = a, with M's rank cut at
+    RANK_CUT, where a = mat phi is the exact build of the whole symbol, so
+    lags must hold its support (the negative part of it for hankel)."""
+    lo, hi = symbol.support()
+    assert lags[0] <= lo and (lags[-1] < 0 or hi <= lags[-1]), (lo, hi)
     phi = np.concatenate([symbol.coeff(k).ravel() for k in lags])
-    return float(np.linalg.norm(np.linalg.lstsq(mat, mat @ phi, rcond=RANK_CUT)[0]))
+    within = np.repeat(np.abs(lags) <= reach, symbol.dim ** 2)
+    x = np.linalg.lstsq(mat[:, within], mat @ phi, rcond=RANK_CUT)[0]
+    return float(np.linalg.norm(x))
 
 
 def map_nullspace(mat):

@@ -323,16 +323,24 @@ def test_theta_that_is_not_inner_exits_2(tmp_path, capsys, monkeypatch):
 
 
 def test_inconsistent_inputs_exit_2(tmp_path, capsys):
-    # symbol support wider than the window is an input problem, not a crash
+    # a symbol reaching past the window is classified, not refused
     doc = _base_doc(kind="H1", family="hankel",
                     command="kernel",
                     symbol={"dim": 1, "coeffs": {"-20": [[[1.0, 0.0]]]}})
     doc["trunc_order"] = 8
     del doc["kind"]
     path = _write(tmp_path, doc)
+    code, out, _ = _run(["kernel", "--scenario", path], capsys)
+    assert code == 0
+    details = json.loads(out)["details"]
+    assert details["verdict"] == "in-kernel" and details["agreement"] == "confirmed"
+    # a window past the documented maximum is an input problem, refused at
+    # parse before anything is allocated
+    doc["trunc_order"] = cli.MAX_TRUNC_ORDER + 1
+    path = _write(tmp_path, doc)
     code, _, err = _run(["kernel", "--scenario", path], capsys)
     assert code == 2
-    assert "input error" in err
+    assert f"trunc_order: expected an integer in [8, {cli.MAX_TRUNC_ORDER}]" in err
 
 
 def test_internal_failure_exits_3(tmp_path, capsys, monkeypatch):

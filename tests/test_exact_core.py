@@ -371,8 +371,10 @@ def test_solution_space_members_recover_at_window_8(seed):
 
 def test_recovered_symbols_meet_the_kernel_window():
     # a recovered symbol is not cut at the window: the hankel one reaches lag
-    # -(n1 + n2 - 1) past -8, and kernel_test refuses it; the toeplitz one
-    # fits, and differs from the built symbol by a kernel member
+    # -(n1 + n2 - 1) past -8, and kernel_test classifies it all the same. A
+    # recovered symbol is the minimum-norm symbol with its build, so its
+    # class distance is its norm; it differs from the built symbol by a
+    # kernel member
     rng = np.random.default_rng(93)
     s1 = ModelSpace.from_product(random_inner(rng, 3, 3, 0.5), 8)
     s2 = ModelSpace.from_product(random_inner(rng, 3, 3, 0.5), 8)
@@ -380,14 +382,14 @@ def test_recovered_symbols_meet_the_kernel_window():
     assert s1.dim_K + s2.dim_K - 1 > 8
     toeplitz, _ = recover_symbol(build_matto(s1, s2, phi), "toeplitz")
     assert -8 <= toeplitz.support()[0] and toeplitz.support()[1] <= 8
-    res = kernel_test(toeplitz, s1, s2, "toeplitz")
-    assert res["verdict"] == "not-in-kernel" and res["agreement"] == "confirmed"
     res = kernel_test(toeplitz - phi.with_order(toeplitz.order), s1, s2, "toeplitz")
     assert res["verdict"] == "in-kernel" and res["agreement"] == "confirmed"
     hankel, _ = recover_symbol(build_matho(s1, s2, phi), "hankel")
     assert hankel.support()[0] == -(s1.dim_K + s2.dim_K - 1)
-    with pytest.raises(ValueError, match="exceeds the window"):
-        kernel_test(hankel, s1, s2, "hankel")
+    for symbol, family in ((toeplitz, "toeplitz"), (hankel, "hankel")):
+        res = kernel_test(symbol, s1, s2, family)
+        assert res["verdict"] == "not-in-kernel" and res["agreement"] == "confirmed"
+        assert abs(res["distance"] - symbol.norm()) <= 1e-12 * (1.0 + symbol.norm())
 
 
 @given(dim=st.integers(1, 3), n_factors=st.integers(1, 3), max_abs=st.floats(0.01, 0.85),

@@ -69,11 +69,11 @@ def test_symbol_map_matches_the_window_map_of_an_exact_window(family, dim, n_fac
                                                               order1, order2, seed):
     # the map does not depend on the spaces' windows: at every window it is
     # the window map of the same realizations on an exact window, over the
-    # lags operators.kernel_test factors
+    # lags operators.kernel_test factors and out to the larger window
     rng = np.random.default_rng(seed)
     s1 = ModelSpace.from_product(random_inner(rng, dim, n_factors, max_abs), order1)
     s2 = ModelSpace.from_product(random_inner(rng, dim, n_factors, max_abs), order2)
-    reach = oracle.full_reach(s1, s2)
+    reach = max(oracle.full_reach(s1, s2, family), order1, order2)
     mat = _symbol_map(s1, s2, family, reach)[1]
     assert np.max(np.abs(mat - oracle.exact_symbol_map(s1, s2, family, reach)[1])) <= 1e-13
 

@@ -14,8 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from matholab import (Conjugation, Laurent, ModelSpace, blaschke, cli, diagonal_monomial,
-                      scalar_blaschke)
+from matholab import Conjugation, Laurent, ModelSpace, cli, diagonal_monomial, scalar_blaschke
 from matholab.jsonio import ScenarioError, matrix_from_json, matrix_to_json, vector_to_json
 from matholab.sampling import random_crofoot, random_inner, random_symbol
 
@@ -142,7 +141,7 @@ def test_matrix_decoder_takes_ints_tuples_and_numpy_floats():
     assert matrix_from_json([[], []], "m").shape == (2, 0)
 
 
-# -- the batched theta decoder falls back to the per-factor messages -------------------
+# -- theta documents decode factor by factor, each refusal by name -------------------
 
 def _theta_doc():
     """A verify scenario whose theta1 has three factors of mixed rank."""
@@ -179,11 +178,10 @@ FACTOR_REFUSALS = {
 }
 
 
-def test_theta_doc_decodes_in_one_batch():
+def test_mixed_rank_theta_doc_decodes_to_its_realization():
     doc = _theta_doc()
     ranks = [len(f["frame"][0]) for f in doc["theta1"]["factors"]]
     assert len(set(ranks)) == 2
-    assert blaschke._factors_from_json(doc["theta1"]["factors"], 2) is not None
     space = cli.parse_scenario(doc, "verify").space1
     want = random_inner(np.random.default_rng(9), 2, 3, 0.5).realization()
     assert all(np.array_equal(got, m) for got, m in zip(space.realization, want))
