@@ -65,11 +65,10 @@ def _reference_map(s1, s2, family):
     return (*exact_symbol_map(s1, s2, family, max(reach, s1.order, s2.order)), reach)
 
 
-def _null_member(rng, s1, s2, family, ref_map):
+def _null_member(rng, ref_map, dim):
     """A random symbol from the exact nullspace of the reference map: on the
     pair's window, or out to the reach where that is wider."""
     lags, mat, _ = ref_map
-    dim = s1.dim
     null = map_nullspace(mat)
     x = null @ (rng.standard_normal(null.shape[1]) + 1j * rng.standard_normal(null.shape[1]))
     return Laurent.from_coeff_map(dict(zip(lags, x.reshape(-1, dim, dim))), dim)
@@ -201,7 +200,7 @@ def test_exact_kernel_members_without_j_symmetry(family, dim):
         s2 = ModelSpace.from_product(random_inner(rng, dim, 2, 0.4), 40)
         assert _exact(s1, s2)
         ref_map = _reference_map(s1, s2, family)
-        member = _null_member(rng, s1, s2, family, ref_map)
+        member = _null_member(rng, ref_map, s1.dim)
         res = _assert_matches_oracle(member, s1, s2, family, ref_map)
         assert res["verdict"] == "in-kernel" and res["agreement"] == "confirmed"
         res = _assert_matches_oracle(_bumped(rng, member, family), s1, s2, family, ref_map)
@@ -217,7 +216,7 @@ def test_caps_never_confirm_a_wrong_verdict(order):
     s2 = ModelSpace.from_product(random_inner(rng, 3, 4, 0.8999999), order)
     for family in ("toeplitz", "hankel"):
         ref_map = _reference_map(s1, s2, family)
-        member = _null_member(rng, s1, s2, family, ref_map)
+        member = _null_member(rng, ref_map, s1.dim)
         for symbol, truth in ((member, "in-kernel"),
                               (_bumped(rng, member, family), "not-in-kernel")):
             res = kernel_test(symbol, s1, s2, family)

@@ -12,6 +12,8 @@ import itertools
 from collections import Counter
 from pathlib import Path
 
+from matholab import cli
+
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 2, 3)
 CYCLES = 13
@@ -43,7 +45,6 @@ def test_the_window_moves_no_report(monkeypatch):
     # it; every other command must report the same at any window
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     import workloads
-    from matholab import cli
 
     count = CYCLES * len(workloads.SCENARIO_CELLS)
     compared = 0
