@@ -32,7 +32,6 @@ __all__ = [
     "state_window",
     "matrix_powers",
     "crofoot_realization",
-    "crofoot_theta",
     "diagonal_monomial",
     "scalar_blaschke",
 ]
@@ -312,12 +311,6 @@ def crofoot_realization(realization, crofoot):
     g_c, g_d = g_cd[:, :n], g_cd[:, n:]
     return (a_mat + b_mat @ wstar @ g_c, b_mat @ (eye + wstar @ g_d) @ crofoot.D_W,
             crofoot.D_Wstar @ g_c, crofoot.D_Wstar @ g_d @ crofoot.D_W - crofoot.W)
-
-
-def crofoot_theta(theta, crofoot, order):
-    """Series of Theta^W, read off ``crofoot_realization`` with a certified
-    tail_bound. The result is inner again and pure whenever Theta is."""
-    return state_window(crofoot_realization(theta.realization(), crofoot), order)[2]
 
 
 def diagonal_monomial(powers):

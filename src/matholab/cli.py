@@ -28,7 +28,7 @@ from . import __version__
 from .blaschke import BlaschkePotapovProduct, diagonal_monomial, scalar_blaschke, validate
 from .conjugations import Conjugation, CrofootData
 from .jsonio import ScenarioError, matrix_from_json, pair_to_complex
-from .laurent import Laurent
+from .laurent import MAX_TRUNC_ORDER, Laurent
 from .modelspace import ModelSpace, random_modifier
 from .operators import (
     DISPLACEMENT_KINDS,
@@ -50,9 +50,6 @@ from .operators import (
 
 SCHEMA_VERSION = 1
 COMMANDS = ("space", "build", "check", "recover", "kernel", "verify")
-# a gated verify asks for max(trunc_order, 2n) matrix powers, so an unbounded
-# window exhausts memory instead of being refused
-MAX_TRUNC_ORDER = 4096
 
 _KNOWN_FIELDS = {"schema_version", "command", "trunc_order", "tolerance", "seed",
                  "theta1", "theta2", "j1", "j2", "w1", "w2", "symbol", "operator",

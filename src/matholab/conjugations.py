@@ -24,7 +24,7 @@ from .laurent import Laurent, evaluate_many, refit_on_circle
 
 __all__ = [
     "Conjugation", "CrofootData", "jstar", "tau", "CTheta",
-    "crofoot_map", "sandwich_pointwise", "sandwich_reflected",
+    "crofoot_map", "sandwich_reflected",
     "realization_jsymmetry_defect",
 ]
 
@@ -71,8 +71,8 @@ class Conjugation:
 def jstar(conj_j, f):
     """Coefficientwise lift: (Jstar f)(z) = J(f(conj(z))), a_n -> J(a_n).
 
-    A (d x k)-valued f is mapped column by column; matrix symbols want the
-    sandwich_* maps instead.
+    A (d x k)-valued f is mapped column by column; matrix symbols want
+    ``sandwich_reflected`` instead.
     """
     return f.conj_coeffs().left_const(conj_j.U)
 
@@ -96,13 +96,6 @@ class CTheta:
     def apply(self, f):
         # conj(z) J(f(z)) is the flip of Jstar f; (d x k)-valued f maps columnwise
         return self.theta_series.mul(jstar(self.conj_j, f).flip())
-
-
-def sandwich_pointwise(conj2, f_series, conj1):
-    """Series of z -> J2 F(z) J1 composed as maps: G_n = U2 conj(F_{-n}) conj(U1)."""
-    coeffs = np.einsum("ab,nbc,cd->nad",
-                       conj2.U, np.conj(f_series.coeffs[::-1]), np.conj(conj1.U))
-    return Laurent(coeffs, f_series.order, f_series.tail_bound)
 
 
 def sandwich_reflected(conj2, f_series, conj1):

@@ -31,12 +31,16 @@ __all__ = [
     "MatrixLaurent",
     "inner_product",
     "evaluate_many",
-    "fit_circle_samples",
     "refit_on_circle",
 ]
 
 # refit_on_circle folds coefficients below this share of the largest into tail_bound
 _REFIT_DROP_TOL = 1e-13
+# the largest window: a series read from JSON reaching past it, or declaring a
+# larger trunc_order, is refused before its coefficients are allocated; a
+# scenario's trunc_order has the same cap (a gated verify asks for
+# max(trunc_order, 2n) matrix powers)
+MAX_TRUNC_ORDER = 4096
 
 
 class Laurent:
@@ -246,19 +250,6 @@ class Laurent:
         """The reflected function F~(z) = F(conj(z))^*: coefficientwise adjoint."""
         return Laurent(np.conj(np.swapaxes(self.coeffs, 1, 2)), self.order, self.tail_bound)
 
-    def riesz_split(self):
-        """Split into (plus, minus): the n >= 0 part and the n <= -1 part.
-
-        Both halves inherit the full tail bound (either half of the lost
-        tail may be this large, so the bound stays certified).
-        """
-        plus = np.zeros_like(self.coeffs)
-        minus = np.zeros_like(self.coeffs)
-        plus[self.order:] = self.coeffs[self.order:]
-        minus[:self.order] = self.coeffs[:self.order]
-        return (Laurent(plus, self.order, self.tail_bound).trim(),
-                Laurent(minus, self.order, self.tail_bound).trim())
-
     # -- size ------------------------------------------------------------
 
     def norm(self):
@@ -320,7 +311,7 @@ class Laurent:
         shape = (dim, dim) if matrix else (dim,)
         out = np.zeros((2 * order + 1,) + shape, dtype=complex)
         for key, val in raw.items():
-            n = _coeff_index(key, order, field)
+            n = int(key)
             where = f"{field}.coeffs[{key}]"
             out[n + order] = (matrix_from_json(val, where, shape=shape) if matrix
                               else vector_from_json(val, where, length=dim))
@@ -344,16 +335,21 @@ def _laurent_header(obj, field):
     if not isinstance(raw, dict):
         raise ScenarioError(f"{field}.coeffs: expected an object keyed by index")
     declared = obj.get("trunc_order")
-    indices = []
+    order = 0
     for key in raw:
         try:
-            indices.append(int(key))
+            n = abs(int(key))
         except ValueError:
             raise ScenarioError(f"{field}.coeffs[{key!r}]: key is not an integer index") from None
-    order = max([abs(n) for n in indices], default=0)
+        if n > MAX_TRUNC_ORDER:
+            raise ScenarioError(f"{field}.coeffs[{key}]: index beyond the largest window "
+                                f"{MAX_TRUNC_ORDER}")
+        order = max(order, n)
     if declared is not None:
-        if not isinstance(declared, int) or isinstance(declared, bool) or declared < order:
-            raise ScenarioError(f"{field}.trunc_order: must be an integer >= {order}")
+        if (not isinstance(declared, int) or isinstance(declared, bool)
+                or not order <= declared <= MAX_TRUNC_ORDER):
+            raise ScenarioError(f"{field}.trunc_order: must be an integer in "
+                                f"[{order}, {MAX_TRUNC_ORDER}]")
         order = declared
     tail = obj.get("tail_bound", 0.0)
     if not isinstance(tail, (int, float)) or isinstance(tail, bool) or tail < 0:
@@ -365,13 +361,6 @@ def _rows_of_pairs(val):
     """True for a matrix payload (rows of [re, im] pairs), False for a vector one."""
     return (isinstance(val, list) and bool(val) and isinstance(val[0], list)
             and bool(val[0]) and isinstance(val[0][0], list))
-
-
-def _coeff_index(key, order, field):
-    n = int(key)
-    if abs(n) > order:
-        raise ScenarioError(f"{field}.coeffs[{key}]: index outside trunc_order window")
-    return n
 
 
 def evaluate_many(f, zs):
@@ -398,46 +387,27 @@ def inner_product(f, g):
     return complex(np.sum(a * np.conj(b)))
 
 
-def fit_circle_samples(values, order, drop_tol=0.0):
-    """Interpolate circle samples back to a Laurent window [-order, order].
-
-    ``values`` holds samples at the N-th roots of unity (N along axis 0,
-    N > 2*order); the value shape is that of one sample. Mass in
-    discrete-Fourier bins outside the window, and any coefficient whose norm
-    falls below drop_tol times the largest, is folded into tail_bound rather
-    than silently discarded.
-    """
-    values = np.asarray(values, dtype=complex)
-    n_grid = values.shape[0]
-    if n_grid <= 2 * order:
-        raise ValueError("need more samples than window slots")
-    bins = np.fft.fft(values, axis=0) / n_grid
-    inside = np.arange(-order, order + 1) % n_grid
-    out = bins[inside]
-    rest = np.ones(n_grid, dtype=bool)
-    rest[inside] = False
-    tail = float(np.linalg.norm(bins[rest]))
-    if drop_tol > 0.0:
-        norms = np.linalg.norm(out.reshape(out.shape[0], -1), axis=1)
-        top = norms.max()
-        small = norms <= drop_tol * top
-        if np.any(small) and top > 0:
-            tail += float(np.linalg.norm(norms[small]))
-            out[small] = 0.0
-    return Laurent(out, order, tail).trim()
-
-
 def refit_on_circle(fn, order):
     """Fit fn (a vectorized map from circle points to values) to a Laurent window.
 
-    Samples at max(512, 4 (order + 1)) roots of unity, projects onto
-    [-order, order], then estimates the residual at half-offset points and
-    folds it into tail_bound. This is the honest route for functions only
-    available pointwise (the Crofoot map of an arbitrary series).
+    Samples at max(512, 4 (order + 1)) roots of unity and projects onto
+    [-order, order]. The discrete-Fourier mass outside the window, every
+    coefficient below _REFIT_DROP_TOL times the largest, and the residual at
+    half-offset points are folded into tail_bound, not silently discarded.
+    This is the honest route for functions only available pointwise (the
+    Crofoot map of an arbitrary series).
     """
     n_grid = max(512, 4 * (order + 1))
     nodes = np.exp(2j * np.pi * np.arange(n_grid) / n_grid)
-    fitted = fit_circle_samples(fn(nodes), order, drop_tol=_REFIT_DROP_TOL)
+    bins = np.fft.fft(fn(nodes), axis=0) / n_grid
+    inside = np.arange(-order, order + 1) % n_grid
+    out = bins[inside]
+    norms = np.linalg.norm(out.reshape(out.shape[0], -1), axis=1)
+    small = norms <= _REFIT_DROP_TOL * norms.max()
+    out[small] = 0.0
+    tail = float(np.linalg.norm(np.delete(bins, inside, axis=0)))
+    tail += float(np.linalg.norm(norms[small]))
+    fitted = Laurent(out, order, tail).trim()
     half = np.exp(1j * np.pi / n_grid)
     twist = half ** np.arange(-fitted.order, fitted.order + 1)
     shape = twist.shape + (1,) * (fitted.coeffs.ndim - 1)

@@ -7,9 +7,8 @@ F(z) e_j, F(z) = C (I - z A)^{-1}, orthonormal because A* A + C* C = I.
 In that basis every operator datum is a small exact matrix read off the
 realization: the compressed shift S[i, j] = <z b_j, b_i> is A*, the
 defect operators D = I - S S* and Dtilde = I - S* S are C* C and B B*, and
-the kernels k_lam x and ktilde_lam x have the coordinates
-(I - conj(lam) A*)^{-1} C* x and (I - lam A)^{-1} B x (C* x and B x at 0).
-The coordinates of a function c (I - z a)^{-1} solve one Stein equation.
+the kernels k_0 x and ktilde_0 x have the coordinates C* x and B x. The
+coordinates of a function c (I - z a)^{-1} solve one Stein equation.
 """
 
 from __future__ import annotations
@@ -57,10 +56,11 @@ class ModelSpace:
     basis read on the space's window is one series B(z) = [b_1 ... b_n] with
     values in the d x n matrices (``basis``), with one certified tail per
     basis function (``tails``, one matrix power, no window); ``theta_series``
-    is Theta on the same window. The window, the tails and the defect
-    projections (``P_D``, ``P_Dt``, ``defect_dim``, ``defect_dim_tilde``)
-    are computed when first read: builds, displacement checks and the whole
-    registry need only the realization.
+    is Theta on the same window. Only ``space`` reports, the series maps of
+    ``conjugations`` and the tests read the window. The window, the tails and
+    the defect projections (``P_D``, ``P_Dt``, ``defect_dim``,
+    ``defect_dim_tilde``) are computed when first read: builds, displacement
+    checks and the whole registry need only the realization.
     """
 
     def __init__(self, checked, order=64, theta=None):
@@ -116,11 +116,6 @@ class ModelSpace:
     def from_product(cls, theta, order=64):
         return cls.from_realization(theta.realization(), order, theta)
 
-    def basis_functions(self):
-        """The basis functions b_1 ... b_n as separate vector series."""
-        return [Laurent(self.basis.coeffs[:, :, i], self.order, t)
-                for i, t in enumerate(self.tails)]
-
     def state_coords(self, c, a):
         """The matrix X with X x the coordinates of P_Theta c (I - z a)^{-1} x,
         for a stable a: the solution of the Stein equation X = A* X a + C* c."""
@@ -138,48 +133,6 @@ class ModelSpace:
         fw = f.coeffs[lo_f:lo_f + 2 * order + 1]
         bw = self.basis.coeffs[lo_b:lo_b + 2 * order + 1]
         return np.tensordot(bw.conj(), fw, axes=([0, 1], [0, 1]))
-
-    def from_coords(self, c):
-        """The member with coordinates c; a dim_K x k matrix gives a (d x k)-valued series."""
-        c = np.asarray(c, dtype=complex)
-        tail = float(np.linalg.norm(self.tails @ np.abs(c)))
-        return Laurent(self.basis.coeffs @ c, self.order, tail).trim()
-
-    def membership_gap(self, f):
-        """L^2 distance from f to the span of the basis (0 for members)."""
-        rec = self.project(f)
-        return (f - rec.with_order(max(f.order, rec.order))).norm()
-
-    # -- projections and kernels -------------------------------------------
-
-    def project(self, f):
-        """P_Theta f on the window: the member with the coordinates of f."""
-        return self.from_coords(self.coords(f))
-
-    def kernel(self, lam, x, variant="k"):
-        """Reproducing kernel members of K_Theta at lam in the open disk, in the
-        state coordinates of the realization (A, B, C, D):
-
-        variant "k":      (1 - conj(lam) z)^{-1} (I - Theta(z) Theta(lam)^*) x
-                          has coordinates (I - conj(lam) A*)^{-1} C* x;
-        variant "ktilde": (z - lam)^{-1} (Theta(z) - Theta(lam)) x
-                          has coordinates (I - lam A)^{-1} B x.
-
-        A d x k direction matrix x gives the k kernels side by side.
-        """
-        lam = complex(lam)
-        if abs(lam) >= 1.0:
-            raise ValueError("kernel parameter must lie in the open disk")
-        x = np.asarray(x, dtype=complex)
-        if x.ndim not in (1, 2) or x.shape[0] != self.dim:
-            raise ValueError("kernel direction has the wrong dimension")
-        if variant == "k":
-            lhs, rhs = np.conj(lam) * self.S, self.k0_cols @ x
-        elif variant == "ktilde":
-            lhs, rhs = lam * self.S_star, self.kt0_cols @ x
-        else:
-            raise ValueError(f"unknown kernel variant {variant!r}")
-        return self.from_coords(np.linalg.solve(np.eye(self.dim_K) - lhs, rhs))
 
     # -- shift modifications -------------------------------------------------
 

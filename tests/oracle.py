@@ -4,15 +4,16 @@ The circle-quadrature helpers work on boundary values sampled at N roots of
 unity plus discrete Fourier projections. None of them touches the package's
 coefficient arithmetic (series are only unpacked into raw coefficient
 arrays), so when the two paths agree the agreement means something. The
-window builds, the symbol-map and kernel-class references and the
-shift-invariance predicates at the end are the exceptions (see there), and
-so are the per-element JSON encoders, which read the package's objects.
+Riesz split and the pointwise sandwich of a window, the members of a model
+space on its window, the window builds, the symbol-map and kernel-class
+references and the shift-invariance predicates are the exceptions (see
+there), and so are the per-element JSON encoders, which read the package's
+objects.
 The kernel and projection series work on raw coefficient arrays too.
 """
 
 import numpy as np
 
-from matholab.conjugations import sandwich_pointwise
 from matholab.laurent import Laurent
 from matholab.modelspace import ModelSpace
 from matholab.operators import _complement_basis, build_matho, build_matto
@@ -90,6 +91,46 @@ def model_project(theta_vals, f_vals):
     adj = np.conj(np.transpose(theta_vals, (0, 2, 1)))
     lifted = analytic_part(multiply(adj, f_vals))
     return analytic_part(f_vals) - multiply(theta_vals, lifted)
+
+
+def riesz_split(f):
+    """(the n >= 0 part, the n <= -1 part) of a window; each keeps the whole tail_bound."""
+    plus, minus = np.zeros_like(f.coeffs), np.zeros_like(f.coeffs)
+    plus[f.order:], minus[:f.order] = f.coeffs[f.order:], f.coeffs[:f.order]
+    return Laurent(plus, f.order, f.tail_bound).trim(), Laurent(minus, f.order, f.tail_bound).trim()
+
+
+def sandwich_pointwise(conj2, f_series, conj1):
+    """Series of z -> J2 F(z) J1 composed as maps: G_n = U2 conj(F_{-n}) conj(U1)."""
+    coeffs = np.einsum("ab,nbc,cd->nad", conj2.U, np.conj(f_series.coeffs[::-1]), np.conj(conj1.U))
+    return Laurent(coeffs, f_series.order, f_series.tail_bound)
+
+
+# -- members of a model space on its window -------------------------------------
+# The window basis (``ModelSpace.basis``) taken apart and recombined, and the
+# projection as the member with the coordinates ``ModelSpace.coords`` gives.
+
+def basis_columns(space):
+    """The basis functions b_1 .. b_n as separate vector series, each with its tail."""
+    cols = np.moveaxis(space.basis.coeffs, 2, 0)
+    return [Laurent(col, space.order, t) for col, t in zip(cols, space.tails)]
+
+
+def from_coords(space, c):
+    """The member with coordinates c; a dim_K x k matrix gives a (d x k)-valued series."""
+    c = np.asarray(c, dtype=complex)
+    tail = float(np.linalg.norm(space.tails @ np.abs(c)))
+    return Laurent(space.basis.coeffs @ c, space.order, tail).trim()
+
+
+def project(space, f):
+    """P_Theta f on the window: the member with the coordinates of f."""
+    return from_coords(space, space.coords(f))
+
+
+def membership_gap(space, f):
+    """L^2 distance from f to the span of the window basis (0 for members)."""
+    return (f - project(space, f)).norm()
 
 
 def flip_values(f_vals, zs):
@@ -202,7 +243,7 @@ def window_matto(space1, space2, symbol):
 
 def window_matho(space1, space2, symbol):
     """Matrix of f -> P_{Theta2} J (I - P_+)(Phi f) on the window basis."""
-    return space2.coords(symbol.mul(space1.basis).riesz_split()[1].flip())
+    return space2.coords(riesz_split(symbol.mul(space1.basis))[1].flip())
 
 
 def window_map(fn, src, dst):

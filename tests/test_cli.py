@@ -343,6 +343,22 @@ def test_inconsistent_inputs_exit_2(tmp_path, capsys):
     assert f"trunc_order: expected an integer in [8, {cli.MAX_TRUNC_ORDER}]" in err
 
 
+def test_symbol_reach_is_capped_at_parse(tmp_path, capsys):
+    # a symbol reaching past the largest window, by a key or by a declared
+    # trunc_order, is refused before its coefficients are allocated
+    one = [[[1.0, 0.0]]]
+    for symbol, field in (({"dim": 1, "coeffs": {"4097": one}}, "symbol.coeffs[4097]"),
+                          ({"dim": 1, "coeffs": {"0": one}, "trunc_order": 5000},
+                           "symbol.trunc_order")):
+        path = _write(tmp_path, _base_doc(symbol=symbol))
+        code, _, err = _run(["space", "--scenario", path], capsys)
+        assert code == 2 and f"scenario error: {field}:" in err
+    # the largest window itself is read
+    doc = _base_doc(symbol={"dim": 1, "coeffs": {str(-cli.MAX_TRUNC_ORDER): one}})
+    code, _, _ = _run(["space", "--scenario", _write(tmp_path, doc)], capsys)
+    assert code == 0
+
+
 def test_internal_failure_exits_3(tmp_path, capsys, monkeypatch):
     def boom(scenario):
         raise np.linalg.LinAlgError("synthetic blowup")

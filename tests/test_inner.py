@@ -10,11 +10,12 @@ from matholab import (
     MAX_POLE_ABS,
     PotapovFactor,
     ScenarioError,
-    crofoot_theta,
+    crofoot_realization,
     diagonal_monomial,
     scalar_blaschke,
     validate,
 )
+from matholab.blaschke import state_window
 from matholab.sampling import random_inner, random_symmetric_inner, random_unitary
 
 import oracle
@@ -148,7 +149,7 @@ def test_crofoot_theta_is_inner_and_pure():
     rng = np.random.default_rng(39)
     theta = random_inner(rng, 2)
     cro = CrofootData(0.4 * random_unitary(rng, 2))
-    series = crofoot_theta(theta, cro, 64)
+    series = state_window(crofoot_realization(theta.realization(), cro), 64)[2]
     zs = oracle.nodes(256)
     vals = oracle.sample_series(series, 256)
     defect = np.max(np.linalg.norm(
@@ -158,7 +159,8 @@ def test_crofoot_theta_is_inner_and_pure():
     assert defect < 3.0 * series.tail_bound + 1e-10
     assert np.linalg.norm(series.coeff(0), 2) < 1.0 - 1e-10
     # W = 0 leaves the function unchanged
-    zero = crofoot_theta(theta, CrofootData(np.zeros((2, 2))), 48)
+    zero = state_window(crofoot_realization(theta.realization(), CrofootData(np.zeros((2, 2)))),
+                        48)[2]
     assert zero.allclose(theta.laurent(48), tol=1e-10)
 
 

@@ -268,10 +268,10 @@ def test_kernel_random_class_combinations():
 
 def test_tau_matrix_is_swap_on_z2():
     s1, _ = _scalar_z2_pair()
-    cols = [s1.coords(tau(s1.theta_series, b)) for b in s1.basis_functions()]
+    cols = [s1.coords(tau(s1.theta_series, b)) for b in oracle.basis_columns(s1)]
     # K_{z^2} is its own tilde space; tau swaps the monomial basis
     tilde = ModelSpace.from_product(diagonal_monomial([2]), 16)
-    mat = np.stack([tilde.coords(tau(s1.theta_series, b)) for b in s1.basis_functions()],
+    mat = np.stack([tilde.coords(tau(s1.theta_series, b)) for b in oracle.basis_columns(s1)],
                    axis=1)
     assert np.max(np.abs(mat - np.array([[0.0, 1.0], [1.0, 0.0]]))) < 1e-12
     assert len(cols) == 2
@@ -308,6 +308,28 @@ def test_registry_full_sweep_blaschke():
             assert rep.name == "remark412"
             continue
         assert rep.verdict == "accept", (rep.name, rep.residual)
+
+
+def test_registry_all_judges_ctheta_once(monkeypatch):
+    # ctheta and prop61b are one identity: "all" measures it once and reports
+    # it under both names, so C_Theta's Stein map is solved 7 times, not 9
+    from dataclasses import replace
+
+    from matholab import operators
+
+    rng = np.random.default_rng(3)
+    (theta1, conj1), (theta2, conj2) = (random_symmetric_inner(rng, 2, max_abs=0.5)
+                                        for _ in range(2))
+    inputs = TransformInputs(ModelSpace.from_product(theta1, 16),
+                             ModelSpace.from_product(theta2, 16),
+                             symbol=random_symbol(rng, 2), conj1=conj1, conj2=conj2)
+    calls = []
+    original = operators._ctheta
+    monkeypatch.setattr(operators, "_ctheta", lambda *args: calls.append(args) or original(*args))
+    reports = {rep.name: rep for rep in verify_transform("all", inputs)}
+    assert reports["ctheta"].verdict == "accept"
+    assert replace(reports["ctheta"], name="prop61b") == reports["prop61b"]
+    assert len(calls) == 7
 
 
 def test_registry_skips_without_j_symmetry():

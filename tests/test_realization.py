@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from matholab import (BlaschkePotapovProduct, CrofootData, ModelSpace, PotapovFactor,
-                      crofoot_realization, crofoot_theta, validate)
+                      crofoot_realization, validate)
 from matholab.blaschke import state_window
 from matholab.laurent import Laurent
 from matholab.sampling import random_frame, random_inner, random_unitary
@@ -150,7 +150,7 @@ def test_crofoot_colligation_is_unitary(theta, norm, seed, order):
 @given(theta=products, norm=crofoot_norms, seed=crofoot_seeds, order=orders)
 def test_crofoot_series_matches_closed_form(theta, norm, seed, order):
     cro = _crofoot_for(theta, norm, seed)
-    series = crofoot_theta(theta, cro, order)
+    series = state_window(crofoot_realization(theta.realization(), cro), order)[2]
     want = _closed_form(theta, cro, oracle.nodes())[0]
     gap = oracle.sample_series(series) - want
     assert np.max(np.linalg.norm(gap, axis=(1, 2))) <= series.tail_bound + 1e-12
