@@ -19,7 +19,7 @@ import numpy as np
 
 from .jsonio import (ScenarioError, complex_to_pair, matrix_from_json,
                      matrix_to_json, pair_to_complex)
-from .laurent import Laurent
+from .laurent import MAX_DIM, MAX_STATE_DIM, Laurent, read_dim
 
 __all__ = [
     "MAX_POLE_ABS",
@@ -94,8 +94,8 @@ class PotapovFactor:
             if key not in obj:
                 raise ScenarioError(f"{field}.{key}: missing")
         a = pair_to_complex(obj["a"], f"{field}.a")
-        frame = matrix_from_json(obj["frame"], f"{field}.frame")
-        post = matrix_from_json(obj["post_unitary"], f"{field}.post_unitary")
+        frame = matrix_from_json(obj["frame"], f"{field}.frame", limit=MAX_DIM)
+        post = matrix_from_json(obj["post_unitary"], f"{field}.post_unitary", limit=MAX_DIM)
         try:
             return cls(a, frame, post)
         except ValueError as exc:
@@ -210,17 +210,20 @@ class BlaschkePotapovProduct:
     def from_json(cls, obj, field="theta"):
         if not isinstance(obj, dict):
             raise ScenarioError(f"{field}: expected an object")
-        dim = obj.get("dim")
-        if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
-            raise ScenarioError(f"{field}.dim: expected a positive integer")
+        dim = read_dim(obj.get("dim"), f"{field}.dim")
         left = np.eye(dim)
         if "left_unitary" in obj:
             left = matrix_from_json(obj["left_unitary"], f"{field}.left_unitary", shape=(dim, dim))
         raw = obj.get("factors", [])
         if not isinstance(raw, list):
             raise ScenarioError(f"{field}.factors: expected a list")
-        factors = [PotapovFactor.from_json(f, f"{field}.factors[{i}]")
-                   for i, f in enumerate(raw)]
+        factors, states = [], 0
+        for i, f in enumerate(raw):
+            factors.append(PotapovFactor.from_json(f, f"{field}.factors[{i}]"))
+            states += factors[-1].rank
+            if states > MAX_STATE_DIM:
+                raise ScenarioError(f"{field}.factors: the ranks sum past the largest "
+                                    f"state dimension {MAX_STATE_DIM}")
         try:
             return cls(dim, left, factors)
         except ValueError as exc:

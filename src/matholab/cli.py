@@ -28,9 +28,10 @@ from . import __version__
 from .blaschke import BlaschkePotapovProduct, diagonal_monomial, scalar_blaschke, validate
 from .conjugations import Conjugation, CrofootData
 from .jsonio import ScenarioError, matrix_from_json, pair_to_complex
-from .laurent import MAX_TRUNC_ORDER, Laurent
+from .laurent import MAX_DIM, MAX_STATE_DIM, MAX_TRUNC_ORDER, Laurent
 from .modelspace import ModelSpace, random_modifier
 from .operators import (
+    DEFAULT_TOLERANCE,
     DISPLACEMENT_KINDS,
     INVARIANCE_KINDS,
     REGISTRY_NAMES,
@@ -99,11 +100,15 @@ def _parse_space(obj, field, order):
                 or not all(isinstance(k, int) and not isinstance(k, bool) and k >= 0
                            for k in powers)):
             raise ScenarioError(f"{field}.powers: expected a list of nonnegative integers")
+        if len(powers) > MAX_DIM or sum(powers) > MAX_STATE_DIM:
+            raise ScenarioError(f"{field}.powers: expected at most {MAX_DIM} powers "
+                                f"summing to at most {MAX_STATE_DIM}")
         theta = diagonal_monomial(powers)
     elif "poles" in obj:
         raw = obj["poles"]
-        if not isinstance(raw, list) or not raw:
-            raise ScenarioError(f"{field}.poles: expected a nonempty list of [re, im] pairs")
+        if not isinstance(raw, list) or not raw or len(raw) > MAX_STATE_DIM:
+            raise ScenarioError(f"{field}.poles: expected a list of 1 to {MAX_STATE_DIM} "
+                                "[re, im] pairs")
         poles = [pair_to_complex(p, f"{field}.poles[{i}]") for i, p in enumerate(raw)]
         try:
             theta = scalar_blaschke(poles)
@@ -120,7 +125,7 @@ def _parse_space(obj, field, order):
 def _parse_crofoot(obj, field):
     if isinstance(obj, dict):
         return CrofootData.from_json(obj, field)
-    w = matrix_from_json(obj, field)
+    w = matrix_from_json(obj, field, limit=MAX_DIM)
     try:
         return CrofootData(w)
     except ValueError as exc:
@@ -146,7 +151,7 @@ def parse_scenario(obj, command, tol=None, trunc_order=None, seed=None):
     order = trunc_order if trunc_order is not None else obj.get("trunc_order", 64)
     if not isinstance(order, int) or isinstance(order, bool) or not 8 <= order <= MAX_TRUNC_ORDER:
         raise ScenarioError(f"trunc_order: expected an integer in [8, {MAX_TRUNC_ORDER}]")
-    tolerance = tol if tol is not None else obj.get("tolerance", 1e-8)
+    tolerance = tol if tol is not None else obj.get("tolerance", DEFAULT_TOLERANCE)
     if (not isinstance(tolerance, (int, float)) or isinstance(tolerance, bool)
             or not 1e-14 <= tolerance <= 1e-2):
         raise ScenarioError("tolerance: expected a number in [1e-14, 1e-2]")
@@ -192,7 +197,7 @@ def parse_scenario(obj, command, tol=None, trunc_order=None, seed=None):
 
     operator = None
     if "operator" in obj:
-        operator = matrix_from_json(obj["operator"], "operator")
+        operator = matrix_from_json(obj["operator"], "operator", limit=MAX_STATE_DIM)
 
     params = obj.get("params", {})
     if not isinstance(params, dict):

@@ -20,7 +20,7 @@ import numpy as np
 
 from .blaschke import MAX_POLE_ABS, _check_unitary, matrix_powers
 from .jsonio import ScenarioError, matrix_from_json, matrix_to_json
-from .laurent import Laurent, evaluate_many, refit_on_circle
+from .laurent import MAX_DIM, Laurent, evaluate_many, refit_on_circle
 
 __all__ = [
     "Conjugation", "CrofootData", "jstar", "tau", "CTheta",
@@ -61,7 +61,7 @@ class Conjugation:
     def from_json(cls, obj, field="conjugation"):
         if not isinstance(obj, dict) or "unitary" not in obj:
             raise ScenarioError(f"{field}: expected an object with a 'unitary' key")
-        u = matrix_from_json(obj["unitary"], f"{field}.unitary")
+        u = matrix_from_json(obj["unitary"], f"{field}.unitary", limit=MAX_DIM)
         try:
             return cls(u)
         except ValueError as exc:
@@ -158,7 +158,7 @@ class CrofootData:
     def from_json(cls, obj, field="w"):
         if not isinstance(obj, dict) or "w" not in obj:
             raise ScenarioError(f"{field}: expected an object with a 'w' key")
-        w = matrix_from_json(obj["w"], f"{field}.w")
+        w = matrix_from_json(obj["w"], f"{field}.w", limit=MAX_DIM)
         try:
             return cls(w)
         except ValueError as exc:

@@ -72,10 +72,14 @@ def matrix_to_json(a):
     return array_to_json(a)
 
 
-def matrix_from_json(obj, field, shape=None):
+def matrix_from_json(obj, field, shape=None, limit=None):
+    """The complex matrix of a list of rows; with limit, more rows or columns
+    than that are refused before any entry is read."""
     if not isinstance(obj, list) or not obj or not all(isinstance(r, list) for r in obj):
         raise ScenarioError(f"{field}: expected a list of rows of [re, im] pairs")
     width = len(obj[0])
+    if limit is not None and max(len(obj), width) > limit:
+        raise ScenarioError(f"{field}: more than {limit} rows or columns")
     out = None
     if set(map(len, obj)) == {width}:
         out = _plain_pairs([p for row in obj for p in row])

@@ -41,6 +41,13 @@ _REFIT_DROP_TOL = 1e-13
 # scenario's trunc_order has the same cap (a gated verify asks for
 # max(trunc_order, 2n) matrix powers)
 MAX_TRUNC_ORDER = 4096
+# the largest matrix dimension d (of a symbol, a theta, J or W) and the largest
+# state dimension n (of a theta's model space, so of an operator's rows and
+# columns) that a document may declare, refused at parse before anything of
+# that size is allocated; at both caps a symbol's largest window takes 34 MB
+# and a gated verify's 4096 matrix powers 268 MB
+MAX_DIM = 16
+MAX_STATE_DIM = 64
 
 
 class Laurent:
@@ -322,15 +329,20 @@ class Laurent:
 MatrixLaurent = Laurent
 
 
+def read_dim(dim, field):
+    """A matrix dimension from a document, refused unless in [1, MAX_DIM]."""
+    if not isinstance(dim, int) or isinstance(dim, bool) or not 1 <= dim <= MAX_DIM:
+        raise ScenarioError(f"{field}: expected an integer in [1, {MAX_DIM}]")
+    return dim
+
+
 def _laurent_header(obj, field):
     if not isinstance(obj, dict):
         raise ScenarioError(f"{field}: expected an object")
     for key in ("dim", "coeffs"):
         if key not in obj:
             raise ScenarioError(f"{field}.{key}: missing")
-    dim = obj["dim"]
-    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
-        raise ScenarioError(f"{field}.dim: expected a positive integer")
+    dim = read_dim(obj["dim"], f"{field}.dim")
     raw = obj["coeffs"]
     if not isinstance(raw, dict):
         raise ScenarioError(f"{field}.coeffs: expected an object keyed by index")

@@ -12,11 +12,13 @@ families), symbol-kernel tests, and a registry of conjugation/transform
 identities checked as exact matrix equalities up to tolerance.
 
 Every check comes back as one ``Check`` record (name, residual,
-threshold, scale, verdict, optional reason), and every accept/reject
-follows one rule: accept iff residual <= threshold * (1 + scale). The
-scale is the norm of the data the residual is measured against: the
-displacement for a displacement equation, the left-hand side for a
-registry identity, 0 for the shift-invariance predicates.
+threshold, scale, verdict, optional reason), and every accept, reject
+and skip follows one rule at the request's threshold: accept iff
+residual <= threshold * (1 + scale). The scale is the norm of the data
+the residual is measured against: the displacement for a displacement
+equation, the left-hand side for a registry identity, 0 for the
+shift-invariance predicates and the J-symmetry gate. The rule also
+judges remark412's hypotheses and the kernel test's zero operator.
 
 Antilinear maps are carried as matrices L with action c -> L conj(c);
 composing two of them therefore yields the linear matrix L2 conj(L1),
@@ -41,11 +43,11 @@ from .modelspace import _RANK_TOL, ModelSpace, stein
 __all__ = [
     "Check", "ModelOperator", "build_matto", "build_matho",
     "displacement_check", "shift_invariance_check", "recover_symbol",
-    "kernel_test", "kernel_check", "TransformInputs", "verify_transform",
+    "kernel_test", "kernel_check", "TransformInputs", "verify_transform", "DEFAULT_TOLERANCE",
     "DISPLACEMENT_KINDS", "INVARIANCE_KINDS", "REGISTRY_NAMES", "SYMBOL_FREE_IDENTITIES",
 ]
 
-_JSYM_TOL = 1e-8
+DEFAULT_TOLERANCE = 1e-8
 
 
 def _passes(residual, threshold, scale):
@@ -173,7 +175,7 @@ def _displacement(op, kind, sh1, sh2):
     return x, getattr(op.domain, right_name), getattr(op.codomain, left_name)
 
 
-def displacement_check(op, kind, threshold=1e-8, modifier1=None, modifier2=None):
+def displacement_check(op, kind, threshold=DEFAULT_TOLERANCE, modifier1=None, modifier2=None):
     """Membership via the residual of a displacement equation.
 
     The displacement of an in-class operator is supported on the kind's
@@ -210,7 +212,7 @@ INVARIANCE_KINDS = {f"{family}-{kind}": family
                     for family in ("toeplitz", "hankel") for kind in "abcd"}
 
 
-def shift_invariance_check(op, family, kind, threshold=1e-8):
+def shift_invariance_check(op, family, kind, threshold=DEFAULT_TOLERANCE):
     """Bilinear shift-invariance predicate on the defect orthocomplements.
 
     Example, hankel kind a: <B z f, conj(z) g> = <B f, g> for all f with
@@ -281,7 +283,7 @@ def _reach(space1, space2, family):
     return max(n1, n2) - 1 if family == "toeplitz" else n1 + n2 - 1
 
 
-def recover_symbol(op, family, threshold=1e-8):
+def recover_symbol(op, family, threshold=DEFAULT_TOLERANCE):
     """A representative symbol for an accepted operator, plus the rebuild gap.
 
     One minimum-norm least-squares solve on the map Phi -> built matrix
@@ -307,7 +309,8 @@ def recover_symbol(op, family, threshold=1e-8):
 
 # -- symbol kernel test ------------------------------------------------------
 
-def kernel_test(symbol, space1, space2, family, conj1=None, conj2=None, threshold=1e-8):
+def kernel_test(symbol, space1, space2, family, conj1=None, conj2=None,
+                threshold=DEFAULT_TOLERANCE):
     """Is Phi in the kernel class (symbols building the zero operator)?
 
     The class is ker M for the linear map M: Phi -> built matrix
@@ -322,8 +325,8 @@ def kernel_test(symbol, space1, space2, family, conj1=None, conj2=None, threshol
     and one small product |W^* vec(a)| with W = U_r / s_r. No J-symmetry
     enters: conj1 and conj2 are accepted and ignored. The class distance
     decides the verdict, and the verdict is always cross-checked against the
-    norm of the built operator; a zero operator at a class distance above
-    the threshold is reported as "class-gap" rather than an error.
+    norm of the built operator by the same rule; a zero operator at a class
+    distance over the threshold is reported as "class-gap", not an error.
     """
     _check_symbol(symbol, space1, space2)
     if family not in ("toeplitz", "hankel"):
@@ -339,7 +342,7 @@ def kernel_test(symbol, space1, space2, family, conj1=None, conj2=None, threshol
     distance = float(np.linalg.norm(classes[family] @ built))
     in_kernel = _passes(distance, threshold, symbol.norm())
     op_norm = float(np.linalg.norm(built))
-    is_zero = _passes(op_norm, 1e-10, symbol.norm())
+    is_zero = _passes(op_norm, threshold, symbol.norm())
     if in_kernel == is_zero:
         agreement = "confirmed"
     elif in_kernel:
@@ -400,10 +403,10 @@ def _ctheta(space, conj):
 
 class TransformInputs:
     """Input bundle for the registry over two built spaces of one window, kept as
-    spaces "1" and "2", with lazily cached derived spaces."""
+    spaces "1" and "2", with lazily cached derived spaces and state maps."""
 
     def __init__(self, space1, space2, symbol=None, conj1=None, conj2=None,
-                 crofoot1=None, crofoot2=None, threshold=1e-8):
+                 crofoot1=None, crofoot2=None, threshold=DEFAULT_TOLERANCE):
         self.order = space1.order
         self.symbol = symbol
         self.conj1 = conj1 if conj1 is not None else Conjugation.identity(space1.dim)
@@ -413,6 +416,7 @@ class TransformInputs:
         self.crofoot2 = crofoot2 if crofoot2 is not None else CrofootData(zero)
         self.threshold = threshold
         self._cache = {"1": space1, "2": space2}
+        self._maps = {}
 
     def space(self, key):
         """K_Theta for "1" or "2"; with a suffix, the space of a derived theta,
@@ -425,7 +429,7 @@ class TransformInputs:
             if key[1] == "t":
                 realization = _tilde((a_mat, b_mat, c_mat, d_mat))
             else:
-                u = (self.conj1 if key[0] == "1" else self.conj2).U
+                u = self._conj(key).U
                 realization = (a_mat.conj(), b_mat.conj() @ u.conj(), u @ c_mat.conj(),
                                u @ d_mat.conj() @ u.conj())
             self._cache[key] = ModelSpace.from_realization(realization, self.order)
@@ -440,6 +444,27 @@ class TransformInputs:
             realization = crofoot_realization(self.space(str(which)).realization, cro)
             self._cache[key] = ModelSpace.from_realization(realization, self.order)
         return self._cache[key]
+
+    def _solved(self, key, solve):
+        if key not in self._maps:
+            self._maps[key] = solve()
+        return self._maps[key]
+
+    def _conj(self, key):
+        return self.conj1 if key[0] == "1" else self.conj2
+
+    def tau(self, src, dst):
+        """``_tau`` from space src into space dst, solved once per inputs."""
+        return self._solved(("tau", src, dst), lambda: _tau(self.space(src), self.space(dst)))
+
+    def jstar(self, src, dst):
+        """``_jstar`` with the J of src's theta, from space src into dst, solved once."""
+        return self._solved(("jstar", src, dst),
+                            lambda: _jstar(self._conj(src), self.space(src), self.space(dst)))
+
+    def ctheta(self, key):
+        """``_ctheta`` on space "1" or "2" with its theta's J, solved once."""
+        return self._solved(("ctheta", key), lambda: _ctheta(self.space(key), self._conj(key)))
 
     @cached_property
     def jsym_gaps(self):
@@ -673,7 +698,7 @@ def _verify_tau(inp):
     k1, k2 = inp.space("1"), inp.space("2")
     k1t, k2t = inp.space("1t"), inp.space("2t")
     b = build_matho(k1, k2, phi).matrix
-    lhs = _tau(k2, k2t) @ b @ _tau(k1, k1t).conj().T
+    lhs = inp.tau("2", "2t") @ b @ inp.tau("1", "1t").conj().T
     return lhs, _hankel_tail(k1t, k2t, inp.theta_product[1])
 
 
@@ -684,7 +709,7 @@ def _verify_jstar(build, suffix, inp):
     k1, k2 = inp.space("1"), inp.space("2")
     k1x, k2x = inp.space("1" + suffix), inp.space("2" + suffix)
     mat = build(k1, k2, phi).matrix
-    lhs = _jstar(inp.conj2, k2, k2x) @ np.conj(mat @ _jstar(inp.conj1, k1x, k1))
+    lhs = inp.jstar("2", "2" + suffix) @ np.conj(mat @ inp.jstar("1" + suffix, "1"))
     psi = sandwich_reflected(inp.conj2, phi, inp.conj1)
     return lhs, build(k1x, k2x, psi).matrix
 
@@ -695,7 +720,7 @@ def _verify_ctheta(inp):
     phi = inp.symbol
     k1, k2 = inp.space("1"), inp.space("2")
     b = build_matho(k1, k2, phi).matrix
-    lhs = _ctheta(k2, inp.conj2) @ np.conj(b @ _ctheta(k1, inp.conj1))
+    lhs = inp.ctheta("2") @ np.conj(b @ inp.ctheta("1"))
     # composing the tau identity with the coefficient conjugations puts the
     # reflected Theta2 on the left; writing Theta2(z) there instead loses the
     # anti-analytic mass of the symbol and breaks the operator equality
@@ -709,7 +734,7 @@ def _verify_prop61a(inp):
     phi = inp.symbol
     k1, k2 = inp.space("1"), inp.space("2")
     a = build_matto(k1, k2, phi).matrix
-    lhs = _ctheta(k2, inp.conj2) @ np.conj(a @ _ctheta(k1, inp.conj1))
+    lhs = inp.ctheta("2") @ np.conj(a @ inp.ctheta("1"))
     delay, fir = _phi_factors(phi)
     inner = _split([_tilde(k2.realization), delay], [fir, k1.realization])
     return lhs, _toeplitz_tails(k1, k2, _sandwich(inp.conj2, inner, inp.conj1))
@@ -721,7 +746,7 @@ def _verify_prop61e(inp):
     k1, k2 = inp.space("1"), inp.space("2")
     k1t = inp.space("1t")
     a = build_matto(k1, k2, phi).matrix
-    lhs = _ctheta(k2, inp.conj2) @ np.conj(a @ _jstar(inp.conj1, k1t, k1))
+    lhs = inp.ctheta("2") @ np.conj(a @ inp.jstar("1t", "1"))
     delay, fir = _phi_factors(phi.reflect_z())
     inner = _split([delay], [_tilde(k2.realization), fir])
     return lhs, _hankel_tail(k1t, k2, _sandwich(inp.conj2, inner, inp.conj1)[2])
@@ -733,22 +758,20 @@ def _verify_prop61f(inp):
     k1, k2 = inp.space("1"), inp.space("2")
     k2t = inp.space("2t")
     b = build_matho(k1, k2, phi).matrix
-    lhs = _jstar(inp.conj2, k2, k2t) @ np.conj(b @ _ctheta(k1, inp.conj1))
+    lhs = inp.jstar("2", "2t") @ np.conj(b @ inp.ctheta("1"))
     delay, fir = _phi_factors(phi)
     inner = _split([delay], [fir, k1.realization])
     return lhs, _toeplitz_tails(k1, k2t, _sandwich(inp.conj2, inner, inp.conj1))
 
 
 def _verify_eq_sz(inp):
-    k1, k1t = inp.space("1"), inp.space("1t")
-    t = _tau(k1, k1t)
-    return t @ k1.S @ t.conj().T, k1t.S_star
+    t = inp.tau("1", "1t")
+    return t @ inp.space("1").S @ t.conj().T, inp.space("1t").S_star
 
 
 def _verify_eq_ddd(inp):
-    k1, k1t = inp.space("1"), inp.space("1t")
-    t_back = _tau(k1t, k1)
-    return k1.D_tilde, t_back @ k1t.D @ t_back.conj().T
+    t_back = inp.tau("1t", "1")
+    return inp.space("1").D_tilde, t_back @ inp.space("1t").D @ t_back.conj().T
 
 
 def _verify_remark412(inp):
@@ -756,8 +779,7 @@ def _verify_remark412(inp):
     phi = inp.symbol
     k1 = inp.space("1")
     a = build_matto(k1, k1, phi).matrix
-    l_c1 = _ctheta(k1, inp.conj1)
-    lhs = l_c1 @ np.conj(a @ l_c1)
+    lhs = inp.ctheta("1") @ np.conj(a @ inp.ctheta("1"))
     return lhs, build_matto(k1, k1, phi.adjoint_star()).matrix
 
 
@@ -775,8 +797,8 @@ def _remark412_unmet(inp):
     g1 = inp.jsym_gaps[0]
     phi_sym = _coefficient_gap(phi.coeffs, inp.conj1)
     commute = _commutator_defect(inp.space("1").realization, phi)
-    if (g1 > _JSYM_TOL or not _passes(phi_sym, _JSYM_TOL, phi.norm())
-            or not _passes(commute, _JSYM_TOL, phi.norm())):
+    if not (_passes(g1, inp.threshold, 0.0) and _passes(phi_sym, inp.threshold, phi.norm())
+            and _passes(commute, inp.threshold, phi.norm())):
         return (f"hypotheses not met (theta defect {g1:.2e}, symbol defect "
                 f"{phi_sym:.2e}, commutator {commute:.2e})")
     return None
@@ -827,11 +849,9 @@ SYMBOL_FREE_IDENTITIES = tuple(name for name, ident in _REGISTRY.items() if not 
 
 def _check_identity(name, inp):
     ident = _REGISTRY[name]
-    if ident.jsym:
-        g1, g2 = inp.jsym_gaps
-        if g1 > _JSYM_TOL or g2 > _JSYM_TOL:
-            return Check(name, None, float(inp.threshold), None, "skipped",
-                         f"needs J-symmetric thetas (defects {g1:.2e}, {g2:.2e})")
+    if ident.jsym and not all(_passes(g, inp.threshold, 0.0) for g in inp.jsym_gaps):
+        return Check(name, None, float(inp.threshold), None, "skipped",
+                     "needs J-symmetric thetas (defects {:.2e}, {:.2e})".format(*inp.jsym_gaps))
     if ident.symbol and inp.symbol is None:
         raise ValueError(f"identity {name!r} needs a symbol")
     lhs, rhs = ident.sides(inp)

@@ -15,7 +15,7 @@ from matholab import Conjugation, ModelSpace, diagonal_monomial
 from matholab.blaschke import BlaschkePotapovProduct, PotapovFactor
 from matholab.cli import parse_scenario
 from matholab.laurent import Laurent
-from matholab.operators import kernel_test
+from matholab.operators import kernel_check, kernel_test
 from matholab.sampling import random_inner, random_unitary
 from oracle import (_effective_reach, dense_kernel_distance, exact_symbol_map, full_reach,
                     kernel_generators, map_kernel_distance, map_nullspace, riesz_split)
@@ -96,7 +96,7 @@ def _assert_matches_oracle(symbol, s1, s2, family, ref_map=None, conj1=None, con
     assert abs(res["distance"] - ref) <= 1e-12 * (1.0 + scale), (res, ref)
     ref_in = ref <= THRESHOLD * (1.0 + scale)
     assert res["verdict"] == ("in-kernel" if ref_in else "not-in-kernel")
-    is_zero = res["matrix_norm"] <= 1e-10 * (1.0 + scale)
+    is_zero = res["matrix_norm"] <= THRESHOLD * (1.0 + scale)
     ref_agreement = ("confirmed" if ref_in == is_zero
                      else "conflict" if ref_in else "class-gap")
     assert res["agreement"] == ref_agreement
@@ -320,6 +320,26 @@ def test_large_member_stays_in_kernel():
         res = _assert_matches_oracle(member, s1, s2, family, None, conj1, conj2)
         assert res["verdict"] == "in-kernel" and res["agreement"] == "confirmed"
         assert res["distance"] <= 1e-10 * member.norm()
+
+
+@pytest.mark.parametrize("eps", [1e-10, 1e-9, 3e-9])
+def test_near_member_is_judged_at_one_threshold(eps):
+    # a unit kernel member plus eps times a constant of norm 3: the class
+    # distance (3 eps) and the built operator (about 3 eps) sit in the band
+    # where a stricter zero test on the operator would read "conflict"; at
+    # one threshold both measurements agree, and the record accepts
+    s1 = ModelSpace.from_product(diagonal_monomial([2, 1]), 16)
+    s2 = ModelSpace.from_product(diagonal_monomial([1, 3]), 16)
+    rng = np.random.default_rng(0)
+    member = _null_member(rng, _reference_map(s1, s2, "toeplitz"), 2)
+    outsider = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    outsider *= 3.0 / np.linalg.norm(outsider)
+    symbol = (member.scale(1.0 / member.norm())
+              + Laurent.monomial(0, eps * outsider).with_order(member.order))
+    res = _assert_matches_oracle(symbol, s1, s2, "toeplitz")
+    assert 2.5 * eps < res["distance"] and 2.5 * eps < res["matrix_norm"]
+    assert res["verdict"] == "in-kernel" and res["agreement"] == "confirmed"
+    assert kernel_check(symbol, res, THRESHOLD).accepted()
 
 
 def test_empty_generator_blocks():

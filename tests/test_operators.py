@@ -310,26 +310,61 @@ def test_registry_full_sweep_blaschke():
         assert rep.verdict == "accept", (rep.name, rep.residual)
 
 
-def test_registry_all_judges_ctheta_once(monkeypatch):
-    # ctheta and prop61b are one identity: "all" measures it once and reports
-    # it under both names, so C_Theta's Stein map is solved 7 times, not 9
-    from dataclasses import replace
-
+def _count_state_maps(monkeypatch):
+    """Wrap the registry's three state maps; the returned dict counts their solves."""
     from matholab import operators
 
-    rng = np.random.default_rng(3)
+    calls = {"_ctheta": 0, "_jstar": 0, "_tau": 0}
+
+    def counted(name, original):
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        return wrapper
+    for name in calls:
+        monkeypatch.setattr(operators, name, counted(name, getattr(operators, name)))
+    return calls
+
+
+def _symmetric_inputs(seed):
+    rng = np.random.default_rng(seed)
     (theta1, conj1), (theta2, conj2) = (random_symmetric_inner(rng, 2, max_abs=0.5)
                                         for _ in range(2))
-    inputs = TransformInputs(ModelSpace.from_product(theta1, 16),
-                             ModelSpace.from_product(theta2, 16),
-                             symbol=random_symbol(rng, 2), conj1=conj1, conj2=conj2)
-    calls = []
-    original = operators._ctheta
-    monkeypatch.setattr(operators, "_ctheta", lambda *args: calls.append(args) or original(*args))
+    return TransformInputs(ModelSpace.from_product(theta1, 16),
+                           ModelSpace.from_product(theta2, 16),
+                           symbol=random_symbol(rng, 2), conj1=conj1, conj2=conj2)
+
+
+def test_registry_all_judges_ctheta_once(monkeypatch):
+    # ctheta and prop61b are one identity: "all" measures it once and reports
+    # it under both names; each state map is solved once per (source, target)
+    # pair of spaces: C_Theta on "1" and "2", Jstar 2 -> 2j, 1j -> 1, 2 -> 2t
+    # and 1t -> 1, tau 1 -> 1t, 2 -> 2t and 1t -> 1
+    from dataclasses import replace
+
+    inputs = _symmetric_inputs(3)
+    calls = _count_state_maps(monkeypatch)
     reports = {rep.name: rep for rep in verify_transform("all", inputs)}
     assert reports["ctheta"].verdict == "accept"
     assert replace(reports["ctheta"], name="prop61b") == reports["prop61b"]
-    assert len(calls) == 7
+    assert calls == {"_ctheta": 2, "_jstar": 4, "_tau": 3}
+
+
+@pytest.mark.parametrize("name, solves", [
+    ("prop61e", {"_ctheta": 1, "_jstar": 1, "_tau": 0}),
+    ("remark412", {"_ctheta": 1, "_jstar": 0, "_tau": 0}),
+    ("eq_ddd", {"_ctheta": 0, "_jstar": 0, "_tau": 1}),
+    ("jstar", {"_ctheta": 0, "_jstar": 2, "_tau": 0}),
+])
+def test_one_identity_solves_only_its_own_maps(monkeypatch, name, solves):
+    inputs = _symmetric_inputs(3)
+    calls = _count_state_maps(monkeypatch)
+    # each identity is measured (remark412 is skipped for this symbol, after measuring)
+    assert verify_transform(name, inputs).residual is not None
+    assert calls == solves
+    # a second request on the same inputs reads the cache
+    verify_transform(name, inputs)
+    assert calls == solves
 
 
 def test_registry_skips_without_j_symmetry():

@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from matholab import Conjugation, Laurent, ModelSpace, cli, diagonal_monomial, scalar_blaschke
+from matholab import (BlaschkePotapovProduct, Conjugation, CrofootData, Laurent, ModelSpace,
+                      PotapovFactor, cli, diagonal_monomial, scalar_blaschke)
 from matholab.jsonio import ScenarioError, matrix_from_json, matrix_to_json, vector_to_json
 from matholab.sampling import random_crofoot, random_inner, random_symbol
 
@@ -193,3 +194,55 @@ def test_bad_factors_are_refused_by_name(spoil, want):
     spoil(doc)
     with pytest.raises(ScenarioError, match=re.escape(want)):
         cli.parse_scenario(doc, "verify")
+
+
+# -- sizes are bounded at parse ------------------------------------------------------
+
+def _zeros(rows, cols):
+    return [[[0.0, 0.0]] * cols for _ in range(rows)]
+
+
+def _factor(rows):
+    """A rank-1 factor document whose frame and post_unitary have this many rows."""
+    eye = np.eye(rows)
+    return {"a": [0.5, 0.0], "frame": matrix_to_json(eye[:, :1]),
+            "post_unitary": matrix_to_json(eye)}
+
+
+def _space(theta1, **fields):
+    return cli.parse_scenario({"theta1": theta1, **fields}, "space")
+
+
+# per input: a document of a given size, the bound on that size, and the refusal one past it
+D, N = cli.MAX_DIM, cli.MAX_STATE_DIM
+SIZE_BOUNDS = {
+    "symbol-dim": (lambda n: Laurent.from_json({"dim": n, "coeffs": {}}, "symbol"),
+                   D, f"symbol.dim: expected an integer in [1, {D}]"),
+    "theta-dim": (lambda n: BlaschkePotapovProduct.from_json({"dim": n}, "theta1"),
+                  D, f"theta1.dim: expected an integer in [1, {D}]"),
+    "powers-count": (lambda n: _space({"powers": [1] * n}), D, "theta1.powers: expected at most"),
+    "powers-sum": (lambda n: _space({"powers": [n]}), N, "theta1.powers: expected at most"),
+    "poles": (lambda n: _space({"poles": [[0.5, 0.0]] * n}), N,
+              f"theta1.poles: expected a list of 1 to {N}"),
+    "factor-ranks": (lambda n: _space({"dim": 1, "factors": [_factor(1)] * n}), N,
+                     f"theta1.factors: the ranks sum past the largest state dimension {N}"),
+    "frame": (lambda n: PotapovFactor.from_json(_factor(n), "factors[0]"),
+              D, f"factors[0].frame: more than {D} rows or columns"),
+    "j": (lambda n: Conjugation.from_json({"unitary": matrix_to_json(np.eye(n))}, "j1"),
+          D, f"j1.unitary: more than {D} rows or columns"),
+    "w": (lambda n: CrofootData.from_json({"w": _zeros(n, n)}, "w1"),
+          D, f"w1.w: more than {D} rows or columns"),
+    "w-matrix": (lambda n: _space({"powers": [1] * min(n, D)}, w1=_zeros(n, n)),
+                 D, f"w1: more than {D} rows or columns"),
+    "operator": (lambda n: _space({"powers": [1]}, operator=_zeros(n, n)),
+                 N, f"operator: more than {N} rows or columns"),
+}
+
+
+@pytest.mark.parametrize("build, bound, refusal", SIZE_BOUNDS.values(), ids=SIZE_BOUNDS.keys())
+def test_sizes_are_bounded_at_parse(build, bound, refusal):
+    # the bound itself is read; one past it is refused by name, before
+    # anything of that size is allocated
+    build(bound)
+    with pytest.raises(ScenarioError, match=re.escape(refusal)):
+        build(bound + 1)

@@ -22,7 +22,7 @@ from matholab import (
 from matholab.blaschke import state_window
 from matholab.conjugations import _coefficient_gap
 from matholab.laurent import Laurent
-from matholab.operators import _JSYM_TOL, TransformInputs, _commutator_defect
+from matholab.operators import DEFAULT_TOLERANCE, TransformInputs, _commutator_defect
 from matholab.sampling import random_inner, random_symbol, random_symmetric_inner, random_unitary
 
 import oracle
@@ -144,7 +144,7 @@ def test_coefficient_jsymmetry_gate_matches_sampled_reference(symmetric, dim, n_
     reference = oracle.jsymmetry_defect(window, conj)
     if symmetric:
         assert exact <= 1e-13
-    assert (exact > _JSYM_TOL) == (reference > _JSYM_TOL)
+    assert (exact > DEFAULT_TOLERANCE) == (reference > DEFAULT_TOLERANCE)
 
 
 @settings(max_examples=60)
@@ -169,7 +169,56 @@ def test_coefficient_jsymmetry_gate_bounds_sampled_defect_near_tolerance(
     exact = realization_jsymmetry_defect((a_mat, b_mat @ v, c_mat, d_mat @ v), order, conj)
     reference = oracle.jsymmetry_defect(window, conj)
     assert exact >= reference - 1e-14
-    assert exact > _JSYM_TOL or reference <= _JSYM_TOL
+    assert exact > DEFAULT_TOLERANCE or reference <= DEFAULT_TOLERANCE
+
+
+# -- the gate judges at the request's threshold --------------------------------------
+
+_GATED = ("ctheta", "prop61a", "prop61b", "prop61c", "prop61d", "prop61e", "prop61f")
+
+
+def _twisted_inputs(seed, eps, threshold):
+    """TransformInputs over Theta1 V and a J-symmetric Theta2 (d = 2, window 32),
+    V = exp(i eps H) a constant unitary: Theta1 V is inner and misses J-symmetry
+    by O(eps)."""
+    rng = np.random.default_rng(seed)
+    theta, conj1 = random_symmetric_inner(rng, 2)
+    h = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    w, q = np.linalg.eigh(h + h.conj().T)
+    v = (q * np.exp(1j * eps * w / np.abs(w).max())) @ q.conj().T
+    a_mat, b_mat, c_mat, d_mat = theta.realization()
+    space1 = ModelSpace.from_realization((a_mat, b_mat @ v, c_mat, d_mat @ v), 32)
+    theta2, conj2 = random_symmetric_inner(rng, 2)
+    return TransformInputs(space1, ModelSpace.from_product(theta2, 32),
+                           symbol=random_symbol(rng, 2), conj1=conj1, conj2=conj2,
+                           threshold=threshold)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_gate_skips_a_defect_above_a_tight_threshold(seed):
+    # a J-defect of about 2e-10 is under the default 1e-8 but over 1e-12: at
+    # 1e-12 the gated identities are skipped rather than rejected, and the
+    # identities that need no J-symmetry still accept
+    inputs = _twisted_inputs(seed, 1e-10, 1e-12)
+    assert 5e-11 < inputs.jsym_gaps[0] < 1e-9 and inputs.jsym_gaps[1] < 1e-13
+    reports = {rep.name: rep for rep in verify_transform("all", inputs)}
+    for name in _GATED:
+        assert reports[name].verdict == "skipped", reports[name]
+        assert reports[name].reason.startswith("needs J-symmetric thetas")
+    for name in ("crofoot", "tau", "jstar", "eq_sz", "eq_ddd"):
+        assert reports[name].verdict == "accept", reports[name]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_gate_admits_a_defect_below_a_loose_threshold(seed):
+    # a J-defect of about 6e-8 is over the default 1e-8 but under 1e-6: at
+    # 1e-6 the gated identities run, and they hold to that precision
+    inputs = _twisted_inputs(seed, 3e-8, 1e-6)
+    assert DEFAULT_TOLERANCE < inputs.jsym_gaps[0] < 1e-6
+    for rep in verify_transform("all", inputs):
+        if rep.name in _GATED:
+            assert rep.verdict == "accept", rep
+            assert rep.residual <= 1e-8 * (1.0 + rep.scale)
 
 
 # -- remark412's symbol hypotheses ---------------------------------------------------
@@ -245,7 +294,7 @@ def test_remark412_commutator_check_agrees_with_sampling(dim, n_factors, max_abs
     reference = oracle.commutator_defect(theta, phi)
     if commuting:
         assert exact <= 1e-12 and reference <= 1e-12
-    bound = _JSYM_TOL * (1.0 + phi.norm())
+    bound = DEFAULT_TOLERANCE * (1.0 + phi.norm())
     assert (exact <= bound) == (reference <= bound)
 
 
