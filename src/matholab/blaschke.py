@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .jsonio import (ScenarioError, complex_to_pair, matrix_from_json,
-                     matrix_to_json, pair_to_complex)
+                     matrix_to_json, pair_to_complex, refuse_unknown_keys)
 from .laurent import MAX_DIM, MAX_STATE_DIM, Laurent, read_dim
 
 __all__ = [
@@ -90,6 +90,7 @@ class PotapovFactor:
     def from_json(cls, obj, field="factor"):
         if not isinstance(obj, dict):
             raise ScenarioError(f"{field}: expected an object")
+        refuse_unknown_keys(obj, ("a", "frame", "post_unitary"), field)
         for key in ("a", "frame", "post_unitary"):
             if key not in obj:
                 raise ScenarioError(f"{field}.{key}: missing")
@@ -210,6 +211,7 @@ class BlaschkePotapovProduct:
     def from_json(cls, obj, field="theta"):
         if not isinstance(obj, dict):
             raise ScenarioError(f"{field}: expected an object")
+        refuse_unknown_keys(obj, ("dim", "left_unitary", "factors"), field)
         dim = read_dim(obj.get("dim"), f"{field}.dim")
         left = np.eye(dim)
         if "left_unitary" in obj:

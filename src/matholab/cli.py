@@ -25,9 +25,9 @@ import time
 import numpy as np
 
 from . import __version__
-from .blaschke import BlaschkePotapovProduct, diagonal_monomial, scalar_blaschke, validate
+from .blaschke import BlaschkePotapovProduct, diagonal_monomial, scalar_blaschke
 from .conjugations import Conjugation, CrofootData
-from .jsonio import ScenarioError, matrix_from_json, pair_to_complex
+from .jsonio import ScenarioError, matrix_from_json, pair_to_complex, refuse_unknown_keys
 from .laurent import MAX_DIM, MAX_STATE_DIM, MAX_TRUNC_ORDER, Laurent
 from .modelspace import ModelSpace, random_modifier
 from .operators import (
@@ -55,6 +55,7 @@ COMMANDS = ("space", "build", "check", "recover", "kernel", "verify")
 _KNOWN_FIELDS = {"schema_version", "command", "trunc_order", "tolerance", "seed",
                  "theta1", "theta2", "j1", "j2", "w1", "w2", "symbol", "operator",
                  "params", "kind", "family", "name", "comment"}
+_PARAMS = ("kind", "family", "name")
 
 
 class Scenario:
@@ -95,6 +96,7 @@ def _parse_space(obj, field, order):
     if not isinstance(obj, dict):
         raise ScenarioError(f"{field}: expected an object")
     if "powers" in obj:
+        refuse_unknown_keys(obj, ("powers",), field)
         powers = obj["powers"]
         if (not isinstance(powers, list) or not powers
                 or not all(isinstance(k, int) and not isinstance(k, bool) and k >= 0
@@ -105,6 +107,7 @@ def _parse_space(obj, field, order):
                                 f"summing to at most {MAX_STATE_DIM}")
         theta = diagonal_monomial(powers)
     elif "poles" in obj:
+        refuse_unknown_keys(obj, ("poles",), field)
         raw = obj["poles"]
         if not isinstance(raw, list) or not raw or len(raw) > MAX_STATE_DIM:
             raise ScenarioError(f"{field}.poles: expected a list of 1 to {MAX_STATE_DIM} "
@@ -117,7 +120,7 @@ def _parse_space(obj, field, order):
     else:
         theta = BlaschkePotapovProduct.from_json(obj, field)
     try:
-        return ModelSpace(validate(theta), order, theta)
+        return ModelSpace.from_product(theta, order)
     except ValueError as exc:
         raise ScenarioError(f"{field}: {exc}") from None
 
@@ -160,6 +163,15 @@ def parse_scenario(obj, command, tol=None, trunc_order=None, seed=None):
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         raise ScenarioError("seed: expected a nonnegative integer")
 
+    params = obj.get("params", {})
+    if not isinstance(params, dict):
+        raise ScenarioError("params: expected an object")
+    refuse_unknown_keys(params, _PARAMS, "params")
+    params = dict(params)
+    for key in _PARAMS:
+        if key in obj and key not in params:
+            params[key] = obj[key]
+
     space1 = _parse_space(obj["theta1"], "theta1", order) if "theta1" in obj else None
     space2 = _parse_space(obj["theta2"], "theta2", order) if "theta2" in obj else None
     if space1 is not None and space2 is not None and space1.dim != space2.dim:
@@ -198,14 +210,6 @@ def parse_scenario(obj, command, tol=None, trunc_order=None, seed=None):
     operator = None
     if "operator" in obj:
         operator = matrix_from_json(obj["operator"], "operator", limit=MAX_STATE_DIM)
-
-    params = obj.get("params", {})
-    if not isinstance(params, dict):
-        raise ScenarioError("params: expected an object")
-    params = dict(params)
-    for key in ("kind", "family", "name"):
-        if key in obj and key not in params:
-            params[key] = obj[key]
 
     sc = Scenario(command, order, tolerance, seed, space1, space2,
                   conj1, conj2, crofoot1, crofoot2, symbol, operator, params)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .blaschke import MAX_POLE_ABS, _check_unitary, matrix_powers
-from .jsonio import ScenarioError, matrix_from_json, matrix_to_json
+from .jsonio import ScenarioError, matrix_from_json, matrix_to_json, refuse_unknown_keys
 from .laurent import MAX_DIM, Laurent, evaluate_many, refit_on_circle
 
 __all__ = [
@@ -61,6 +61,7 @@ class Conjugation:
     def from_json(cls, obj, field="conjugation"):
         if not isinstance(obj, dict) or "unitary" not in obj:
             raise ScenarioError(f"{field}: expected an object with a 'unitary' key")
+        refuse_unknown_keys(obj, ("unitary",), field)
         u = matrix_from_json(obj["unitary"], f"{field}.unitary", limit=MAX_DIM)
         try:
             return cls(u)
@@ -158,6 +159,7 @@ class CrofootData:
     def from_json(cls, obj, field="w"):
         if not isinstance(obj, dict) or "w" not in obj:
             raise ScenarioError(f"{field}: expected an object with a 'w' key")
+        refuse_unknown_keys(obj, ("w",), field)
         w = matrix_from_json(obj["w"], f"{field}.w", limit=MAX_DIM)
         try:
             return cls(w)

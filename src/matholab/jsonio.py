@@ -11,6 +11,7 @@ __all__ = [
     "vector_from_json",
     "matrix_to_json",
     "matrix_from_json",
+    "refuse_unknown_keys",
 ]
 
 
@@ -20,6 +21,14 @@ class ScenarioError(ValueError):
 
 def _is_number(x):
     return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def refuse_unknown_keys(obj, known, field):
+    """Refuse the first key of a document outside its known set, before any
+    of its values is read."""
+    for key in obj:
+        if key not in known:
+            raise ScenarioError(f"{field}.{key}: unknown field")
 
 
 def complex_to_pair(z):

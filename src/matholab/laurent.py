@@ -24,7 +24,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .jsonio import ScenarioError, array_to_json, matrix_from_json, vector_from_json
+from .jsonio import (ScenarioError, array_to_json, matrix_from_json, refuse_unknown_keys,
+                     vector_from_json)
 
 __all__ = [
     "Laurent",
@@ -339,6 +340,7 @@ def read_dim(dim, field):
 def _laurent_header(obj, field):
     if not isinstance(obj, dict):
         raise ScenarioError(f"{field}: expected an object")
+    refuse_unknown_keys(obj, ("dim", "coeffs", "trunc_order", "tail_bound"), field)
     for key in ("dim", "coeffs"):
         if key not in obj:
             raise ScenarioError(f"{field}.{key}: missing")

@@ -28,7 +28,7 @@ which is how every registry left-hand side below becomes plain matmul.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property, partial
+from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -149,6 +149,11 @@ def build_matto(space1, space2, symbol):
 def build_matho(space1, space2, symbol):
     """Matrix of f -> P_{Theta2} J (I - P_+)(Phi f) on K_{Theta1}."""
     return _build(space1, space2, symbol, "hankel")
+
+
+def _builder(family):
+    """The family's build function, looked up when called."""
+    return build_matto if family == "toeplitz" else build_matho
 
 
 # -- membership characterizations -------------------------------------------
@@ -294,7 +299,7 @@ def recover_symbol(op, family, threshold=DEFAULT_TOLERANCE):
     """
     if family not in ("toeplitz", "hankel"):
         raise ValueError(f"unknown recovery family {family!r}")
-    kind, build = ("T1", build_matto) if family == "toeplitz" else ("H1", build_matho)
+    kind = "T1" if family == "toeplitz" else "H1"
     rep = displacement_check(op, kind, threshold)
     if not rep.accepted():
         raise ValueError(f"operator rejected by {kind} membership (residual {rep.residual:.2e})")
@@ -303,7 +308,8 @@ def recover_symbol(op, family, threshold=DEFAULT_TOLERANCE):
     x = np.linalg.lstsq(mat, op.matrix.ravel(), rcond=None)[0]
     d = op.domain.dim
     phi = Laurent.from_coeff_map(dict(zip(lags, x.reshape(-1, d, d))), d)
-    residual = float(np.linalg.norm(build(op.domain, op.codomain, phi).matrix - op.matrix))
+    rebuilt = _builder(family)(op.domain, op.codomain, phi).matrix
+    residual = float(np.linalg.norm(rebuilt - op.matrix))
     return phi, residual
 
 
@@ -337,8 +343,7 @@ def kernel_test(symbol, space1, space2, family, conj1=None, conj2=None,
         u, s, _ = np.linalg.svd(mat, full_matrices=False)
         keep = s > _RANK_TOL * s.max(initial=0.0)
         classes[family] = (u[:, keep] / s[keep]).conj().T
-    build = build_matto if family == "toeplitz" else build_matho
-    built = build(space1, space2, symbol).matrix.ravel()
+    built = _builder(family)(space1, space2, symbol).matrix.ravel()
     distance = float(np.linalg.norm(classes[family] @ built))
     in_kernel = _passes(distance, threshold, symbol.norm())
     op_norm = float(np.linalg.norm(built))
@@ -403,7 +408,9 @@ def _ctheta(space, conj):
 
 class TransformInputs:
     """Input bundle for the registry over two built spaces of one window, kept as
-    spaces "1" and "2", with lazily cached derived spaces and state maps."""
+    spaces "1" and "2". Everything a request derives from them, the derived
+    spaces, state maps, J-symmetry defects, Phi's builds and shift registers
+    and each identity's record, is solved on first read into one memo."""
 
     def __init__(self, space1, space2, symbol=None, conj1=None, conj2=None,
                  crofoot1=None, crofoot2=None, threshold=DEFAULT_TOLERANCE):
@@ -415,70 +422,72 @@ class TransformInputs:
         self.crofoot1 = crofoot1 if crofoot1 is not None else CrofootData(zero)
         self.crofoot2 = crofoot2 if crofoot2 is not None else CrofootData(zero)
         self.threshold = threshold
-        self._cache = {"1": space1, "2": space2}
-        self._maps = {}
+        self._memo = {"1": space1, "2": space2}
 
-    def space(self, key):
-        """K_Theta for "1" or "2"; with a suffix, the space of a derived theta,
-        read off the source space's realization (A, B, C, D): "t" is
-        Theta~(z) = Theta(conj(z))^* with (A*, C*, B*, D*), and "j" is
-        J Theta(conj(z)) J with (conj A, conj(B) conj(U), U conj(C),
-        U conj(D) conj(U)). Both colligations are unitary with the source's."""
-        if key not in self._cache:
-            a_mat, b_mat, c_mat, d_mat = self.space(key[0]).realization
-            if key[1] == "t":
-                realization = _tilde((a_mat, b_mat, c_mat, d_mat))
-            else:
-                u = self._conj(key).U
-                realization = (a_mat.conj(), b_mat.conj() @ u.conj(), u @ c_mat.conj(),
-                               u @ d_mat.conj() @ u.conj())
-            self._cache[key] = ModelSpace.from_realization(realization, self.order)
-        return self._cache[key]
-
-    def crofoot_image(self, which):
-        """K_{Theta^W} for theta1 or theta2, read off space "1" or "2". The forward
-        Crofoot map is the identity between the source's and the image's state bases."""
-        key = f"{which}w"
-        if key not in self._cache:
-            cro = self.crofoot1 if which == 1 else self.crofoot2
-            realization = crofoot_realization(self.space(str(which)).realization, cro)
-            self._cache[key] = ModelSpace.from_realization(realization, self.order)
-        return self._cache[key]
-
-    def _solved(self, key, solve):
-        if key not in self._maps:
-            self._maps[key] = solve()
-        return self._maps[key]
+    def _once(self, key, solve):
+        if key not in self._memo:
+            self._memo[key] = solve()
+        return self._memo[key]
 
     def _conj(self, key):
         return self.conj1 if key[0] == "1" else self.conj2
 
+    def space(self, key):
+        """K_Theta for "1" or "2"; with a suffix, the space of a derived theta,
+        read off the source space's realization (A, B, C, D): "t" is
+        Theta~(z) = Theta(conj(z))^* with (A*, C*, B*, D*), "j" is
+        J Theta(conj(z)) J with (conj A, conj(B) conj(U), U conj(C),
+        U conj(D) conj(U)), and "w" is the Crofoot image Theta^W
+        (``crofoot_realization``), whose forward Crofoot map is the identity
+        between the two state bases. Each colligation is unitary with the source's."""
+        return self._once(key, lambda: ModelSpace.from_realization(self._derived(key), self.order))
+
+    def _derived(self, key):
+        source = self.space(key[0]).realization
+        if key[1] == "t":
+            return _tilde(source)
+        if key[1] == "w":
+            return crofoot_realization(source, self.crofoot1 if key[0] == "1" else self.crofoot2)
+        a_mat, b_mat, c_mat, d_mat = source
+        u = self._conj(key).U
+        return a_mat.conj(), b_mat.conj() @ u.conj(), u @ c_mat.conj(), u @ d_mat.conj() @ u.conj()
+
     def tau(self, src, dst):
-        """``_tau`` from space src into space dst, solved once per inputs."""
-        return self._solved(("tau", src, dst), lambda: _tau(self.space(src), self.space(dst)))
+        """``_tau`` from space src into space dst."""
+        return self._once(("tau", src, dst), lambda: _tau(self.space(src), self.space(dst)))
 
     def jstar(self, src, dst):
-        """``_jstar`` with the J of src's theta, from space src into dst, solved once."""
-        return self._solved(("jstar", src, dst),
-                            lambda: _jstar(self._conj(src), self.space(src), self.space(dst)))
+        """``_jstar`` with the J of src's theta, from space src into dst."""
+        return self._once(("jstar", src, dst),
+                          lambda: _jstar(self._conj(src), self.space(src), self.space(dst)))
 
     def ctheta(self, key):
-        """``_ctheta`` on space "1" or "2" with its theta's J, solved once."""
-        return self._solved(("ctheta", key), lambda: _ctheta(self.space(key), self._conj(key)))
+        """``_ctheta`` on space "1" or "2" with its theta's J."""
+        return self._once(("ctheta", key), lambda: _ctheta(self.space(key), self._conj(key)))
 
-    @cached_property
-    def jsym_gaps(self):
-        """J-symmetry defects of theta1 and theta2 (``realization_jsymmetry_defect``
-        at each space's window order)."""
-        return tuple(realization_jsymmetry_defect(s.realization, s.order, c)
-                     for s, c in ((self.space("1"), self.conj1), (self.space("2"), self.conj2)))
+    def jsym_gap(self, key):
+        """J-symmetry defect of theta "1" or "2" (``realization_jsymmetry_defect``
+        at its space's window order)."""
+        space = self.space(key)
+        return self._once(("jsym", key), lambda: realization_jsymmetry_defect(
+            space.realization, space.order, self._conj(key)))
 
-    @cached_property
+    def built(self, family):
+        """The matrix of Phi's toeplitz or hankel build from space "1" into "2"."""
+        return self._once(("built", family), lambda: _builder(family)(
+            self.space("1"), self.space("2"), self.symbol).matrix)
+
+    def phi_factors(self):
+        """``_phi_factors`` of Phi."""
+        return self._once("phi_factors", lambda: _phi_factors(self.symbol))
+
     def theta_product(self):
         """``_split`` of Theta2~ Phi Theta1, which tau, ctheta and prop61b read."""
-        delay, fir = _phi_factors(self.symbol)
-        return _split([delay], [_tilde(self.space("2").realization), fir,
-                                self.space("1").realization])
+        def solve():
+            delay, fir = self.phi_factors()
+            return _split([delay], [_tilde(self.space("2").realization), fir,
+                                    self.space("1").realization])
+        return self._once("theta_product", solve)
 
 
 # -- exact right sides ---------------------------------------------------------
@@ -669,9 +678,8 @@ def _toeplitz_tails(space1, space2, parts):
 # verify_transform judges |lhs - rhs| against threshold * (1 + |lhs|).
 
 def _verify_crofoot(inp):
-    phi = inp.symbol
     k1, k2 = inp.space("1"), inp.space("2")
-    lhs = build_matho(k1, k2, phi).matrix
+    lhs = inp.built("hankel")
     cro1, cro2 = inp.crofoot1, inp.crofoot2
     d1inv = np.linalg.inv(cro1.D_Wstar)
     d2inv = np.linalg.inv(cro2.D_Wstar)
@@ -686,82 +694,64 @@ def _verify_crofoot(inp):
     w1s = cro1.W.conj().T
     left = (at, bt, -d2inv @ cro2.W @ ct, d2inv @ (eye - cro2.W @ dt))
     right = (a1, -b1 @ w1s @ d1inv, c1, (eye - d1 @ w1s) @ d1inv)
-    delay, fir = _phi_factors(phi)
+    delay, fir = inp.phi_factors()
     coanalytic = _split([delay], [left, fir, right])[2]
-    return lhs, _hankel_tail(inp.crofoot_image(1), inp.crofoot_image(2), coanalytic)
+    return lhs, _hankel_tail(inp.space("1w"), inp.space("2w"), coanalytic)
 
 
 def _verify_tau(inp):
     """tau_Theta2 B_Phi tau_Theta1^* = B_Psi with Psi the reflection of
     Theta2~ Phi Theta1: Psi's lag -r is the product's lag r."""
-    phi = inp.symbol
-    k1, k2 = inp.space("1"), inp.space("2")
-    k1t, k2t = inp.space("1t"), inp.space("2t")
-    b = build_matho(k1, k2, phi).matrix
-    lhs = inp.tau("2", "2t") @ b @ inp.tau("1", "1t").conj().T
-    return lhs, _hankel_tail(k1t, k2t, inp.theta_product[1])
+    lhs = inp.tau("2", "2t") @ inp.built("hankel") @ inp.tau("1", "1t").conj().T
+    return lhs, _hankel_tail(inp.space("1t"), inp.space("2t"), inp.theta_product()[1])
 
 
-def _verify_jstar(build, suffix, inp):
-    """Jstar into derived spaces: "jstar" (build_matho, the conjugated spaces "j"),
-    prop61c (build_matto, the tilde spaces "t") and prop61d (build_matho, "t")."""
-    phi = inp.symbol
-    k1, k2 = inp.space("1"), inp.space("2")
-    k1x, k2x = inp.space("1" + suffix), inp.space("2" + suffix)
-    mat = build(k1, k2, phi).matrix
+def _verify_jstar(family, suffix, inp):
+    """Jstar into derived spaces: "jstar" (hankel, the conjugated spaces "j"),
+    prop61c (toeplitz, the tilde spaces "t") and prop61d (hankel, "t")."""
+    mat = inp.built(family)
     lhs = inp.jstar("2", "2" + suffix) @ np.conj(mat @ inp.jstar("1" + suffix, "1"))
-    psi = sandwich_reflected(inp.conj2, phi, inp.conj1)
-    return lhs, build(k1x, k2x, psi).matrix
+    psi = sandwich_reflected(inp.conj2, inp.symbol, inp.conj1)
+    return lhs, _builder(family)(inp.space("1" + suffix), inp.space("2" + suffix), psi).matrix
 
 
 def _verify_ctheta(inp):
     """C_Theta2 B_Phi C_Theta1 = B_Psi, Psi = J2 (Theta2~ Phi Theta1) J1;
     reported as "ctheta" and as "prop61b"."""
-    phi = inp.symbol
-    k1, k2 = inp.space("1"), inp.space("2")
-    b = build_matho(k1, k2, phi).matrix
-    lhs = inp.ctheta("2") @ np.conj(b @ inp.ctheta("1"))
+    lhs = inp.ctheta("2") @ np.conj(inp.built("hankel") @ inp.ctheta("1"))
     # composing the tau identity with the coefficient conjugations puts the
     # reflected Theta2 on the left; writing Theta2(z) there instead loses the
     # anti-analytic mass of the symbol and breaks the operator equality
-    psi = _sandwich(inp.conj2, inp.theta_product, inp.conj1)
-    return lhs, _hankel_tail(k1, k2, psi[2])
+    psi = _sandwich(inp.conj2, inp.theta_product(), inp.conj1)
+    return lhs, _hankel_tail(inp.space("1"), inp.space("2"), psi[2])
 
 
 def _verify_prop61a(inp):
     """C_Theta2 A_Phi C_Theta1 = A_Psi, Psi = J2 (Theta2^* Phi Theta1) J1: the
     coanalytic side is Theta2^* z^e, the analytic side Phi' Theta1."""
-    phi = inp.symbol
     k1, k2 = inp.space("1"), inp.space("2")
-    a = build_matto(k1, k2, phi).matrix
-    lhs = inp.ctheta("2") @ np.conj(a @ inp.ctheta("1"))
-    delay, fir = _phi_factors(phi)
+    lhs = inp.ctheta("2") @ np.conj(inp.built("toeplitz") @ inp.ctheta("1"))
+    delay, fir = inp.phi_factors()
     inner = _split([_tilde(k2.realization), delay], [fir, k1.realization])
     return lhs, _toeplitz_tails(k1, k2, _sandwich(inp.conj2, inner, inp.conj1))
 
 
 def _verify_prop61e(inp):
     """C_Theta2 A_Phi Jstar = B_Psi, Psi = J2 (Theta2~ Phi(1/z)) J1."""
-    phi = inp.symbol
-    k1, k2 = inp.space("1"), inp.space("2")
-    k1t = inp.space("1t")
-    a = build_matto(k1, k2, phi).matrix
-    lhs = inp.ctheta("2") @ np.conj(a @ inp.jstar("1t", "1"))
-    delay, fir = _phi_factors(phi.reflect_z())
+    k2 = inp.space("2")
+    lhs = inp.ctheta("2") @ np.conj(inp.built("toeplitz") @ inp.jstar("1t", "1"))
+    delay, fir = _phi_factors(inp.symbol.reflect_z())
     inner = _split([delay], [_tilde(k2.realization), fir])
-    return lhs, _hankel_tail(k1t, k2, _sandwich(inp.conj2, inner, inp.conj1)[2])
+    return lhs, _hankel_tail(inp.space("1t"), k2, _sandwich(inp.conj2, inner, inp.conj1)[2])
 
 
 def _verify_prop61f(inp):
     """Jstar B_Phi C_Theta1 = A_Psi, Psi = J2 (Phi Theta1) J1."""
-    phi = inp.symbol
-    k1, k2 = inp.space("1"), inp.space("2")
-    k2t = inp.space("2t")
-    b = build_matho(k1, k2, phi).matrix
-    lhs = inp.jstar("2", "2t") @ np.conj(b @ inp.ctheta("1"))
-    delay, fir = _phi_factors(phi)
+    k1 = inp.space("1")
+    lhs = inp.jstar("2", "2t") @ np.conj(inp.built("hankel") @ inp.ctheta("1"))
+    delay, fir = inp.phi_factors()
     inner = _split([delay], [fir, k1.realization])
-    return lhs, _toeplitz_tails(k1, k2t, _sandwich(inp.conj2, inner, inp.conj1))
+    return lhs, _toeplitz_tails(k1, inp.space("2t"), _sandwich(inp.conj2, inner, inp.conj1))
 
 
 def _verify_eq_sz(inp):
@@ -794,7 +784,7 @@ def _remark412_unmet(inp):
     the commutator is decided exactly (``_commutator_defect``).
     """
     phi = inp.symbol
-    g1 = inp.jsym_gaps[0]
+    g1 = inp.jsym_gap("1")
     phi_sym = _coefficient_gap(phi.coeffs, inp.conj1)
     commute = _commutator_defect(inp.space("1").realization, phi)
     if not (_passes(g1, inp.threshold, 0.0) and _passes(phi_sym, inp.threshold, phi.norm())
@@ -830,12 +820,12 @@ class _Identity(NamedTuple):
 _REGISTRY = {
     "crofoot": _Identity(_verify_crofoot),
     "tau": _Identity(_verify_tau),
-    "jstar": _Identity(partial(_verify_jstar, build_matho, "j")),
+    "jstar": _Identity(partial(_verify_jstar, "hankel", "j")),
     "ctheta": _Identity(_verify_ctheta, jsym=True),
     "prop61a": _Identity(_verify_prop61a, jsym=True),
     "prop61b": _Identity(_verify_ctheta, jsym=True),
-    "prop61c": _Identity(partial(_verify_jstar, build_matto, "t"), jsym=True),
-    "prop61d": _Identity(partial(_verify_jstar, build_matho, "t"), jsym=True),
+    "prop61c": _Identity(partial(_verify_jstar, "toeplitz", "t"), jsym=True),
+    "prop61d": _Identity(partial(_verify_jstar, "hankel", "t"), jsym=True),
     "prop61e": _Identity(_verify_prop61e, jsym=True),
     "prop61f": _Identity(_verify_prop61f, jsym=True),
     "eq_sz": _Identity(_verify_eq_sz, symbol=False),
@@ -848,10 +838,16 @@ SYMBOL_FREE_IDENTITIES = tuple(name for name, ident in _REGISTRY.items() if not 
 
 
 def _check_identity(name, inp):
+    """The identity's record, judged once per inputs and reported under name."""
+    return replace(inp._once(_REGISTRY[name], lambda: _judge(name, inp)), name=name)
+
+
+def _judge(name, inp):
     ident = _REGISTRY[name]
-    if ident.jsym and not all(_passes(g, inp.threshold, 0.0) for g in inp.jsym_gaps):
+    if ident.jsym and not all(_passes(inp.jsym_gap(k), inp.threshold, 0.0) for k in "12"):
         return Check(name, None, float(inp.threshold), None, "skipped",
-                     "needs J-symmetric thetas (defects {:.2e}, {:.2e})".format(*inp.jsym_gaps))
+                     "needs J-symmetric thetas (defects {:.2e}, {:.2e})".format(
+                         inp.jsym_gap("1"), inp.jsym_gap("2")))
     if ident.symbol and inp.symbol is None:
         raise ValueError(f"identity {name!r} needs a symbol")
     lhs, rhs = ident.sides(inp)
@@ -865,17 +861,13 @@ def _check_identity(name, inp):
 def verify_transform(name, inputs):
     """Check one named identity (or every one, name="all") on the inputs.
 
-    Returns a Check; a list of them for "all", which judges each distinct
-    identity once ("ctheta" and "prop61b" share one record but its name).
-    Entries whose hypotheses the inputs do not satisfy come back with
+    Returns a Check; a list of them for "all". Each distinct identity is
+    judged once per inputs ("ctheta" and "prop61b" share one record but its
+    name). Entries whose hypotheses the inputs do not satisfy come back with
     verdict "skipped" and a reason instead of failing.
     """
     if name == "all":
-        judged = {}
-        for n in REGISTRY_NAMES:
-            if _REGISTRY[n] not in judged:
-                judged[_REGISTRY[n]] = _check_identity(n, inputs)
-        return [replace(judged[_REGISTRY[n]], name=n) for n in REGISTRY_NAMES]
+        return [_check_identity(n, inputs) for n in REGISTRY_NAMES]
     if name not in _REGISTRY:
         raise ValueError(f"unknown transform identity {name!r}")
     return _check_identity(name, inputs)

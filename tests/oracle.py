@@ -266,7 +266,7 @@ def _window_crofoot(inp):
     right = (Laurent.constant(np.eye(k1.dim))
              - k1.theta_series.right_const(cro1.W.conj().T)).right_const(d1inv)
     psi = left.mul(phi).mul(right).truncate(inp.order)
-    return build_matho(inp.crofoot_image(1), inp.crofoot_image(2), psi)
+    return build_matho(inp.space("1w"), inp.space("2w"), psi)
 
 
 def _window_tau(inp):

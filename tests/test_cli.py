@@ -295,6 +295,43 @@ def test_validation_names_the_field(tmp_path, capsys):
         assert code == 2 and f"scenario error: {field}:" in err, field
 
 
+_ONE = [[[1.0, 0.0]]]
+_FACTOR = {"a": [0.5, 0.0], "frame": _ONE, "post_unitary": _ONE}
+# document kind -> (scenario fields with one unknown key, the refusal)
+_UNKNOWN_KEYS = {
+    "theta": ({"theta1": {"dim": 1, "left_untary": _ONE, "factors": [_FACTOR]}},
+              "theta1.left_untary"),
+    "theta-powers": ({"theta1": {"powers": [2], "pols": [[0.5, 0.0]]}}, "theta1.pols"),
+    "theta-poles": ({"theta1": {"poles": [[0.5, 0.0]], "dim": 1}}, "theta1.dim"),
+    "factor": ({"theta1": {"dim": 1, "factors": [dict(_FACTOR, rank=1)]}},
+               "theta1.factors[0].rank"),
+    "symbol": ({"symbol": {"dim": 1, "coeffs": _COEFFS, "order": 1}}, "symbol.order"),
+    "j": ({"j1": {"unitary": _ONE, "symmetric": True}}, "j1.symmetric"),
+    "w": ({"w1": {"w": [[[0.5, 0.0]]], "W": _ONE}}, "w1.W"),
+    "params": ({"params": {"nmae": "eq_sz"}}, "params.nmae"),
+}
+
+
+@pytest.mark.parametrize("extra, field", _UNKNOWN_KEYS.values(), ids=_UNKNOWN_KEYS.keys())
+def test_unknown_nested_keys_exit_2(tmp_path, capsys, extra, field):
+    # a misspelled key would otherwise be dropped: left_untary reads as left
+    # unitary I, a different theta
+    path = _write(tmp_path, _base_doc(**extra))
+    code, out, err = _run(["verify", "--scenario", path], capsys)
+    assert code == 2 and not out
+    assert err == f"scenario error: {field}: unknown field\n"
+
+
+def test_parsed_spaces_are_built_by_from_product(monkeypatch):
+    thetas = []
+    original = ModelSpace.from_product.__func__
+    monkeypatch.setattr(ModelSpace, "from_product", classmethod(
+        lambda cls, theta, order=64: thetas.append(theta) or original(cls, theta, order)))
+    sc = cli.parse_scenario(_base_doc(theta2={"poles": [[0.5, 0.0]]}), "verify")
+    assert len(thetas) == 2
+    assert [sc.space1.theta, sc.space2.theta] == thetas
+
+
 def test_unparseable_json_exits_2(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

@@ -334,22 +334,42 @@ def test_built_operators_pass_every_kind_of_their_family(dim, n_factors, max_abs
 
 # -- recovery at the Cayley-Hamilton reach ----------------------------------------------
 
-def _solution_space(op_kind, s1, s2):
+# kind -> (form of its displacement, L on space2, R on space1, right defect
+# projection on space1, left on space2): X - L X R ("sandwich") or L X - X R
+KINDS = {
+    "T1": ("sandwich", "S", "S_star", "P_D", "P_D"),
+    "T2": ("sandwich", "S_star", "S", "P_Dt", "P_Dt"),
+    "T3": ("commutator", "S_star", "S_star", "P_D", "P_Dt"),
+    "T4": ("commutator", "S", "S", "P_Dt", "P_D"),
+    "H1": ("sandwich", "S", "S", "P_Dt", "P_D"),
+    "H2": ("commutator", "S_star", "S", "P_Dt", "P_Dt"),
+    "H3": ("sandwich", "S_star", "S_star", "P_D", "P_Dt"),
+    "H4": ("commutator", "S", "S_star", "P_D", "P_D"),
+}
+_DEFECT_DIMS = {"P_D": "defect_dim", "P_Dt": "defect_dim_tilde"}
+
+
+def _solution_space(kind, s1, s2):
     """Orthonormal basis (columns) of the row-major vectorized X with X in the
-    kind's class: the compressed displacement Q2 (X - S2 X S1^(*)) Q1 vanishes."""
+    kind's class: the displacement compressed to the complements of the
+    kind's defect pair, Q2 (X - L X R) Q1 or Q2 (L X - X R) Q1, vanishes."""
+    form, left, right, p1, p2 = KINDS[kind]
     n1, n2 = s1.dim_K, s2.dim_K
-    s1_side = s1.S.conj() if op_kind == "T1" else s1.S.T
-    right = s1.P_D if op_kind == "T1" else s1.P_Dt
-    displacement = np.eye(n1 * n2) - np.kron(s2.S, s1_side)
-    compress = np.kron(np.eye(n2) - s2.P_D, (np.eye(n1) - right).T)
+    # row-major: vec(L X R) = kron(L, R^T) vec(X)
+    lx = np.kron(getattr(s2, left), np.eye(n1))
+    xr = np.kron(np.eye(n2), getattr(s1, right).T)
+    displacement = np.eye(n1 * n2) - lx @ xr if form == "sandwich" else lx - xr
+    compress = np.kron(np.eye(n2) - getattr(s2, p2), (np.eye(n1) - getattr(s1, p1)).T)
     # the cut is absolute: the map has norm at most 2, and it may vanish up to
     # rounding (a one-dimensional space is all defect)
     _, sv, vh = np.linalg.svd(compress @ displacement)
     return vh[int(np.sum(sv > 1e-8)):].conj().T
 
 
-def _defects(op_kind, s1, s2):
-    return (s1.defect_dim if op_kind == "T1" else s1.defect_dim_tilde), s2.defect_dim
+def _defects(kind, s1, s2):
+    """The dimensions of the kind's defect pair: (right on space1, left on space2)."""
+    _, _, _, p1, p2 = KINDS[kind]
+    return getattr(s1, _DEFECT_DIMS[p1]), getattr(s2, _DEFECT_DIMS[p2])
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -408,3 +428,29 @@ def test_symbol_map_rank_is_the_class_dimension(dim, n_factors, max_abs, symmetr
         reach = max(n1, n2) - 1 if family == "toeplitz" else n1 + n2 - 1
         sv = np.linalg.svd(_symbol_map(s1, s2, family, reach)[1], compute_uv=False)
         assert int(np.sum(sv > 1e-8 * sv[0])) == want == _solution_space(kind, s1, s2).shape[1]
+
+
+@example(dim=3, n_factors=3, max_abs=0.85, seed=0)
+@given(dim=st.integers(1, 3), n_factors=st.integers(1, 3), max_abs=st.floats(0.01, 0.85),
+       seed=st.integers(0, 2 ** 16))
+def test_every_kind_is_its_family_class_without_j_symmetry(dim, n_factors, max_abs, seed):
+    # the paper's characterizations assume J-symmetric thetas; on pairs that
+    # are not, each of the eight kinds still has the class dimension
+    # n1 n2 - (n1 - d1)(n2 - d2) of its own defect pair, that dimension is
+    # the rank of its family's symbol map, and a generic member recovers
+    rng = np.random.default_rng(seed)
+    s1, s2 = (ModelSpace.from_product(random_inner(rng, dim, n_factors, max_abs), 8)
+              for _ in range(2))
+    n1, n2 = s1.dim_K, s2.dim_K
+    for family, (_, _, kinds) in FAMILIES.items():
+        reach = max(n1, n2) - 1 if family == "toeplitz" else n1 + n2 - 1
+        sv = np.linalg.svd(_symbol_map(s1, s2, family, reach)[1], compute_uv=False)
+        rank = int(np.sum(sv > 1e-8 * sv[0]))
+        for kind in kinds[:4]:
+            d1, d2 = _defects(kind, s1, s2)
+            null = _solution_space(kind, s1, s2)
+            assert null.shape[1] == n1 * n2 - (n1 - d1) * (n2 - d2) == rank, kind
+            coeffs = rng.standard_normal(null.shape[1]) + 1j * rng.standard_normal(null.shape[1])
+            op = ModelOperator(s1, s2, (null @ coeffs).reshape(n2, n1))
+            _, gap = recover_symbol(op, family)
+            assert gap <= 1e-8 * (1.0 + np.linalg.norm(op.matrix)), (kind, gap)

@@ -310,11 +310,11 @@ def test_registry_full_sweep_blaschke():
         assert rep.verdict == "accept", (rep.name, rep.residual)
 
 
-def _count_state_maps(monkeypatch):
-    """Wrap the registry's three state maps; the returned dict counts their solves."""
+def _count(monkeypatch, *names):
+    """Wrap these functions of the operators module; the returned dict counts their calls."""
     from matholab import operators
 
-    calls = {"_ctheta": 0, "_jstar": 0, "_tau": 0}
+    calls = dict.fromkeys(names, 0)
 
     def counted(name, original):
         def wrapper(*args):
@@ -324,6 +324,11 @@ def _count_state_maps(monkeypatch):
     for name in calls:
         monkeypatch.setattr(operators, name, counted(name, getattr(operators, name)))
     return calls
+
+
+def _count_state_maps(monkeypatch):
+    """Wrap the registry's three state maps; the returned dict counts their solves."""
+    return _count(monkeypatch, "_ctheta", "_jstar", "_tau")
 
 
 def _symmetric_inputs(seed):
@@ -365,6 +370,32 @@ def test_one_identity_solves_only_its_own_maps(monkeypatch, name, solves):
     # a second request on the same inputs reads the cache
     verify_transform(name, inputs)
     assert calls == solves
+
+
+@pytest.mark.parametrize("name, gates", [("remark412", 1), ("all", 2)])
+def test_each_j_gate_is_summed_once(monkeypatch, name, gates):
+    # remark412 reads theta1's defect only; the gated identities read both
+    inputs = _symmetric_inputs(3)
+    calls = _count(monkeypatch, "realization_jsymmetry_defect")
+    verify_transform(name, inputs)
+    assert calls == {"realization_jsymmetry_defect": gates}
+
+
+@pytest.mark.parametrize("name, builds", [
+    ("jstar", {"build_matto": 0, "build_matho": 2}),
+    ("prop61c", {"build_matto": 2, "build_matho": 0}),
+    ("prop61d", {"build_matto": 0, "build_matho": 2}),
+    # Phi on spaces 1 and 2 once per family, the three right sides on the
+    # derived spaces, and remark412's two builds on space 1
+    ("all", {"build_matto": 4, "build_matho": 3}),
+])
+def test_registry_builds_through_the_module_functions(monkeypatch, name, builds):
+    # the left side is the inputs' build of Phi (``built``), the right side a
+    # build on the derived spaces; both go through the module's build functions
+    inputs = _symmetric_inputs(3)
+    calls = _count(monkeypatch, "build_matto", "build_matho")
+    verify_transform(name, inputs)
+    assert calls == builds
 
 
 def test_registry_skips_without_j_symmetry():

@@ -200,7 +200,7 @@ def test_gate_skips_a_defect_above_a_tight_threshold(seed):
     # 1e-12 the gated identities are skipped rather than rejected, and the
     # identities that need no J-symmetry still accept
     inputs = _twisted_inputs(seed, 1e-10, 1e-12)
-    assert 5e-11 < inputs.jsym_gaps[0] < 1e-9 and inputs.jsym_gaps[1] < 1e-13
+    assert 5e-11 < inputs.jsym_gap("1") < 1e-9 and inputs.jsym_gap("2") < 1e-13
     reports = {rep.name: rep for rep in verify_transform("all", inputs)}
     for name in _GATED:
         assert reports[name].verdict == "skipped", reports[name]
@@ -214,7 +214,7 @@ def test_gate_admits_a_defect_below_a_loose_threshold(seed):
     # a J-defect of about 6e-8 is over the default 1e-8 but under 1e-6: at
     # 1e-6 the gated identities run, and they hold to that precision
     inputs = _twisted_inputs(seed, 3e-8, 1e-6)
-    assert DEFAULT_TOLERANCE < inputs.jsym_gaps[0] < 1e-6
+    assert DEFAULT_TOLERANCE < inputs.jsym_gap("1") < 1e-6
     for rep in verify_transform("all", inputs):
         if rep.name in _GATED:
             assert rep.verdict == "accept", rep
@@ -367,7 +367,7 @@ def test_crofoot_image_matrix_matches_refit_map(d, order):
     cro = CrofootData(0.5 * random_unitary(rng, d))
     space = ModelSpace.from_product(theta, order)
     inputs = TransformInputs(space, space, crofoot1=cro, crofoot2=cro)
-    image = inputs.crofoot_image(1)
+    image = inputs.space("1w")
     gram = image.coords(image.basis)
     assert np.max(np.abs(gram - np.eye(image.dim_K))) > 1e-6
     # the source state basis continued far past the window, mapped on the circle
