@@ -30,6 +30,7 @@ __all__ = [
     "validate",
     "check_colligation",
     "state_window",
+    "Powers",
     "matrix_powers",
     "crofoot_realization",
     "diagonal_monomial",
@@ -290,14 +291,62 @@ def state_window(realization, order):
     return basis, tails, Laurent(coeffs, order, exact + rest).trim()
 
 
+class Powers:
+    """A square matrix M with the powers computed of it so far, each computed
+    once: the squarings M^(2^j), their squared Frobenius norms (only those
+    ``stein`` has read) and the stack M^0 .. M^(2^j - 1) that
+    ``matrix_powers`` last doubled to. Nothing is computed before it is asked
+    for."""
+
+    __slots__ = ("squarings", "norms", "stack")
+
+    def __init__(self, mat):
+        self.squarings, self.norms, self.stack = [mat], [], None
+
+    def squaring(self, j):
+        """M^(2^j), by j squarings of M."""
+        kept = self.squarings
+        while len(kept) <= j:
+            kept.append(kept[-1] @ kept[-1])
+        return kept[j]
+
+    def norm(self, j):
+        """|M^(2^j)|_F^2, read in order: ``stein``'s step j reads it after
+        step j - 1 has."""
+        norms = self.norms
+        if len(norms) == j:
+            m = self.squaring(j)
+            norms.append(np.vdot(m, m).real)
+        return norms[j]
+
+
+def _powers(mat):
+    return mat if isinstance(mat, Powers) else Powers(mat)
+
+
 def matrix_powers(mat, count):
-    """mat^0 .. mat^(count - 1), stacked; the stack doubles each step, by one
-    flat product of the stacked rows with the current step."""
-    n = len(mat)
-    out, step = np.eye(n, dtype=complex)[None], mat
-    while len(out) < count:
-        more = (out.reshape(-1, n) @ step).reshape(out.shape)
-        out, step = np.concatenate([out, more]), step @ step
+    """mat^0 .. mat^(count - 1), stacked. The stack doubles each step, by one
+    flat product of the stacked rows with the squaring mat^(2^j), up to the
+    first power of two at or above count. A ``Powers`` for mat keeps that
+    stack and its squarings, and a later call grows it by the same steps, so
+    a stack is the same array however it was grown."""
+    kept = _powers(mat)
+    out = kept.stack
+    if out is None or len(out) < count:
+        n = len(kept.squarings[0])
+        grown = np.empty((1 << max(count - 1, 0).bit_length(), n, n), dtype=complex)
+        if out is None:
+            grown[0], have = np.eye(n), 1
+        else:
+            grown[:len(out)], have = out, len(out)
+        rows = grown.reshape(-1, n)
+        while have < len(grown):
+            np.matmul(rows[:have * n], kept.squaring(have.bit_length() - 1),
+                      out=rows[have * n:2 * have * n])
+            have *= 2
+        # callers get views of the kept stack: it must not change under them
+        grown.flags.writeable = False
+        kept.stack = out = grown
     return out[:count]
 
 

@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .blaschke import _norms, check_colligation, state_window
+from .blaschke import Powers, _norms, _powers, check_colligation, state_window
 from .laurent import Laurent
 from .jsonio import matrix_to_json
 
@@ -34,17 +34,19 @@ _MODIFIER_TOL = 1e-8
 
 def stein(p, q, r):
     """Y = sum_{m >= 0} P^m Q R^m solves Y = P Y R + Q (Q may carry leading batch
-    axes), by squared Smith iteration: Y += P Y R, then P <- P^2 and R <- R^2.
-    After k steps the rest is P Y R for the current P and R, so it stops once
-    |P| |R| is below rounding: about 9 steps at spectral radius 0.9 and 14 at
-    0.997. A P or R that is not stable raises ValueError."""
+    axes), by squared Smith iteration: step j adds P^(2^j) Y R^(2^j) to Y.
+    After j steps the rest is that term for the current Y, so it stops once
+    |P^(2^j)| |R^(2^j)| is below rounding: about 9 steps at spectral radius
+    0.9 and 14 at 0.997. P and R are matrices or a space's kept ``Powers``,
+    whose squarings and norms are then computed once for every solve. A P or
+    R that is not stable raises ValueError."""
+    p, r = _powers(p), _powers(r)
     y = np.array(q, dtype=complex)
-    for _ in range(_STEIN_SQUARINGS):
-        # |P|_F |R|_F <= eps, by squared norms
-        if np.vdot(p, p).real * np.vdot(r, r).real <= _EPS_SQ:
+    for j in range(_STEIN_SQUARINGS):
+        # |P^(2^j)|_F |R^(2^j)|_F <= eps, by squared norms
+        if p.norm(j) * r.norm(j) <= _EPS_SQ:
             return y
-        y = y + p @ y @ r
-        p, r = p @ p, r @ r
+        y = y + p.squarings[j] @ y @ r.squarings[j]
     raise ValueError("Stein equation: the state matrix is not stable")
 
 
@@ -61,6 +63,11 @@ class ModelSpace:
     the defect projections (``P_D``, ``P_Dt``, ``defect_dim``,
     ``defect_dim_tilde``) are computed when first read: builds, displacement
     checks and the whole registry need only the realization.
+
+    The space keeps the powers of its state matrix in three forms, A = S*
+    (``a_powers``), A* = S (``ah_powers``) and conj(A) (``aconj_powers``),
+    each a ``Powers`` made on first use: builds, symbol maps and Stein solves
+    on the space read and grow them, so a repeat query squares nothing.
     """
 
     def __init__(self, checked, order=64, theta=None):
@@ -96,6 +103,12 @@ class ModelSpace:
         np.linalg.matrix_power(self.realization[0], self.order + 1).T))
     theta_series = cached_property(lambda self: self._window[2])
 
+    # -- the state matrix's powers, kept from first use ------------------------
+
+    a_powers = cached_property(lambda self: Powers(self.S_star))
+    ah_powers = cached_property(lambda self: Powers(self.S))
+    aconj_powers = cached_property(lambda self: Powers(self.S_star.conj()))
+
     _defect = cached_property(lambda self: _span_projection(self.k0_cols))
     _defect_tilde = cached_property(lambda self: _span_projection(self.kt0_cols))
     P_D = cached_property(lambda self: self._defect[0])
@@ -118,9 +131,10 @@ class ModelSpace:
 
     def state_coords(self, c, a):
         """The matrix X with X x the coordinates of P_Theta c (I - z a)^{-1} x,
-        for a stable a: the solution of the Stein equation X = A* X a + C* c."""
-        a_mat, _, c_mat, _ = self.realization
-        return stein(a_mat.conj().T, c_mat.conj().T @ c, a)
+        for a stable a (a matrix or another space's kept ``Powers``): the
+        solution of the Stein equation X = A* X a + C* c."""
+        c_mat = self.realization[2]
+        return stein(self.ah_powers, c_mat.conj().T @ c, a)
 
     # -- coordinates -------------------------------------------------------
 

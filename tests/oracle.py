@@ -246,6 +246,22 @@ def window_matho(space1, space2, symbol):
     return space2.coords(riesz_split(symbol.mul(space1.basis))[1].flip())
 
 
+def horner_matho(space1, space2, symbol):
+    """The exact hankel build as one Horner pass over the lags, from the
+    farthest in: v <- G_{-s} + v A1, w <- A2* w + v for s = R .. 1, with
+    G_{-s} = C2* Phi_{-s} C1. Lag -s then contributes
+    sum_{q+p=s-1} (A2*)^q G_{-s} A1^p, two products per lag."""
+    a1, _, c1, _ = space1.realization
+    a2, _, c2, _ = space2.realization
+    lo = min(symbol.support()[0], 0)
+    g = c2.conj().T @ symbol.coeffs[symbol.order + lo:symbol.order] @ c1
+    matrix = v = np.zeros((space2.dim_K, space1.dim_K), dtype=complex)
+    for g_s in g:
+        v = g_s + v @ a1
+        matrix = a2.conj().T @ matrix + v
+    return matrix
+
+
 def window_map(fn, src, dst):
     """dst-coordinates of fn(window basis of src): the matrix of a linear map,
     or the L of an antilinear map's action c -> L conj(c)."""

@@ -141,6 +141,43 @@ def test_direct_builds_equal_the_symbol_map(dim, n_factors, max_abs, order, seed
         assert gap <= 1e-13 * (1.0 + np.linalg.norm(built)), (family, gap)
 
 
+@example(dim=1, n_factors=1, extra=2, max_abs=0.8999999, reach=0, swap=False, seed=0)
+@example(dim=2, n_factors=2, extra=1, max_abs=0.8999999, reach=1, swap=True, seed=1)
+@example(dim=3, n_factors=2, extra=2, max_abs=0.8999999, reach=70, swap=False, seed=2)
+@example(dim=1, n_factors=3, extra=1, max_abs=0.5, reach=37, swap=True, seed=3)
+@given(dim=st.integers(1, 3), n_factors=st.integers(1, 3), extra=st.integers(1, 2),
+       max_abs=st.floats(0.0, 0.8999999), reach=st.integers(0, 70), swap=st.booleans(),
+       seed=st.integers(0, 2 ** 16))
+def test_hankel_build_matches_the_horner_reference(dim, n_factors, extra, max_abs, reach, swap,
+                                                   seed):
+    # theta2 has more factors, so the two state dimensions mostly differ;
+    # swap puts the larger space on either side
+    rng = np.random.default_rng(seed)
+    spaces = [ModelSpace.from_product(random_inner(rng, dim, n, max_abs), 8)
+              for n in (n_factors, n_factors + extra)]
+    s1, s2 = spaces[::-1] if swap else spaces
+    phi = random_symbol(rng, dim, reach, 2 * reach + 1)
+    gap = np.linalg.norm(build_matho(s1, s2, phi).matrix - oracle.horner_matho(s1, s2, phi))
+    assert gap <= 1e-12 * (1.0 + phi.norm()), gap
+
+
+@pytest.mark.parametrize("reaches", [(2, 37), (37, 2)])
+@pytest.mark.parametrize("family", ["toeplitz", "hankel"])
+def test_builds_on_warm_spaces_equal_builds_on_fresh_ones(family, reaches):
+    # the kept powers grow by the same steps however they are asked for, so a
+    # build reads the same bits whichever reach a pair served first
+    build = FAMILIES[family][0]
+    rng = np.random.default_rng(12)
+    thetas = random_inner(rng, 2, 2, 0.8999999), random_inner(rng, 2, 3, 0.8999999)
+    warm = [ModelSpace.from_product(theta, 8) for theta in thetas]
+    for reach in reaches:
+        phi = random_symbol(rng, 2, reach, 2 * reach + 1)
+        fresh = [ModelSpace.from_product(theta, 8) for theta in thetas]
+        assert np.array_equal(build(*warm, phi).matrix, build(*fresh, phi).matrix), reach
+    # the warm codomain kept the stack its longest build asked for
+    assert len(warm[1].ah_powers.stack) >= max(reaches)
+
+
 def _random_conjugation(rng, dim):
     """J x = U conj(x) with U = V V^T, symmetric and unitary for a unitary V."""
     v = random_unitary(rng, dim)

@@ -11,12 +11,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from matholab import Conjugation, ModelSpace, diagonal_monomial
+from matholab import Conjugation, ModelSpace, diagonal_monomial, operators
 from matholab.blaschke import BlaschkePotapovProduct, PotapovFactor
 from matholab.cli import parse_scenario
 from matholab.laurent import Laurent
 from matholab.operators import kernel_check, kernel_test
-from matholab.sampling import random_inner, random_unitary
+from matholab.sampling import random_inner, random_symbol, random_unitary
 from oracle import (_effective_reach, dense_kernel_distance, exact_symbol_map, full_reach,
                     kernel_generators, map_kernel_distance, map_nullspace, riesz_split)
 
@@ -253,6 +253,49 @@ def test_second_query_on_a_pair_builds_nothing(monkeypatch):
     assert len(factored) == 2
     kernel_test(Laurent.monomial(-2, np.eye(2)), s2, s1, "toeplitz")
     assert len(factored) == 3
+
+
+def _power_state(mats):
+    """How far each kept ``Powers`` has grown; None for a plain matrix."""
+    return [None if isinstance(m, np.ndarray)
+            else (len(m.squarings), len(m.norms), 0 if m.stack is None else len(m.stack))
+            for m in mats]
+
+
+def _power_work(monkeypatch):
+    """Wrap ``stein`` and ``matrix_powers`` where ``operators`` calls them and
+    record, per call, whether it computed any power: a plain matrix argument
+    has all its powers computed anew, a kept ``Powers`` only when it grows."""
+    work = []
+
+    def wrap(fn, positions):
+        def counted(*args):
+            before = _power_state([args[i] for i in positions])
+            out = fn(*args)
+            work.append(None in before or before != _power_state([args[i] for i in positions]))
+            return out
+        return counted
+
+    monkeypatch.setattr(operators, "stein", wrap(operators.stein, (0, 2)))
+    monkeypatch.setattr(operators, "matrix_powers", wrap(operators.matrix_powers, (0,)))
+    return work
+
+
+def test_second_query_on_a_pair_squares_nothing(monkeypatch):
+    # the first query of each family factors the pair's symbol map at the
+    # Cayley-Hamilton reach, past the symbols' reach 3: the powers it leaves
+    # on the two spaces (A1 and A2*) serve every later build
+    rng = np.random.default_rng(23)
+    s1 = ModelSpace.from_product(random_inner(rng, 2, 2, 0.8), 16)
+    s2 = ModelSpace.from_product(random_inner(rng, 2, 3, 0.8), 16)
+    for family in ("toeplitz", "hankel"):
+        kernel_test(random_symbol(rng, 2, 3, 7), s1, s2, family)
+        before = _power_state([s1.a_powers, s2.ah_powers])
+        work = _power_work(monkeypatch)
+        kernel_test(random_symbol(rng, 2, 3, 7), s1, s2, family)
+        monkeypatch.undo()
+        assert work and not any(work), (family, work)
+        assert _power_state([s1.a_powers, s2.ah_powers]) == before
 
 
 def test_conjugations_do_not_change_the_result():
