@@ -136,7 +136,8 @@ def _build(space1, space2, symbol, family):
              + g[:reach][::-1].transpose(1, 0, 2).reshape(n2, -1) @ p1[1:].reshape(-1, n1))
         matrix = stein(a2h, q, a1)
     else:
-        # u[q] starts as G_{-(q+1)}; after the step with h it sums h terms more
+        # u[q] starts as G_{-(q+1)}; after the step with h it sums the lags
+        # -(q+1) .. -(q+2h)
         u = c2.conj().T @ symbol.coeffs[symbol.order + min(lo, 0):symbol.order][::-1] @ c1
         for j in range(max(len(u) - 1, 0).bit_length()):
             u[:-(1 << j)] += u[1 << j:] @ a1.squaring(j)
