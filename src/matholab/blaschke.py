@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jsonio import (ScenarioError, complex_to_pair, matrix_from_json,
+from .jsonio import (ScenarioError, complex_to_pair, construct, matrix_from_json,
                      matrix_to_json, pair_to_complex, refuse_unknown_keys)
 from .laurent import MAX_DIM, MAX_STATE_DIM, Laurent, read_dim
 
@@ -98,10 +98,7 @@ class PotapovFactor:
         a = pair_to_complex(obj["a"], f"{field}.a")
         frame = matrix_from_json(obj["frame"], f"{field}.frame", limit=MAX_DIM)
         post = matrix_from_json(obj["post_unitary"], f"{field}.post_unitary", limit=MAX_DIM)
-        try:
-            return cls(a, frame, post)
-        except ValueError as exc:
-            raise ScenarioError(f"{field}: {exc}") from None
+        return construct(field, cls, a, frame, post)
 
 
 class BlaschkePotapovProduct:
@@ -227,10 +224,7 @@ class BlaschkePotapovProduct:
             if states > MAX_STATE_DIM:
                 raise ScenarioError(f"{field}.factors: the ranks sum past the largest "
                                     f"state dimension {MAX_STATE_DIM}")
-        try:
-            return cls(dim, left, factors)
-        except ValueError as exc:
-            raise ScenarioError(f"{field}: {exc}") from None
+        return construct(field, cls, dim, left, factors)
 
 
 @dataclass

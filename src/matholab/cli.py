@@ -27,7 +27,8 @@ import numpy as np
 from . import __version__
 from .blaschke import BlaschkePotapovProduct, diagonal_monomial, scalar_blaschke
 from .conjugations import Conjugation, CrofootData
-from .jsonio import ScenarioError, matrix_from_json, pair_to_complex, refuse_unknown_keys
+from .jsonio import (ScenarioError, construct, is_number, matrix_from_json, pair_to_complex,
+                     refuse_unknown_keys)
 from .laurent import MAX_DIM, MAX_STATE_DIM, MAX_TRUNC_ORDER, Laurent
 from .modelspace import ModelSpace, random_modifier
 from .operators import (
@@ -113,26 +114,16 @@ def _parse_space(obj, field, order):
             raise ScenarioError(f"{field}.poles: expected a list of 1 to {MAX_STATE_DIM} "
                                 "[re, im] pairs")
         poles = [pair_to_complex(p, f"{field}.poles[{i}]") for i, p in enumerate(raw)]
-        try:
-            theta = scalar_blaschke(poles)
-        except ValueError as exc:
-            raise ScenarioError(f"{field}.poles: {exc}") from None
+        theta = construct(f"{field}.poles", scalar_blaschke, poles)
     else:
         theta = BlaschkePotapovProduct.from_json(obj, field)
-    try:
-        return ModelSpace.from_product(theta, order)
-    except ValueError as exc:
-        raise ScenarioError(f"{field}: {exc}") from None
+    return construct(field, ModelSpace.from_product, theta, order)
 
 
 def _parse_crofoot(obj, field):
     if isinstance(obj, dict):
         return CrofootData.from_json(obj, field)
-    w = matrix_from_json(obj, field, limit=MAX_DIM)
-    try:
-        return CrofootData(w)
-    except ValueError as exc:
-        raise ScenarioError(f"{field}: {exc}") from None
+    return construct(field, CrofootData, matrix_from_json(obj, field, limit=MAX_DIM))
 
 
 def parse_scenario(obj, command, tol=None, trunc_order=None, seed=None):
@@ -155,8 +146,7 @@ def parse_scenario(obj, command, tol=None, trunc_order=None, seed=None):
     if not isinstance(order, int) or isinstance(order, bool) or not 8 <= order <= MAX_TRUNC_ORDER:
         raise ScenarioError(f"trunc_order: expected an integer in [8, {MAX_TRUNC_ORDER}]")
     tolerance = tol if tol is not None else obj.get("tolerance", DEFAULT_TOLERANCE)
-    if (not isinstance(tolerance, (int, float)) or isinstance(tolerance, bool)
-            or not 1e-14 <= tolerance <= 1e-2):
+    if not is_number(tolerance) or not 1e-14 <= tolerance <= 1e-2:
         raise ScenarioError("tolerance: expected a number in [1e-14, 1e-2]")
     tolerance = float(tolerance)
     seed = seed if seed is not None else obj.get("seed", 0)
@@ -178,31 +168,18 @@ def parse_scenario(obj, command, tol=None, trunc_order=None, seed=None):
         raise ScenarioError(f"theta2: dimension {space2.dim} does not match "
                             f"theta1 dimension {space1.dim}")
 
-    conj1 = conj2 = None
-    if "j1" in obj:
-        conj1 = Conjugation.from_json(obj["j1"], "j1")
-        if space1 is not None and conj1.dim != space1.dim:
-            raise ScenarioError("j1: dimension does not match theta1")
-    if "j2" in obj:
-        conj2 = Conjugation.from_json(obj["j2"], "j2")
-        if space2 is not None and conj2.dim != space2.dim:
-            raise ScenarioError("j2: dimension does not match theta2")
-
-    crofoot1 = crofoot2 = None
-    if "w1" in obj:
-        crofoot1 = _parse_crofoot(obj["w1"], "w1")
-        if space1 is not None and crofoot1.dim != space1.dim:
-            raise ScenarioError("w1: dimension does not match theta1")
-    if "w2" in obj:
-        crofoot2 = _parse_crofoot(obj["w2"], "w2")
-        if space2 is not None and crofoot2.dim != space2.dim:
-            raise ScenarioError("w2: dimension does not match theta2")
+    # J and W per theta, read in the order j1, j2, w1, w2
+    aux = {}
+    for name, decode in (("j", Conjugation.from_json), ("w", _parse_crofoot)):
+        for k, space in (("1", space1), ("2", space2)):
+            field = name + k
+            aux[field] = decode(obj[field], field) if field in obj else None
+            if space is not None and aux[field] is not None and aux[field].dim != space.dim:
+                raise ScenarioError(f"{field}: dimension does not match theta{k}")
 
     symbol = None
     if "symbol" in obj:
         symbol = Laurent.from_json(obj["symbol"], "symbol")
-        if symbol.coeffs.ndim != 3:
-            raise ScenarioError("symbol.coeffs: expected square matrix coefficients")
         if space1 is not None and symbol.dim != space1.dim:
             raise ScenarioError(f"symbol: dimension {symbol.dim} does not match "
                                 f"theta1 dimension {space1.dim}")
@@ -211,8 +188,8 @@ def parse_scenario(obj, command, tol=None, trunc_order=None, seed=None):
     if "operator" in obj:
         operator = matrix_from_json(obj["operator"], "operator", limit=MAX_STATE_DIM)
 
-    sc = Scenario(command, order, tolerance, seed, space1, space2,
-                  conj1, conj2, crofoot1, crofoot2, symbol, operator, params)
+    sc = Scenario(command, order, tolerance, seed, space1, space2, aux["j1"], aux["j2"],
+                  aux["w1"], aux["w2"], symbol, operator, params)
     _check_required(sc)
     return sc
 

@@ -19,7 +19,8 @@ from __future__ import annotations
 import numpy as np
 
 from .blaschke import MAX_POLE_ABS, _check_unitary, matrix_powers
-from .jsonio import ScenarioError, matrix_from_json, matrix_to_json, refuse_unknown_keys
+from .jsonio import (ScenarioError, construct, matrix_from_json, matrix_to_json,
+                     refuse_unknown_keys)
 from .laurent import MAX_DIM, Laurent, evaluate_many, refit_on_circle
 
 __all__ = [
@@ -63,10 +64,7 @@ class Conjugation:
             raise ScenarioError(f"{field}: expected an object with a 'unitary' key")
         refuse_unknown_keys(obj, ("unitary",), field)
         u = matrix_from_json(obj["unitary"], f"{field}.unitary", limit=MAX_DIM)
-        try:
-            return cls(u)
-        except ValueError as exc:
-            raise ScenarioError(f"{field}: {exc}") from exc
+        return construct(field, cls, u)
 
 
 def jstar(conj_j, f):
@@ -161,10 +159,7 @@ class CrofootData:
             raise ScenarioError(f"{field}: expected an object with a 'w' key")
         refuse_unknown_keys(obj, ("w",), field)
         w = matrix_from_json(obj["w"], f"{field}.w", limit=MAX_DIM)
-        try:
-            return cls(w)
-        except ValueError as exc:
-            raise ScenarioError(f"{field}: {exc}") from exc
+        return construct(field, cls, w)
 
 
 def crofoot_map(theta_series, crofoot, f, direction="forward"):

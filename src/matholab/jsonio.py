@@ -1,4 +1,9 @@
-"""Wire encoding for complex data: every complex scalar travels as [re, im]."""
+"""Wire encoding for complex data: every complex scalar travels as [re, im].
+
+The input boundary's shared rules live here: every number decoded must be
+finite, and ``construct`` is the one place a constructor's refusal becomes a
+``ScenarioError`` naming the field.
+"""
 
 import numpy as np
 
@@ -8,10 +13,11 @@ __all__ = [
     "pair_to_complex",
     "array_to_json",
     "vector_to_json",
-    "vector_from_json",
     "matrix_to_json",
     "matrix_from_json",
     "refuse_unknown_keys",
+    "is_number",
+    "construct",
 ]
 
 
@@ -19,8 +25,22 @@ class ScenarioError(ValueError):
     """A JSON payload failed validation. The message names the offending field."""
 
 
-def _is_number(x):
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+def is_number(x):
+    """A finite int or float; a bool is not a number here."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) < np.inf
+
+
+def construct(field, make, *args):
+    """make(*args), with a plain ValueError from it (an input the constructor
+    refuses) reported as ScenarioError("<field>: <message>"). A ScenarioError
+    already names its field, and np.linalg.LinAlgError (a ValueError) is a
+    numeric failure, not bad input: both pass as raised."""
+    try:
+        return make(*args)
+    except (ScenarioError, np.linalg.LinAlgError):
+        raise
+    except ValueError as exc:
+        raise ScenarioError(f"{field}: {exc}") from None
 
 
 def refuse_unknown_keys(obj, known, field):
@@ -37,7 +57,7 @@ def complex_to_pair(z):
 
 
 def pair_to_complex(obj, field):
-    if not isinstance(obj, (list, tuple)) or len(obj) != 2 or not all(_is_number(t) for t in obj):
+    if not isinstance(obj, (list, tuple)) or len(obj) != 2 or not all(is_number(t) for t in obj):
         raise ScenarioError(f"{field}: expected an [re, im] pair, got {obj!r}")
     return complex(obj[0], obj[1])
 
@@ -54,27 +74,17 @@ def vector_to_json(v):
 
 
 def _plain_pairs(pairs):
-    """The complex values of a list of [re, im] lists of ints and floats, by one
-    type pass and one conversion; None if any entry is anything else, which
-    the caller then decodes entry by entry (``pair_to_complex``) for its message."""
+    """The complex values of a list of [re, im] lists of finite ints and floats,
+    by one type pass and one conversion; None if any entry is anything else,
+    which the caller then decodes entry by entry (``pair_to_complex``) for its
+    message."""
     if set(map(type, pairs)) - {list} or set(map(len, pairs)) - {2}:
         return None
     flat = [t for p in pairs for t in p]
     if set(map(type, flat)) - {int, float}:
         return None
-    return np.array(flat, dtype=float).view(complex)
-
-
-def vector_from_json(obj, field, length=None):
-    if not isinstance(obj, list):
-        raise ScenarioError(f"{field}: expected a list of [re, im] pairs")
-    out = _plain_pairs(obj)
-    if out is None:
-        out = np.array([pair_to_complex(p, f"{field}[{i}]") for i, p in enumerate(obj)],
-                       dtype=complex)
-    if length is not None and out.size != length:
-        raise ScenarioError(f"{field}: expected length {length}, got {out.size}")
-    return out
+    out = np.array(flat, dtype=float)
+    return out.view(complex) if np.isfinite(out).all() else None
 
 
 def matrix_to_json(a):

@@ -24,8 +24,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .jsonio import (ScenarioError, array_to_json, matrix_from_json, refuse_unknown_keys,
-                     vector_from_json)
+from .jsonio import (ScenarioError, array_to_json, is_number, matrix_from_json,
+                     refuse_unknown_keys)
 
 __all__ = [
     "Laurent",
@@ -313,16 +313,12 @@ class Laurent:
 
     @classmethod
     def from_json(cls, obj, field="laurent"):
-        """Read ``to_json`` output: vector or square-matrix values, as the payload nests."""
+        """Read ``to_json`` output of a series with square-matrix values (a symbol)."""
         dim, order, tail, raw = _laurent_header(obj, field)
-        matrix = not raw or _rows_of_pairs(next(iter(raw.values())))
-        shape = (dim, dim) if matrix else (dim,)
-        out = np.zeros((2 * order + 1,) + shape, dtype=complex)
+        out = np.zeros((2 * order + 1, dim, dim), dtype=complex)
         for key, val in raw.items():
-            n = int(key)
-            where = f"{field}.coeffs[{key}]"
-            out[n + order] = (matrix_from_json(val, where, shape=shape) if matrix
-                              else vector_from_json(val, where, length=dim))
+            out[int(key) + order] = matrix_from_json(val, f"{field}.coeffs[{key}]",
+                                                     shape=(dim, dim))
         return cls(out, order, tail)
 
 
@@ -366,15 +362,9 @@ def _laurent_header(obj, field):
                                 f"[{order}, {MAX_TRUNC_ORDER}]")
         order = declared
     tail = obj.get("tail_bound", 0.0)
-    if not isinstance(tail, (int, float)) or isinstance(tail, bool) or tail < 0:
+    if not is_number(tail) or tail < 0:
         raise ScenarioError(f"{field}.tail_bound: expected a nonnegative number")
     return dim, order, float(tail), raw
-
-
-def _rows_of_pairs(val):
-    """True for a matrix payload (rows of [re, im] pairs), False for a vector one."""
-    return (isinstance(val, list) and bool(val) and isinstance(val[0], list)
-            and bool(val[0]) and isinstance(val[0][0], list))
 
 
 def evaluate_many(f, zs):

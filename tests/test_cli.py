@@ -359,6 +359,40 @@ def test_theta_that_is_not_inner_exits_2(tmp_path, capsys, monkeypatch):
     assert "scenario error: theta1: not inner" in err
 
 
+# a constructor's refusal at each decode site, by the document that triggers it
+# (a factor's is test_validation_names_the_field's, from_product's is above)
+_CONSTRUCTOR_REFUSALS = {
+    "product": ({"theta1": {"dim": 1, "left_unitary": [[[2.0, 0.0]]], "factors": [_FACTOR]}},
+                "theta1: left_unitary is not unitary"),
+    "poles": ({"theta1": {"poles": [[0.95, 0.0]]}},
+              "theta1.poles: pole parameter |a| = 0.950 exceeds the 0.9 cap"),
+    "j": ({"j1": {"unitary": [[[2.0, 0.0]]]}}, "j1: conjugation matrix is not unitary"),
+    "w": ({"w1": {"w": [[[0.95, 0.0]]]}}, "w1: Crofoot parameter norm exceeds the 0.9 cap"),
+    "w-matrix": ({"w1": [[[0.95, 0.0]]]}, "w1: Crofoot parameter norm exceeds the 0.9 cap"),
+}
+
+
+@pytest.mark.parametrize("extra, want", _CONSTRUCTOR_REFUSALS.values(),
+                         ids=_CONSTRUCTOR_REFUSALS.keys())
+def test_constructor_refusals_exit_2_by_field(tmp_path, capsys, extra, want):
+    code, out, err = _run(["verify", "--scenario", _write(tmp_path, _base_doc(**extra))], capsys)
+    assert code == 2 and not out
+    assert err == f"scenario error: {want}\n"
+
+
+@pytest.mark.parametrize("w1", [{"w": [[[0.5, 0.0]]]}, [[[0.5, 0.0]]]], ids=["w", "w-matrix"])
+def test_numeric_failure_at_parse_exits_3(tmp_path, capsys, monkeypatch, w1):
+    # LinAlgError subclasses ValueError, but a constructor's numeric failure
+    # is not invalid input
+    def boom(self, w):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(cli.CrofootData, "__init__", boom)
+    code, out, err = _run(["verify", "--scenario", _write(tmp_path, _base_doc(w1=w1))], capsys)
+    assert code == 3 and not out
+    assert err.startswith("internal error: LinAlgError")
+
+
 def test_inconsistent_inputs_exit_2(tmp_path, capsys):
     # a symbol reaching past the window is classified, not refused
     doc = _base_doc(kind="H1", family="hankel",

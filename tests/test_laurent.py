@@ -171,12 +171,13 @@ def test_monomial_and_constant():
 
 
 def test_json_roundtrip():
-    rng = np.random.default_rng(23)
-    for make in (_random_vector_series, _random_matrix_series):
-        f = make(rng, 2, 3)
-        g = type(f).from_json(f.to_json())
-        assert g.allclose(f, tol=0.0)
-        assert g.order == f.order
+    # documents carry square-matrix values only: vector-valued series are not read
+    f = _random_matrix_series(np.random.default_rng(23), 2, 3)
+    g = type(f).from_json(f.to_json())
+    assert g.allclose(f, tol=0.0)
+    assert g.order == f.order
+    with pytest.raises(ScenarioError, match=r"expected an \[re, im\] pair"):
+        Laurent.from_json(_random_vector_series(np.random.default_rng(23), 2, 3).to_json())
 
 
 def test_json_rejects_bad_payloads():

@@ -134,6 +134,47 @@ def test_ragged_rows_are_refused_by_name(field):
         cli.parse_scenario(doc, "verify")
 
 
+def _set_entry(get):
+    """Put [x, 0.0] at entry [1][0] of the matrix payload get(doc)."""
+    def spoil(doc, x):
+        get(doc)[1][0] = [x, 0.0]
+    return spoil
+
+
+def _set_pole(doc, x):
+    doc["theta1"]["factors"][0]["a"] = [x, 0.0]
+
+
+def _set_tail_bound(doc, x):
+    doc["symbol"]["tail_bound"] = x
+
+
+# the refused field -> how a non-finite number x is put there in _verify_doc
+NON_FINITE_FIELDS = {
+    **{f"{field}[1][0]": _set_entry(get) for field, get in MATRIX_FIELDS.items()},
+    "theta1.left_unitary[1][0]": _set_entry(lambda doc: doc["theta1"]["left_unitary"]),
+    "operator[1][0]": _set_entry(lambda doc: doc["operator"]),
+    "theta1.factors[0].a": _set_pole,
+    "symbol.tail_bound": _set_tail_bound,
+}
+
+
+@pytest.mark.parametrize("x", [float("nan"), float("inf")], ids=["nan", "inf"])
+@pytest.mark.parametrize("field", NON_FINITE_FIELDS)
+def test_non_finite_numbers_are_refused_at_decode(tmp_path, capsys, field, x):
+    # Python's json reads NaN and Infinity; a non-finite number would otherwise
+    # reach a verdict (a NaN symbol reads "not-in-kernel", confirmed)
+    doc = copy.deepcopy(_verify_doc())
+    doc["operator"] = matrix_to_json(np.zeros((2, 2)))
+    NON_FINITE_FIELDS[field](doc, x)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["verify", "--scenario", str(path)]) == 2
+    want = ("expected a nonnegative number" if field == "symbol.tail_bound"
+            else f"expected an [re, im] pair, got [{x!r}, 0.0]")
+    assert capsys.readouterr().err == f"scenario error: {field}: {want}\n"
+
+
 def test_matrix_decoder_takes_ints_tuples_and_numpy_floats():
     want = np.array([[1 + 2j, -0.5], [0.0, 3j]])
     assert np.array_equal(matrix_from_json([[[1, 2], [-0.5, 0]], [[0, 0], [0, 3]]], "m"), want)

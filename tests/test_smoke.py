@@ -1,5 +1,6 @@
 """Callers outside the package: the demo scripts and the benchmark's tracer bindings."""
 
+import gc
 import itertools
 import os
 import subprocess
@@ -160,3 +161,37 @@ def test_benchmark_scenario_cycle_is_sound(monkeypatch):
         outcomes[f"{i}:{req.cell}"] = groundtruth.judge(req.expected, observed, error)
     assert len(outcomes) == cycle == 28
     assert not {k: v for k, v in outcomes.items() if v in groundtruth.FAILED}
+
+
+def test_requests_leave_no_reference_cycles(monkeypatch):
+    # a request that leaves a cycle behind is freed only by a gen-2 collection,
+    # whose pause lands in the latency tail; everything a request makes must go
+    # by reference counting
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import workloads
+    from matholab import ModelSpace, operators
+    from matholab.sampling import random_symbol, random_symmetric_inner
+
+    mix = list(itertools.islice(workloads.scenario_mix(1, workloads.MEASURED),
+                                len(workloads.SCENARIO_CELLS)))
+    verify_all = next(dict(req.run.args[1], name="all") for req in mix
+                      if req.cell.startswith("verify"))
+    pre, cycle = workloads.SCHEDULE["kernel_classify"]
+    kernel = list(itertools.islice(workloads.kernel_classify(1, workloads.MEASURED),
+                                   pre + 2 * cycle))
+    rng = np.random.default_rng(6)
+    theta, conj = random_symmetric_inner(rng, 2, max_abs=0.9)
+    space = ModelSpace.from_product(theta, 32)
+    symbol = random_symbol(rng, 2)
+    gc.collect()
+    gc.disable()
+    try:
+        for req in mix + kernel:
+            req.run()
+        workloads.run_scenario("verify", verify_all)
+        # one space on both sides, queried warm
+        for family in ("toeplitz", "hankel") * 2:
+            operators.kernel_test(symbol, space, space, family, conj, conj)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
