@@ -5,6 +5,9 @@ finite, and ``construct`` is the one place a constructor's refusal becomes a
 ``ScenarioError`` naming the field.
 """
 
+import math
+import sys
+
 import numpy as np
 
 __all__ = [
@@ -26,8 +29,9 @@ class ScenarioError(ValueError):
 
 
 def is_number(x):
-    """A finite int or float; a bool is not a number here."""
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) < np.inf
+    """An int or float in the finite float range; a bool is not a number here."""
+    return (isinstance(x, (int, float)) and not isinstance(x, bool)
+            and abs(x) <= sys.float_info.max)
 
 
 def construct(field, make, *args):
@@ -74,17 +78,18 @@ def vector_to_json(v):
 
 
 def _plain_pairs(pairs):
-    """The complex values of a list of [re, im] lists of finite ints and floats,
-    by one type pass and one conversion; None if any entry is anything else,
-    which the caller then decodes entry by entry (``pair_to_complex``) for its
-    message."""
+    """The complex values of a list of [re, im] lists of finite floats, by one
+    type pass and one conversion; None if any entry is anything else (an int
+    among them, which may be past the float range), which the caller then
+    decodes entry by entry (``pair_to_complex``) for its value or message."""
     if set(map(type, pairs)) - {list} or set(map(len, pairs)) - {2}:
         return None
     flat = [t for p in pairs for t in p]
-    if set(map(type, flat)) - {int, float}:
+    # a NaN or an infinity makes the sum non-finite (a sum that overflows
+    # from finite values only sends the list down the per-entry path)
+    if set(map(type, flat)) - {float} or not math.isfinite(sum(flat)):
         return None
-    out = np.array(flat, dtype=float)
-    return out.view(complex) if np.isfinite(out).all() else None
+    return np.array(flat, dtype=float).view(complex)
 
 
 def matrix_to_json(a):

@@ -159,11 +159,13 @@ NON_FINITE_FIELDS = {
 }
 
 
-@pytest.mark.parametrize("x", [float("nan"), float("inf")], ids=["nan", "inf"])
+@pytest.mark.parametrize("x", [float("nan"), float("inf"), 10**400],
+                         ids=["nan", "inf", "huge-int"])
 @pytest.mark.parametrize("field", NON_FINITE_FIELDS)
 def test_non_finite_numbers_are_refused_at_decode(tmp_path, capsys, field, x):
     # Python's json reads NaN and Infinity; a non-finite number would otherwise
-    # reach a verdict (a NaN symbol reads "not-in-kernel", confirmed)
+    # reach a verdict (a NaN symbol reads "not-in-kernel", confirmed), and an
+    # int past the float range would fail its conversion as an internal error
     doc = copy.deepcopy(_verify_doc())
     doc["operator"] = matrix_to_json(np.zeros((2, 2)))
     NON_FINITE_FIELDS[field](doc, x)
@@ -181,6 +183,9 @@ def test_matrix_decoder_takes_ints_tuples_and_numpy_floats():
     assert np.array_equal(matrix_from_json([[(1.0, 2.0), [np.float64(-0.5), 0.0]],
                                             [[0.0, 0.0], [0.0, 3.0]]], "m"), want)
     assert matrix_from_json([[], []], "m").shape == (2, 0)
+    # finite entries whose sum overflows are read all the same
+    big = 1.7976931348623157e308
+    assert np.array_equal(matrix_from_json([[[big, big], [big, 0]]], "m"), [[big + big * 1j, big]])
 
 
 # -- theta documents decode factor by factor, each refusal by name -------------------
